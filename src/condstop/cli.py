@@ -371,7 +371,10 @@ def cmd_truncate(args):
     model = _load_any_model(args)
     if not isinstance(model, MarkovModel):
         raise ModelError("truncate applies to chain models only")
-    report = truncation_limit(model, args.max_horizon, args.window)
+    try:
+        report = truncation_limit(model, args.max_horizon, args.window)
+    except ValueError as exc:  # horizon/window arguments out of range
+        raise ParseError(str(exc)) from exc
     decisions = {
         f"t={t}, state {x}": ("unstable" if bit is None else bit)
         for (t, x), bit in sorted(report.decisions.items(), key=lambda kv: (kv[0][0], str(kv[0][1])))

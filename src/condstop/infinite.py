@@ -16,9 +16,10 @@ current time modulo a period) are evaluated exactly on the product chain of
 The conditional continuation value is J = h / p wherever p > 0, directly
 comparable with the undiscounted per-state payoff.  On top of evaluation sit
 the best-response map restricted to periodic policies, exhaustive equilibrium
-enumeration with deduplication up to almost-sure equality, and a truncation
-diagnostic that solves finite-horizon problems of increasing depth and
-reports which (time, state) decisions stabilize.
+enumeration over the reachable (phase, state) pairs, one candidate per
+almost-sure class, and a truncation diagnostic that solves finite-horizon
+problems of increasing depth and reports which (time, state) decisions
+stabilize.
 """
 
 from __future__ import annotations
@@ -163,8 +164,8 @@ def _domain_pairs(model: MarkovModel, period: int) -> list[Pair]:
     ]
 
 
-def _closure(pairs: list[Pair], seeds: set, successors) -> set:
-    """Pairs from which `seeds`-flagged absorption is reachable via `successors`."""
+def _closure(pairs: list, seeds: set, successors) -> set:
+    """Members of `pairs` (product pairs or states) that reach `seeds` via `successors`."""
     hit = set(seeds)
     changed = True
     while changed:
@@ -399,21 +400,29 @@ def enumerate_periodic_equilibria(
     preference: MarkovPreference = None,
     size_guard: Optional[int] = None,
 ) -> list[PeriodicEquilibrium]:
-    """All period-p equilibria up to almost-sure equality.
+    """All period-p equilibria up to almost-sure equality, one per class.
 
-    Candidates range over the free states (domain minus forced stops) per
-    phase; exit and forced states sit in every region.  A candidate survives
-    when evaluation succeeds and every reachable pair's bit is a best
-    response; with no preference, ties admit both bits.  Candidates that agree
-    at every reachable pair are almost surely the same policy, and only the
-    first (lexicographically smallest bitmask) is kept.
+    Candidates range over the reachable free slots: pairs (phase, x) with x a
+    free state (domain minus forced stops) that the chain can occupy at that
+    phase.  Bits elsewhere never reach a reachable J value, so each candidate
+    stands for one almost-sure class.  Its representative has bit 0 at every
+    unreachable pair, except at discount 1, where unreachable traps (free
+    states that reach neither a stop nor an exit when every free state
+    continues) get bit 1: `evaluate` rejects any discount-1 policy that
+    continues at a trap, so bit 0 there would knock out whole classes.  Exit
+    and forced states sit in every region.  A candidate survives when
+    evaluation succeeds and every reachable pair's bit is a best response;
+    with no preference, ties admit both bits.  The size guard counts the
+    2**slots candidates.
     """
     _require_infinite(model)
     if period < 1:
         raise PolicyError("period must be at least 1")
     guard = DEFAULT_POLICY_GUARD if size_guard is None else size_guard
     free = [x for x in model.states if x in model.domain and x not in model.forced_stop]
-    total = 2 ** (period * len(free))
+    reachable = reachable_pairs(model, period)
+    slots = [(phase, x) for phase in range(period) for x in free if (phase, x) in reachable]
+    total = 2 ** len(slots)
     if total > guard:
         raise SizeGuardError(total, guard)
     pinned = model.exit_states | model.forced_stop
@@ -422,29 +431,34 @@ def enumerate_periodic_equilibria(
     if preference not in (None, "early", "late"):
         raise PolicyError(f"unknown preference {preference!r}")
 
+    traps: set = set()
+    if model.mode.eq(model.discount, 1):
+        def free_successors(x: State):
+            return (y for y, prob in model.transitions[x].items() if prob > 0 and y in free)
+
+        ends = {
+            x
+            for x in free
+            if any(prob > 0 and y in pinned for y, prob in model.transitions[x].items())
+        }
+        traps = set(free) - _closure(free, ends, free_successors)
+    base = [
+        pinned | {x for x in traps if (phase, x) not in reachable} for phase in range(period)
+    ]
+
     found: list[PeriodicEquilibrium] = []
-    seen: set[frozenset] = set()
     for mask in range(total):
-        regions = []
-        for phase in range(period):
-            region = set(pinned)
-            for i, x in enumerate(free):
-                if (mask >> (phase * len(free) + i)) & 1:
-                    region.add(x)
-            regions.append(frozenset(region))
+        regions = [set(region) for region in base]
+        for i, (phase, x) in enumerate(slots):
+            if (mask >> i) & 1:
+                regions[phase].add(x)
         policy = PeriodicMarkovPolicy(period, tuple(regions))
         try:
             evaluation = evaluate(model, policy)
-        except InadmissiblePolicyError:
+        except PolicyError:
             continue
         if _equilibrium_deviations(model, policy, evaluation, preference):
             continue
-        key = frozenset(
-            pair for pair in evaluation.reachable if policy.stops(*pair)
-        )
-        if key in seen:
-            continue
-        seen.add(key)
         found.append(PeriodicEquilibrium(policy, evaluation))
     return found
 

@@ -234,6 +234,15 @@ class TestTruncate:
         assert code == 0
         assert "unstable" in out
 
+    @pytest.mark.parametrize(
+        "argv", [("--max-horizon", "0"), ("--window", "5", "--max-horizon", "3")]
+    )
+    def test_argument_errors_exit_two(self, capsys, argv):
+        code, out, err = run(capsys, "truncate", "--model", "two-state", *argv)
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert out == ""
+
 
 class TestExamples:
     def test_binomial_battery(self, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -13,7 +14,9 @@ from condstop.catalog import (
     two_state_model,
 )
 from condstop.infinite import (
+    PeriodicEquilibrium,
     PeriodicMarkovPolicy,
+    _equilibrium_deviations,
     _markov_bits,
     check_growth,
     check_minnie_donald_conditions,
@@ -39,6 +42,52 @@ F = Fraction
 
 def region_policy(*states):
     return PeriodicMarkovPolicy(1, (frozenset(states),))
+
+
+def exhaustive_periodic_equilibria(model, period, preference=None):
+    """Reference census: every bit at every free (phase, state) pair.
+
+    Tries all 2**(period * free) region families in mask order, skips those
+    whose evaluation fails, and keeps the first survivor of each almost-sure
+    class, i.e. of each stop profile on the reachable pairs.
+    """
+    free = [x for x in model.states if x in model.domain and x not in model.forced_stop]
+    pinned = model.exit_states | model.forced_stop
+    if preference == "all":
+        preference = None
+    found = []
+    seen = set()
+    for mask in range(2 ** (period * len(free))):
+        regions = []
+        for phase in range(period):
+            region = set(pinned)
+            for i, x in enumerate(free):
+                if (mask >> (phase * len(free) + i)) & 1:
+                    region.add(x)
+            regions.append(frozenset(region))
+        policy = PeriodicMarkovPolicy(period, tuple(regions))
+        try:
+            evaluation = evaluate(model, policy)
+        except PolicyError:
+            continue
+        if _equilibrium_deviations(model, policy, evaluation, preference):
+            continue
+        key = frozenset(pair for pair in evaluation.reachable if policy.stops(*pair))
+        if key in seen:
+            continue
+        seen.add(key)
+        found.append(PeriodicEquilibrium(policy, evaluation))
+    return found
+
+
+def reachable_classes(found):
+    """Stop profile on the reachable pairs -> J on the reachable pairs."""
+    return {
+        frozenset(pair for pair in eq.evaluation.reachable if eq.policy.stops(*pair)): {
+            pair: value for pair, value in eq.evaluation.J.items() if pair in eq.evaluation.reachable
+        }
+        for eq in found
+    }
 
 
 def one_way_out_model():
@@ -352,9 +401,86 @@ class TestMinnieDonaldCensus:
         with pytest.raises(SizeGuardError):
             enumerate_periodic_equilibria(minnie_donald_model(), 4, size_guard=4)
 
+    def test_size_guard_counts_reachable_slots(self):
+        # Period 6 has 12 free (phase, state) pairs but only 6 reachable ones.
+        model = minnie_donald_model()
+        unguarded = enumerate_periodic_equilibria(model, 6)
+        assert enumerate_periodic_equilibria(model, 6, size_guard=64) == unguarded
+        with pytest.raises(SizeGuardError) as err:
+            enumerate_periodic_equilibria(model, 6, size_guard=63)
+        assert err.value.required == 64
+
     def test_unknown_preference(self):
         with pytest.raises(PolicyError):
             enumerate_periodic_equilibria(two_state_model(), 1, "sideways")
+
+
+def absorbing_trap_model(reach_trap):
+    """Discount 1, exit state 0, and state 2 an absorbing self-loop.
+
+    From state 1 the chain exits or moves to the trap with `reach_trap`, and
+    exits or stays at 1 otherwise (the trap is then unreachable).
+    """
+    row = {0: F(1, 2), 2: F(1, 2)} if reach_trap else {0: F(1, 2), 1: F(1, 2)}
+    return MarkovModel(
+        states=(0, 1, 2),
+        initial=1,
+        transitions={0: {0: F(1)}, 1: row, 2: {2: F(1)}},
+        domain=frozenset({1, 2}),
+        payoff={1: F(1), 2: F(2)},
+        discount=F(1),
+    )
+
+
+class TestDiscountOneCensus:
+    def test_reachable_trap_only_knocks_out_its_candidates(self):
+        # Continuing at the reachable trap never stops; those candidates are
+        # skipped, and the census continues at 1 to collect 2 at the trap.
+        model = absorbing_trap_model(reach_trap=True)
+        (only,) = enumerate_periodic_equilibria(model, 1)
+        assert only.policy.regions == (frozenset({0, 2}),)
+        assert only.evaluation.J == {(0, 1): F(2), (0, 2): F(2)}
+
+    def test_unreachable_trap_stops(self):
+        model = absorbing_trap_model(reach_trap=False)
+        (only,) = enumerate_periodic_equilibria(model, 1)
+        assert only.policy.regions == (frozenset({0, 1, 2}),)
+        assert only.evaluation.J[(0, 1)] == F(1)  # a tie: stopping is kept
+        assert enumerate_periodic_equilibria(model, 1, "late") == []
+
+
+def _differential_chains():
+    rng = random.Random(20240819)
+    return [random_markov_model(rng, n_states=rng.randint(2, 3)) for _ in range(16)]
+
+
+class TestCensusAgainstExhaustiveOracle:
+    @pytest.mark.parametrize("preference", [None, "early", "late"])
+    @pytest.mark.parametrize("period", [1, 2, 3])
+    def test_random_chains(self, period, preference):
+        for model in _differential_chains():
+            assert enumerate_periodic_equilibria(
+                model, period, preference
+            ) == exhaustive_periodic_equilibria(model, period, preference)
+
+    @pytest.mark.parametrize("period", [1, 2, 3, 4])
+    def test_minnie_donald(self, period):
+        model = minnie_donald_model()
+        for preference in (None, "early", "late"):
+            assert enumerate_periodic_equilibria(
+                model, period, preference
+            ) == exhaustive_periodic_equilibria(model, period, preference)
+
+    @pytest.mark.parametrize("period", [1, 2, 3])
+    def test_random_chains_at_discount_one(self, period):
+        # Representatives may differ off the reachable pairs, where the
+        # oracle can find a smaller mask that continues at a trap.
+        for base in _differential_chains():
+            model = dataclasses.replace(base, discount=F(1))
+            for preference in (None, "early", "late"):
+                assert reachable_classes(
+                    enumerate_periodic_equilibria(model, period, preference)
+                ) == reachable_classes(exhaustive_periodic_equilibria(model, period, preference))
 
 
 class TestCheckGrowth:
