@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -35,7 +36,6 @@ from .infinite import (
     check_growth,
     check_minnie_donald_conditions,
     enumerate_periodic_equilibria,
-    evaluate,
     is_periodic_equilibrium,
     phi_markov,
     truncation_limit,
@@ -57,18 +57,13 @@ from .policy import (
     PolicyError,
     SizeGuardError,
     StoppingPolicy,
+    continuation_value,
     enumerate_equilibria,
     is_equilibrium,
     phi,
     precommitted,
-    _continuation_tables,
 )
-from .recursion import (
-    backward_solve,
-    pair_from_policy,
-    survival_identities,
-    verify_snell_pair,
-)
+from .recursion import backward_solve, survival_identities, verify_snell_pair
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -111,6 +106,8 @@ def _size_guard() -> Optional[int]:
 
 
 def _mode(args):
+    if not (math.isfinite(args.eps) and args.eps > 0):
+        raise ParseError(f"--eps must be finite and positive, got {args.eps!r}")
     return float_mode(args.eps) if args.float else EXACT
 
 
@@ -140,31 +137,17 @@ def _tree_policy(doc_policy, model, tree: AtomTree) -> StoppingPolicy:
     raise ParseError(f"unsupported policy document {doc_policy!r}")
 
 
-def _markov_regions(tree: AtomTree, policy: StoppingPolicy) -> Optional[dict]:
-    """Stop regions per level when bits are constant per (level, state)."""
-    rows: dict[int, dict] = {}
-    for atom in tree.atoms():
-        if not atom.in_domain:
-            continue
-        if atom.state is None:
-            return None
-        row = rows.setdefault(atom.level, {})
-        bit = policy.bit(atom.id)
-        if row.setdefault(atom.state, bit) != bit:
-            return None
-    if not rows:
-        return None
-    return {
-        str(level): sorted((str(x) for x, bit in row.items() if bit))
-        for level, row in sorted(rows.items())
-    }
-
-
 def _policy_document(tree: AtomTree, policy: StoppingPolicy) -> dict:
-    regions = _markov_regions(tree, policy)
-    if regions is not None:
-        return {"regions": regions}
-    return dump_policy(policy)
+    """Stop regions per level when the policy is Markov, else per-atom bits."""
+    bits = policy.markov_bits(tree)
+    if bits is None:
+        return dump_policy(policy)
+    regions: dict[str, list] = {}
+    for (level, x), bit in sorted(bits.items(), key=lambda cell: cell[0][0]):
+        row = regions.setdefault(str(level), [])
+        if bit:
+            row.append(str(x))
+    return {"regions": {level: sorted(row) for level, row in regions.items()}}
 
 
 def cmd_solve(args):
@@ -293,9 +276,8 @@ def cmd_enumerate(args):
     found = enumerate_equilibria(tree, preference=preference, size_guard=_size_guard())
     entries = []
     for policy in found:
-        num, den = _continuation_tables(tree, policy)
         root = tree.root
-        value = root.payoff if policy.stops(root.id) else num[root.id] / den[root.id]
+        value = root.payoff if policy.stops(root.id) else continuation_value(tree, policy, root.id)
         entries.append(
             {
                 "policy": _policy_document(tree, policy),

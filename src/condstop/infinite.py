@@ -74,17 +74,7 @@ class PeriodicMarkovPolicy:
 
     def on_tree(self, tree: AtomTree) -> StoppingPolicy:
         """Project onto an unrolled tree: per-atom bits, 1 outside the domain."""
-        bits: dict[str, int] = {}
-        for atom in tree.atoms():
-            if not atom.in_domain:
-                bits[atom.id] = 1
-            elif atom.state is None:
-                raise PolicyError(
-                    f"atom {atom.id!r} carries no state; the tree was not unrolled from a chain"
-                )
-            else:
-                bits[atom.id] = int(self.stops(atom.level, atom.state))
-        return StoppingPolicy(bits)
+        return StoppingPolicy.from_state_rule(tree, self.stops)
 
 
 @dataclass(frozen=True)
@@ -510,17 +500,11 @@ def _markov_bits(model: MarkovModel, horizon: int) -> dict[tuple[int, State], in
     """Per-(time, state) stop bits of the finite-horizon solution."""
     tree = unroll(model, horizon)
     _, policy = backward_solve(tree)
-    bits: dict[tuple[int, State], int] = {}
-    for atom in tree.atoms():
-        if not atom.in_domain:
-            continue
-        cell = (atom.level, atom.state)
-        bit = policy.bit(atom.id)
-        if cell in bits and bits[cell] != bit:
-            raise RuntimeError(
-                f"finite-horizon solution is not constant across atoms at {cell}"
-            )
-        bits[cell] = bit
+    bits = policy.markov_bits(tree)
+    if bits is None:
+        raise RuntimeError(
+            f"horizon-{horizon} solution is not constant across the atoms of a (time, state) cell"
+        )
     return bits
 
 

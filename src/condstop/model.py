@@ -17,8 +17,7 @@ happens after the exit can affect any conditional value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional
 
 from .numeric import EXACT, NumericMode, Scalar
 

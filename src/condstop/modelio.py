@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Union
 
 from .infinite import PeriodicMarkovPolicy
-from .model import Atom, AtomTree, MarkovModel, ModelError, State
+from .model import Atom, AtomTree, MarkovModel, State
 from .numeric import EXACT, NumericError, NumericMode, Scalar, format_scalar, parse_rational
 from .policy import PolicyError, StoppingPolicy
 from .recursion import SnellPair
@@ -42,17 +42,7 @@ class TimedRegions:
         return state in self.regions[time]
 
     def on_tree(self, tree: AtomTree) -> StoppingPolicy:
-        bits: dict[str, int] = {}
-        for atom in tree.atoms():
-            if not atom.in_domain:
-                bits[atom.id] = 1
-            elif atom.state is None:
-                raise PolicyError(
-                    f"atom {atom.id!r} carries no state; the tree was not unrolled from a chain"
-                )
-            else:
-                bits[atom.id] = int(self.stops(atom.level, atom.state))
-        return StoppingPolicy(bits)
+        return StoppingPolicy.from_state_rule(tree, self.stops)
 
 
 PolicyDocument = Union[StoppingPolicy, TimedRegions, PeriodicMarkovPolicy]

@@ -19,10 +19,10 @@ equilibrium value; `precommitted` computes it by exhaustive enumeration.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Literal, Mapping, Optional, Union
+from dataclasses import dataclass
+from typing import Callable, Iterable, Literal, Mapping, Optional, Union
 
-from .model import Atom, AtomTree
+from .model import Atom, AtomTree, State
 from .numeric import Scalar
 
 DEFAULT_POLICY_GUARD = 2**20
@@ -83,6 +83,44 @@ class StoppingPolicy:
     def from_stop_atoms(tree: AtomTree, stop_atoms: Iterable[str]) -> "StoppingPolicy":
         stops = set(stop_atoms)
         return StoppingPolicy({aid: (1 if aid in stops else 0) for aid in tree.atom_ids()})
+
+    @staticmethod
+    def from_state_rule(
+        tree: AtomTree, stops: Callable[[int, State], bool]
+    ) -> "StoppingPolicy":
+        """Project a (time, state) rule onto a tree unrolled from a chain.
+
+        In-domain atoms get the rule's bit at their level and state; atoms
+        outside the domain get 1.
+        """
+        bits: dict[str, int] = {}
+        for atom in tree.atoms():
+            if not atom.in_domain:
+                bits[atom.id] = 1
+            elif atom.state is None:
+                raise PolicyError(
+                    f"atom {atom.id!r} carries no state; the tree was not unrolled from a chain"
+                )
+            else:
+                bits[atom.id] = int(stops(atom.level, atom.state))
+        return StoppingPolicy(bits)
+
+    def markov_bits(self, tree: AtomTree) -> Optional[dict[tuple[int, State], int]]:
+        """The bit per (level, state) cell of the in-domain atoms.
+
+        None when some in-domain atom carries no state or two atoms of one
+        cell disagree, that is, when the policy is not Markov on this tree.
+        """
+        bits: dict[tuple[int, State], int] = {}
+        for atom in tree.atoms():
+            if not atom.in_domain:
+                continue
+            if atom.state is None:
+                return None
+            bit = self.decisions[atom.id]
+            if bits.setdefault((atom.level, atom.state), bit) != bit:
+                return None
+        return bits
 
 
 @dataclass(frozen=True)
@@ -190,6 +228,30 @@ def _continuation_tables(
     return num, den
 
 
+def _checked_tables(
+    tree: AtomTree, policy: StoppingPolicy
+) -> tuple[AdmissibilityResult, dict[str, Scalar], dict[str, Scalar]]:
+    """Admissibility of the policy together with its continuation tables.
+
+    Raises PolicyError when the policy does not cover the tree exactly.
+    """
+    _check_coverage(tree, policy)
+    flags = tree.effective_flags()
+    num, den = _continuation_tables(tree, policy)
+    result = AdmissibilityResult(True)
+    for atom in tree.atoms():  # level by level from the root
+        if not flags[atom.id]:
+            if not den[atom.id] > 0:
+                result = AdmissibilityResult(False, atom.id, "continuation never stops in-domain")
+                break
+        elif not policy.stops(atom.id):
+            result = AdmissibilityResult(
+                False, atom.id, "must stop at or past the effective horizon"
+            )
+            break
+    return result, num, den
+
+
 def admissible(tree: AtomTree, policy: StoppingPolicy) -> AdmissibilityResult:
     """Check that every observer can use the policy.
 
@@ -199,21 +261,7 @@ def admissible(tree: AtomTree, policy: StoppingPolicy) -> AdmissibilityResult:
     (otherwise the observer's conditional value is undefined), and at or past
     the effective horizon the policy must stop.
     """
-    _check_coverage(tree, policy)
-    flags = tree.effective_flags()
-    num, den = _continuation_tables(tree, policy)
-    for level in tree.levels:
-        for atom in level:
-            if not flags[atom.id]:
-                if not den[atom.id] > 0:
-                    return AdmissibilityResult(
-                        False, atom.id, "continuation never stops in-domain"
-                    )
-            elif not policy.stops(atom.id):
-                return AdmissibilityResult(
-                    False, atom.id, "must stop at or past the effective horizon"
-                )
-    return AdmissibilityResult(True)
+    return _checked_tables(tree, policy)[0]
 
 
 def induced_stop(tree: AtomTree, policy: StoppingPolicy, atom_id: str) -> InducedStop:
@@ -248,16 +296,30 @@ def induced_stop(tree: AtomTree, policy: StoppingPolicy, atom_id: str) -> Induce
 
 def continuation_value(tree: AtomTree, policy: StoppingPolicy, atom_id: str) -> Scalar:
     """The observer's conditional value of running the policy after this atom."""
-    result = admissible(tree, policy)
+    result, num, den = _checked_tables(tree, policy)
     if not result:
         raise InadmissiblePolicyError(result)
-    flags = tree.effective_flags()
-    if flags[atom_id]:
+    if tree.effective_flags()[atom_id]:
         raise PolicyError(
             f"atom {atom_id!r} is at or past the effective horizon; no continuation exists"
         )
-    num, den = _continuation_tables(tree, policy)
     return num[atom_id] / den[atom_id]
+
+
+def _best_response(
+    tree: AtomTree, policy: StoppingPolicy, num: Mapping[str, Scalar], den: Mapping[str, Scalar]
+) -> StoppingPolicy:
+    """`phi` of an admissible policy, given its continuation tables."""
+    flags = tree.effective_flags()
+    mode = tree.mode
+    bits: dict[str, int] = {}
+    for atom in tree.atoms():
+        if flags[atom.id]:
+            bits[atom.id] = 1
+            continue
+        sign = mode.compare(atom.payoff, num[atom.id] / den[atom.id])
+        bits[atom.id] = policy.bit(atom.id) if sign == 0 else int(sign > 0)
+    return StoppingPolicy(bits)
 
 
 def phi(tree: AtomTree, policy: StoppingPolicy) -> StoppingPolicy:
@@ -267,44 +329,40 @@ def phi(tree: AtomTree, policy: StoppingPolicy) -> StoppingPolicy:
     payoff strictly beats the continuation value, 0 when it strictly loses,
     and the old bit on a tie.  At or past the effective horizon the bit is 1.
     """
-    result = admissible(tree, policy)
+    result, num, den = _checked_tables(tree, policy)
     if not result:
         raise InadmissiblePolicyError(result)
-    flags = tree.effective_flags()
-    num, den = _continuation_tables(tree, policy)
-    mode = tree.mode
-    bits: dict[str, int] = {}
-    for atom in tree.atoms():
-        if flags[atom.id]:
-            bits[atom.id] = 1
-            continue
-        sign = mode.compare(atom.payoff, num[atom.id] / den[atom.id])
-        if sign > 0:
-            bits[atom.id] = 1
-        elif sign < 0:
-            bits[atom.id] = 0
+    return _best_response(tree, policy, num, den)
+
+
+def _equilibrium_tables(
+    tree: AtomTree, policy: StoppingPolicy
+) -> tuple[EquilibriumResult, Optional[dict[str, Scalar]], Optional[dict[str, Scalar]]]:
+    """`is_equilibrium` together with the continuation tables it used.
+
+    The tables are None when the policy does not cover the tree.
+    """
+    try:
+        result, num, den = _checked_tables(tree, policy)
+    except PolicyError as exc:
+        return EquilibriumResult(False, reason=str(exc)), None, None
+    if not result:
+        check = EquilibriumResult(False, reason=f"inadmissible: {result.reason} at {result.atom!r}")
+    else:
+        updated = _best_response(tree, policy, num, den)
+        deviations = tuple(
+            aid for aid in tree.atom_ids() if updated.bit(aid) != policy.bit(aid)
+        )
+        if deviations:
+            check = EquilibriumResult(False, deviations, "not a fixed point of the best response")
         else:
-            bits[atom.id] = policy.bit(atom.id)
-    return StoppingPolicy(bits)
+            check = EquilibriumResult(True)
+    return check, num, den
 
 
 def is_equilibrium(tree: AtomTree, policy: StoppingPolicy) -> EquilibriumResult:
     """Check that the policy is admissible and a fixed point of `phi`."""
-    try:
-        result = admissible(tree, policy)
-    except PolicyError as exc:
-        return EquilibriumResult(False, reason=str(exc))
-    if not result:
-        return EquilibriumResult(
-            False, reason=f"inadmissible: {result.reason} at {result.atom!r}"
-        )
-    updated = phi(tree, policy)
-    deviations = tuple(
-        aid for aid in tree.atom_ids() if updated.bit(aid) != policy.bit(aid)
-    )
-    if deviations:
-        return EquilibriumResult(False, deviations, "not a fixed point of the best response")
-    return EquilibriumResult(True)
+    return _equilibrium_tables(tree, policy)[0]
 
 
 @dataclass(frozen=True)

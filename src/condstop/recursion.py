@@ -19,24 +19,18 @@ identically 1 and V reduces to the classical Snell envelope.
 
 `verify_snell_pair` checks a candidate pair against the full list of
 structural conditions that characterize such pairs, without assuming how the
-pair was produced.
+pair was produced.  The recursion and both verifiers share one twisted step,
+`(E[S' | A], E[S'V' | A])`, computed once per atom and call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .model import AtomTree
 from .numeric import Scalar
-from .policy import (
-    InadmissiblePolicyError,
-    PolicyError,
-    StoppingPolicy,
-    _continuation_tables,
-    admissible,
-    is_equilibrium,
-)
+from .policy import StoppingPolicy, _checked_tables, _equilibrium_tables
 
 
 class PairError(ValueError):
@@ -73,6 +67,29 @@ class VerificationReport:
         raise KeyError(name)
 
 
+def _twisted(
+    tree: AtomTree, atom_id: str, survival: Mapping[str, Scalar], values: Mapping[str, Scalar]
+) -> tuple[Scalar, Scalar]:
+    """The survival-twisted step (E[S' | A], E[S'V' | A]) at one atom.
+
+    Out-of-domain children carry no value and add nothing to E[S'V'].
+    """
+    exp_s = exp_sv = tree.mode.zero
+    for child in tree.children(atom_id):
+        s = survival[child.id]
+        exp_s += child.branch_prob * s
+        if child.in_domain:
+            exp_sv += child.branch_prob * s * values[child.id]
+    return exp_s, exp_sv
+
+
+def _tie_scale(tree: AtomTree) -> Scalar:
+    """Float-mode tolerance scale for value comparisons: max(1, max |payoff|)."""
+    if tree.mode.exact:
+        return tree.mode.one
+    return max([1.0] + [abs(float(a.payoff)) for a in tree.atoms() if a.in_domain])
+
+
 def backward_solve(tree: AtomTree) -> tuple[SnellPair, StoppingPolicy]:
     """Solve the tree by backward recursion; also return the induced policy."""
     flags = tree.effective_flags()
@@ -90,13 +107,7 @@ def backward_solve(tree: AtomTree) -> tuple[SnellPair, StoppingPolicy]:
                     survival[atom.id] = mode.zero
                 bits[atom.id] = 1
                 continue
-            den = mode.zero
-            num = mode.zero
-            for child in tree.children(atom.id):
-                s = survival[child.id]
-                den += child.branch_prob * s
-                if child.id in values:
-                    num += child.branch_prob * s * values[child.id]
+            den, num = _twisted(tree, atom.id, survival, values)
             cont = num / den
             if mode.ge(atom.payoff, cont):
                 values[atom.id] = atom.payoff
@@ -130,12 +141,11 @@ def pair_from_policy(tree: AtomTree, policy: StoppingPolicy) -> SnellPair:
     Rejects policies that are not equilibria, and equilibria whose indifferent
     observers continue (those induce a different pair shape).
     """
-    check = is_equilibrium(tree, policy)
+    check, num, den = _equilibrium_tables(tree, policy)
     if not check:
         raise PairError(f"policy is not an equilibrium: {check.reason}")
     flags = tree.effective_flags()
     mode = tree.mode
-    num, den = _continuation_tables(tree, policy)
     values: dict[str, Scalar] = {}
     survival: dict[str, Scalar] = {}
     for atom in tree.atoms():
@@ -208,14 +218,93 @@ def verify_snell_pair(tree: AtomTree, pair: SnellPair) -> VerificationReport:
     """
     mode = tree.mode
     flags = tree.effective_flags()
-    horizon = tree.horizon
-    scale = mode.one
-    if not mode.exact:
-        gains = [abs(float(a.payoff)) for a in tree.atoms() if a.in_domain]
-        scale = max([1.0] + gains)
+    scale = _tie_scale(tree)
 
-    conditions: list[ConditionReport] = []
+    bounds = _condition("bounds", _bounds_failures(tree, pair, scale))
+    if not bounds.passed:
+        # The remaining conditions need a structurally complete pair.
+        return _skipped(bounds, _PAIR_CONDITIONS, tree.root.id, "skipped: bounds failed")
 
+    envelope: list[tuple[str, str]] = []
+    perturbed: list[tuple[str, str]] = []
+    martingale: list[tuple[str, str]] = []
+    for atom in tree.atoms():
+        if not atom.in_domain or flags[atom.id]:
+            continue
+        value = pair.values[atom.id]
+        exp_s, exp_sv = _twisted(tree, atom.id, pair.survival, pair.values)
+        cont = exp_sv / exp_s
+        target = atom.payoff if mode.ge(atom.payoff, cont) else cont
+        if not mode.eq(value, target, scale):
+            envelope.append(
+                (atom.id,
+                 f"value {value} != max(payoff {atom.payoff}, twisted continuation {cont})")
+            )
+        # One deviation inequality per observer: perturbing the time-t0
+        # survival weight to E[S'] turns the product at A into
+        # E[S' | A] * V(A), and the next value of the frozen product is S'V'
+        # itself (children of an unflagged atom are never rewritten by the
+        # freeze).  Steps at other times repeat the martingale/stop
+        # comparisons checked elsewhere, and the step *into* t0 is not an
+        # obligation: a deviation taken at t0 cannot be seen from t0 - 1.
+        if mode.gt(exp_sv, exp_s * value, scale):
+            perturbed.append(
+                (atom.id, f"supermartingale broken when level {atom.level} is perturbed")
+            )
+        if mode.gt(value, atom.payoff, scale):
+            s = pair.survival[atom.id]
+            if not mode.eq(s, exp_s):
+                martingale.append(
+                    (atom.id, "survival is not a one-step martingale off the stop set")
+                )
+            if not mode.eq(s * value, exp_sv, scale):
+                martingale.append((atom.id, "S*V is not a one-step martingale off the stop set"))
+
+    indicator = {}
+    for atom in tree.atoms():
+        on = atom.in_domain and mode.eq(pair.values[atom.id], atom.payoff, scale)
+        indicator[atom.id] = mode.one if on else mode.zero
+    ind_envelope = classical_snell(tree, indicator)
+    minimality = [
+        (aid, f"survival {pair.survival[aid]} != stop-indicator envelope {ind_envelope[aid]}")
+        for aid in tree.atom_ids()
+        if not mode.eq(pair.survival[aid], ind_envelope[aid])
+    ]
+    return VerificationReport((
+        bounds,
+        _condition("envelope_of_weighted_gain", envelope),
+        _condition("survival_minimality", minimality),
+        _condition("perturbed_supermartingale", perturbed),
+        _condition("martingale_off_stop", martingale),
+    ))
+
+
+_PAIR_CONDITIONS = (
+    "envelope_of_weighted_gain",
+    "survival_minimality",
+    "perturbed_supermartingale",
+    "martingale_off_stop",
+)
+_IDENTITY_CONDITIONS = ("continuation_consistency", "survival_expectation", "survival_three_case")
+
+
+def _condition(name: str, failures: list[tuple[str, str]]) -> ConditionReport:
+    return ConditionReport(name, not failures, tuple(failures))
+
+
+def _skipped(
+    first: ConditionReport, names: tuple[str, ...], atom_id: str, why: str
+) -> VerificationReport:
+    """A report whose conditions after `first` all fail unchecked."""
+    return VerificationReport(
+        (first,) + tuple(ConditionReport(name, False, ((atom_id, why),)) for name in names)
+    )
+
+
+def _bounds_failures(tree: AtomTree, pair: SnellPair, scale: Scalar) -> list[tuple[str, str]]:
+    """The `bounds` condition of `verify_snell_pair`: one entry per defect."""
+    mode = tree.mode
+    flags = tree.effective_flags()
     failures: list[tuple[str, str]] = []
     for atom in tree.atoms():
         s = pair.survival.get(atom.id)
@@ -234,100 +323,7 @@ def verify_snell_pair(tree: AtomTree, pair: SnellPair) -> VerificationReport:
                 )
         elif not mode.eq(s, 0):
             failures.append((atom.id, f"survival {s} nonzero outside the domain"))
-    conditions.append(ConditionReport("bounds", not failures, tuple(failures)))
-    if failures:
-        # The remaining conditions need a structurally complete pair.
-        for name in (
-            "envelope_of_weighted_gain",
-            "survival_minimality",
-            "perturbed_supermartingale",
-            "martingale_off_stop",
-        ):
-            conditions.append(ConditionReport(name, False, ((tree.root.id, "skipped: bounds failed"),)))
-        return VerificationReport(tuple(conditions))
-
-    failures = []
-    for atom in tree.atoms():
-        if not atom.in_domain or flags[atom.id]:
-            continue
-        kids = tree.children(atom.id)
-        den = sum((c.branch_prob * pair.survival[c.id] for c in kids), mode.zero)
-        num = sum(
-            (c.branch_prob * pair.survival[c.id] * pair.values[c.id]
-             for c in kids if c.in_domain),
-            mode.zero,
-        )
-        cont = num / den
-        target = atom.payoff if mode.ge(atom.payoff, cont) else cont
-        if not mode.eq(pair.values[atom.id], target, scale):
-            failures.append(
-                (atom.id,
-                 f"value {pair.values[atom.id]} != max(payoff {atom.payoff}, "
-                 f"twisted continuation {cont})")
-            )
-    conditions.append(
-        ConditionReport("envelope_of_weighted_gain", not failures, tuple(failures))
-    )
-
-    indicator = {}
-    for atom in tree.atoms():
-        on = atom.in_domain and mode.eq(pair.values[atom.id], atom.payoff, scale)
-        indicator[atom.id] = mode.one if on else mode.zero
-    ind_envelope = classical_snell(tree, indicator)
-    failures = [
-        (aid, f"survival {pair.survival[aid]} != stop-indicator envelope {ind_envelope[aid]}")
-        for aid in tree.atom_ids()
-        if not mode.eq(pair.survival[aid], ind_envelope[aid])
-    ]
-    conditions.append(ConditionReport("survival_minimality", not failures, tuple(failures)))
-
-    failures = []
-    # One deviation inequality per observer: perturbing the time-t0 survival
-    # weight to E[S'] turns the product at A into E[S' | A] * V(A), and the
-    # next value of the frozen product is S'V' itself (children of an
-    # unflagged atom are never rewritten by the freeze).  Steps at other
-    # times repeat the martingale/stop comparisons checked elsewhere, and
-    # the step *into* t0 is not an obligation: a deviation taken at t0
-    # cannot be seen from t0 - 1.
-    for t0 in range(horizon):
-        for atom in tree.levels[t0]:
-            if not atom.in_domain or flags[atom.id]:
-                continue
-            kids = tree.children(atom.id)
-            exp_s = sum((c.branch_prob * pair.survival[c.id] for c in kids), mode.zero)
-            exp_sv = sum(
-                (c.branch_prob * pair.survival[c.id] * pair.values[c.id]
-                 for c in kids if c.in_domain),
-                mode.zero,
-            )
-            if mode.gt(exp_sv, exp_s * pair.values[atom.id], scale):
-                failures.append(
-                    (atom.id, f"supermartingale broken when level {t0} is perturbed")
-                )
-    conditions.append(
-        ConditionReport("perturbed_supermartingale", not failures, tuple(failures))
-    )
-
-    failures = []
-    for atom in tree.atoms():
-        if flags[atom.id] or not atom.in_domain:
-            continue
-        if not mode.gt(pair.values[atom.id], atom.payoff, scale):
-            continue
-        kids = tree.children(atom.id)
-        exp_s = sum((c.branch_prob * pair.survival[c.id] for c in kids), mode.zero)
-        exp_sv = sum(
-            (c.branch_prob * pair.survival[c.id] * pair.values[c.id]
-             for c in kids if c.in_domain),
-            mode.zero,
-        )
-        if not mode.eq(pair.survival[atom.id], exp_s):
-            failures.append((atom.id, "survival is not a one-step martingale off the stop set"))
-        if not mode.eq(pair.survival[atom.id] * pair.values[atom.id], exp_sv, scale):
-            failures.append((atom.id, "S*V is not a one-step martingale off the stop set"))
-    conditions.append(ConditionReport("martingale_off_stop", not failures, tuple(failures)))
-
-    return VerificationReport(tuple(conditions))
+    return failures
 
 
 def survival_identities(
@@ -343,81 +339,60 @@ def survival_identities(
         continuation stops in-domain.
     survival_three_case: S is that probability on continuing in-domain atoms,
         1 on stopping in-domain atoms, and 0 outside the domain.
+
+    The last three fail unchecked when the policy is inadmissible or the
+    pair fails the `bounds` condition of `verify_snell_pair`.
     """
     mode = tree.mode
     flags = tree.effective_flags()
-    conditions: list[ConditionReport] = []
+    scale = _tie_scale(tree)
 
-    adm = admissible(tree, policy)
-    conditions.append(
-        ConditionReport(
-            "admissibility",
-            bool(adm),
-            () if adm else ((adm.atom, adm.reason),),
-        )
+    adm, num, den = _checked_tables(tree, policy)
+    admissibility = ConditionReport(
+        "admissibility", bool(adm), () if adm else ((adm.atom, adm.reason),)
     )
     if not adm:
-        for name in ("continuation_consistency", "survival_expectation", "survival_three_case"):
-            conditions.append(
-                ConditionReport(name, False, ((tree.root.id, "skipped: inadmissible policy"),))
-            )
-        return VerificationReport(tuple(conditions))
+        return _skipped(
+            admissibility, _IDENTITY_CONDITIONS, tree.root.id, "skipped: inadmissible policy"
+        )
+    if _bounds_failures(tree, pair, scale):
+        return _skipped(
+            admissibility, _IDENTITY_CONDITIONS, tree.root.id, "skipped: pair fails bounds"
+        )
 
-    num, den = _continuation_tables(tree, policy)
-    scale = mode.one
-    if not mode.exact:
-        gains = [abs(float(a.payoff)) for a in tree.atoms() if a.in_domain]
-        scale = max([1.0] + gains)
-
-    failures = []
+    consistency: list[tuple[str, str]] = []
+    expectation: list[tuple[str, str]] = []
     for atom in tree.atoms():
         if flags[atom.id]:
             continue
-        exp_s = mode.zero
-        exp_sv = mode.zero
-        for child in tree.children(atom.id):
-            s = pair.survival[child.id]
-            exp_s += child.branch_prob * s
-            if child.in_domain:
-                exp_sv += child.branch_prob * s * pair.values[child.id]
+        exp_s, exp_sv = _twisted(tree, atom.id, pair.survival, pair.values)
         recursion_value = exp_sv / exp_s
         path_value = num[atom.id] / den[atom.id]
         if not mode.eq(recursion_value, path_value, scale):
-            failures.append(
+            consistency.append(
                 (atom.id, f"recursion ratio {recursion_value} != path value {path_value}")
             )
-    conditions.append(
-        ConditionReport("continuation_consistency", not failures, tuple(failures))
-    )
-
-    failures = []
-    for atom in tree.atoms():
-        if flags[atom.id]:
-            continue
-        exp_s = sum(
-            (c.branch_prob * pair.survival[c.id] for c in tree.children(atom.id)),
-            mode.zero,
-        )
         if not mode.eq(exp_s, den[atom.id]):
-            failures.append(
+            expectation.append(
                 (atom.id, f"E[S'] = {exp_s} != continuation survival {den[atom.id]}")
             )
-    conditions.append(ConditionReport("survival_expectation", not failures, tuple(failures)))
 
-    failures = []
+    three_case = []
     for atom in tree.atoms():
         s = pair.survival[atom.id]
         if not atom.in_domain:
             if not mode.eq(s, 0):
-                failures.append((atom.id, "survival must vanish outside the domain"))
+                three_case.append((atom.id, "survival must vanish outside the domain"))
         elif policy.stops(atom.id):
             if not mode.eq(s, 1):
-                failures.append((atom.id, "survival must be 1 on stopping in-domain atoms"))
-        else:
-            if not mode.eq(s, den[atom.id]):
-                failures.append(
-                    (atom.id, "survival must equal the continuation stop-in-domain probability")
-                )
-    conditions.append(ConditionReport("survival_three_case", not failures, tuple(failures)))
-
-    return VerificationReport(tuple(conditions))
+                three_case.append((atom.id, "survival must be 1 on stopping in-domain atoms"))
+        elif not mode.eq(s, den[atom.id]):
+            three_case.append(
+                (atom.id, "survival must equal the continuation stop-in-domain probability")
+            )
+    return VerificationReport((
+        admissibility,
+        _condition("continuation_consistency", consistency),
+        _condition("survival_expectation", expectation),
+        _condition("survival_three_case", three_case),
+    ))

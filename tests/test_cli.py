@@ -210,6 +210,34 @@ class TestVerify:
         assert code == 1
         assert "deviation at root" in out
 
+    @pytest.mark.parametrize(
+        "survival", [{"uu": None}, {"u": "0", "d": "0"}], ids=["missing", "zero"]
+    )
+    def test_pair_failing_bounds_with_policy(self, capsys, tmp_path, tree_file, survival):
+        pair, policy = backward_solve(binomial_tree())
+        doc = dump_pair(pair)
+        for aid, s in survival.items():
+            if s is None:
+                del doc["S"][aid]
+            else:
+                doc["S"][aid] = s
+        pair_path = tmp_path / "pair.json"
+        pair_path.write_text(json.dumps(doc))
+        policy_path = tmp_path / "policy.json"
+        policy_path.write_text(json.dumps({"decisions": dict(policy.decisions)}))
+        code, out, err = run(
+            capsys,
+            "verify", "--model", tree_file,
+            "--pair", str(pair_path), "--policy", str(policy_path), "--json",
+        )
+        assert code == 1
+        assert err == ""
+        identities = json.loads(out)["verification"]["survival_identities"]
+        assert identities["admissibility"]["passed"]
+        assert identities["survival_three_case"] == {
+            "passed": False, "failures": [["root", "skipped: pair fails bounds"]]
+        }
+
     def test_requires_something_to_check(self, capsys, tree_file):
         code, _, err = run(capsys, "verify", "--model", tree_file)
         assert code == 2
@@ -284,6 +312,13 @@ class TestErrorChannels:
         path.write_text(json.dumps(doc))
         code, _, err = run(capsys, "solve", "--model", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-1", "0"])
+    def test_bad_eps_exits_two(self, capsys, eps):
+        code, out, err = run(capsys, "solve", "--model", "binomial", "--float", "--eps", eps)
+        assert code == 2
+        assert err.startswith("error: --eps") and "Traceback" not in err
+        assert out == ""
 
     def test_argparse_rejections_exit_two(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

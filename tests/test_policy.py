@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from condstop.catalog import binomial_tree
-from condstop.model import Atom, AtomTree
+from condstop.catalog import binomial_tree, two_state_model
+from condstop.model import Atom, AtomTree, unroll
 from condstop.policy import (
     InadmissiblePolicyError,
     SizeGuardError,
@@ -50,6 +50,25 @@ class TestStoppingPolicy:
         # is forced to 1 no matter what the policy said there.
         assert fixed.bit("dd") == 1
         assert fixed.bit("root") == 0 and fixed.bit("d") == 0
+
+    def test_state_rule_round_trips_through_markov_bits(self):
+        tree = unroll(two_state_model(), 3)
+        policy = StoppingPolicy.from_state_rule(tree, lambda t, x: x == 2 or t == 3)
+        bits = policy.markov_bits(tree)
+        assert all(bit == int(x == 2 or t == 3) for (t, x), bit in bits.items())
+        assert (0, 1) in bits and (3, 2) in bits
+        for atom in tree.atoms():
+            if not atom.in_domain:
+                assert policy.bit(atom.id) == 1
+
+    def test_markov_bits_none_when_a_cell_disagrees(self):
+        tree = unroll(two_state_model(), 3)
+        policy = StoppingPolicy.from_state_rule(tree, lambda t, x: False)
+        cell = [a for a in tree.levels[2] if a.in_domain and a.state == 1]
+        assert len(cell) > 1
+        split = StoppingPolicy({**policy.decisions, cell[0].id: 1})
+        assert split.markov_bits(tree) is None
+        assert StoppingPolicy.stop_everywhere(binomial_tree()).markov_bits(binomial_tree()) is None
 
 
 class TestAdmissible:

@@ -2,9 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from condstop import policy as policy_module
+from condstop import recursion as recursion_module
 from condstop.catalog import binomial_tree
 from condstop.model import Atom, AtomTree
-from condstop.policy import StoppingPolicy
+from condstop.numeric import float_mode
+from condstop.policy import StoppingPolicy, admissible, continuation_value, is_equilibrium, phi
 from condstop.recursion import (
     PairError,
     SnellPair,
@@ -238,3 +241,161 @@ class TestSurvivalIdentities:
         lazy = StoppingPolicy({a: 0 for a in tree.atom_ids()})
         report = survival_identities(tree, lazy, pair)
         assert not report.condition("admissibility").passed
+
+    @pytest.mark.parametrize(
+        "survival", [{"uu": None}, {"u": F(0), "d": F(0)}], ids=["missing", "zero"]
+    )
+    def test_pair_failing_bounds_is_skipped(self, solved_binomial, survival):
+        # Used to raise KeyError (missing S) or ZeroDivisionError (E[S'] = 0).
+        tree, pair, policy = solved_binomial
+        broken = {**pair.survival, **survival}
+        broken = {aid: s for aid, s in broken.items() if s is not None}
+        report = survival_identities(tree, policy, SnellPair(pair.values, broken))
+        assert report.condition("admissibility").passed
+        for name in ("continuation_consistency", "survival_expectation", "survival_three_case"):
+            assert report.condition(name).failures == (("root", "skipped: pair fails bounds"),)
+
+
+def _corrupted_binomial(mode=None, values=(), survival=()):
+    tree = binomial_tree() if mode is None else binomial_tree(mode)
+    pair, policy = backward_solve(tree)
+    corrupted = SnellPair({**pair.values, **dict(values)}, {**pair.survival, **dict(survival)})
+    return tree, policy, corrupted
+
+
+def _flat(report):
+    return tuple((c.name, c.passed, c.failures) for c in report.conditions)
+
+
+# Full reports of both verifiers on three corrupted binomial pairs, recorded
+# before the verifiers were rewritten to share one twisted step per atom.
+PINNED_CASES = {
+    "wrong_value_at_u": dict(values={"u": F(9)}),
+    "wrong_survival_at_d": dict(survival={"d": F(1, 2)}),
+    "float_near_tie": dict(
+        mode=float_mode(1e-9),
+        values={"u": 10 + 5e-9, "root": 6.5 - 3e-9},
+        survival={"root": 1 - 2e-9},
+    ),
+}
+MARTINGALE_S = "survival is not a one-step martingale off the stop set"
+MARTINGALE_SV = "S*V is not a one-step martingale off the stop set"
+PINNED_SNELL = {
+    "wrong_value_at_u": (
+        ("bounds", True, ()),
+        ("envelope_of_weighted_gain", False, (
+            ("root", "value 13/2 != max(payoff 2, twisted continuation 6)"),
+            ("u", "value 9 != max(payoff 10, twisted continuation 3)"),
+        )),
+        ("survival_minimality", True, ()),
+        ("perturbed_supermartingale", True, ()),
+        ("martingale_off_stop", False, (("root", MARTINGALE_SV),)),
+    ),
+    "wrong_survival_at_d": (
+        ("bounds", True, ()),
+        ("envelope_of_weighted_gain", False, (
+            ("root", "value 13/2 != max(payoff 2, twisted continuation 23/3)"),
+        )),
+        ("survival_minimality", False, (("d", "survival 1/2 != stop-indicator envelope 1"),)),
+        ("perturbed_supermartingale", False, (
+            ("root", "supermartingale broken when level 0 is perturbed"),
+        )),
+        ("martingale_off_stop", False, (("root", MARTINGALE_S), ("root", MARTINGALE_SV))),
+    ),
+    "float_near_tie": (
+        ("bounds", True, ()),
+        ("envelope_of_weighted_gain", True, ()),
+        ("survival_minimality", False, (
+            ("root", "survival 0.999999998 != stop-indicator envelope 1.0"),
+        )),
+        ("perturbed_supermartingale", True, ()),
+        ("martingale_off_stop", False, (("root", MARTINGALE_S), ("root", MARTINGALE_SV))),
+    ),
+}
+PINNED_IDENTITIES = {
+    "wrong_value_at_u": (
+        ("admissibility", True, ()),
+        ("continuation_consistency", False, (("root", "recursion ratio 6 != path value 13/2"),)),
+        ("survival_expectation", True, ()),
+        ("survival_three_case", True, ()),
+    ),
+    "wrong_survival_at_d": (
+        ("admissibility", True, ()),
+        ("continuation_consistency", False, (
+            ("root", "recursion ratio 23/3 != path value 13/2"),
+        )),
+        ("survival_expectation", False, (("root", "E[S'] = 3/4 != continuation survival 1"),)),
+        ("survival_three_case", False, (
+            ("d", "survival must be 1 on stopping in-domain atoms"),
+        )),
+    ),
+    "float_near_tie": (
+        ("admissibility", True, ()),
+        ("continuation_consistency", True, ()),
+        ("survival_expectation", True, ()),
+        ("survival_three_case", False, (
+            ("root", "survival must equal the continuation stop-in-domain probability"),
+        )),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_CASES))
+def test_verifier_reports_are_pinned(case):
+    tree, policy, pair = _corrupted_binomial(**PINNED_CASES[case])
+    assert _flat(verify_snell_pair(tree, pair)) == PINNED_SNELL[case]
+    assert _flat(survival_identities(tree, policy, pair)) == PINNED_IDENTITIES[case]
+
+
+def _counting(monkeypatch, module, name):
+    """Record the arguments of every call to `module.name`, under any module
+    of the package that binds it."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for bound in (policy_module, recursion_module):
+        if getattr(bound, name, None) is original:
+            monkeypatch.setattr(bound, name, counted)
+    return calls
+
+
+class TestSharedTables:
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda tree, policy, pair: admissible(tree, policy),
+            lambda tree, policy, pair: continuation_value(tree, policy, "root"),
+            lambda tree, policy, pair: is_equilibrium(tree, policy),
+            lambda tree, policy, pair: phi(tree, policy),
+            lambda tree, policy, pair: pair_from_policy(tree, policy),
+            lambda tree, policy, pair: survival_identities(tree, policy, pair),
+        ],
+        ids=[
+            "admissible",
+            "continuation_value",
+            "is_equilibrium",
+            "phi",
+            "pair_from_policy",
+            "survival_identities",
+        ],
+    )
+    def test_one_continuation_pass_per_call(self, monkeypatch, solved_binomial, check):
+        tree, pair, policy = solved_binomial
+        calls = _counting(monkeypatch, policy_module, "_continuation_tables")
+        check(tree, policy, pair)
+        assert len(calls) == 1
+
+    def test_one_twisted_step_per_unflagged_atom(self, monkeypatch, solved_binomial):
+        tree, pair, policy = solved_binomial
+        flags = tree.effective_flags()
+        unflagged = [a.id for a in tree.atoms() if not flags[a.id]]
+        calls = _counting(monkeypatch, recursion_module, "_twisted")
+        verify_snell_pair(tree, pair)
+        assert [args[1] for args in calls] == unflagged
+        calls.clear()
+        survival_identities(tree, policy, pair)
+        assert [args[1] for args in calls] == unflagged
