@@ -57,17 +57,15 @@ from .recursion import (
     pair_from_policy,
     policy_from_pair,
     survival_identities,
+    verify_pair_and_policy,
     verify_snell_pair,
 )
 from .infinite import (
-    InequalityCheck,
-    ParameterReport,
     PeriodicEquilibrium,
     PeriodicMarkovPolicy,
     PolicyEvaluation,
     TruncationReport,
     check_growth,
-    check_minnie_donald_conditions,
     enumerate_periodic_equilibria,
     evaluate,
     is_periodic_equilibrium,
@@ -89,8 +87,11 @@ from .modelio import (
 )
 from .catalog import (
     BUILTIN_MODELS,
+    InequalityCheck,
+    ParameterReport,
     binomial_tree,
     builtin_model,
+    check_minnie_donald_conditions,
     minnie_donald_cycle_regions,
     minnie_donald_homogeneous_policy,
     minnie_donald_model,

@@ -1,5 +1,6 @@
 """Built-in example models: the binomial tree, the two-state chain, and the
-five-state Minnie–Donald chain, with their reference policies.
+five-state Minnie–Donald chain, with their reference policies and the exact
+check of the Minnie–Donald parameter inequalities.
 
 These are the workhorses of the test suite and the CLI `example` command.
 Parameters default to the reference values under which every advertised
@@ -10,6 +11,7 @@ equilibria; the Minnie–Donald chain has none, but two period-4 ones.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -103,6 +105,79 @@ def minnie_donald_model(
         forced_stop=frozenset({3, 4}),
         mode=mode,
     )
+
+
+@dataclass(frozen=True)
+class InequalityCheck:
+    description: str
+    holds: bool
+    lhs: Scalar
+    rhs: Scalar
+
+
+@dataclass(frozen=True)
+class ParameterReport:
+    groups: tuple[tuple[InequalityCheck, ...], ...]
+
+    @property
+    def all_hold(self) -> bool:
+        return all(check.holds for group in self.groups for check in group)
+
+    def checks(self):
+        for group in self.groups:
+            yield from group
+
+
+def check_minnie_donald_conditions(delta: Scalar, a: Scalar, b: Scalar) -> ParameterReport:
+    """Exact inequality report for the five-state cyclic-equilibrium chain.
+
+    Three groups: the first keeps stopping at the poor state optimal against
+    immediate stopping downstream; the second forces continuation once the
+    rich state's continuation value builds up; the third closes the cycle.
+    At the reference parameters (delta = 999/1000, a = 24/25, b = 4257/1000)
+    the margins are a few parts in a thousand — rounding the parameters to
+    two decimals already flips a verdict — so the checks are carried out in
+    whatever arithmetic the inputs supply, exact rationals included.
+    """
+    eighteen = Fraction(18)
+    group1 = (
+        InequalityCheck("a < delta", a < delta, a, delta),
+        InequalityCheck(
+            "delta*(a + 4*b) < 18",
+            delta * (a + 4 * b) < eighteen,
+            delta * (a + 4 * b),
+            eighteen,
+        ),
+    )
+    lhs2 = (
+        Fraction(1, 100) * delta**3 * min(5 * a, b * delta**2)
+        + Fraction(1, 5) * b * delta**3
+        + 4 * b * delta
+    )
+    group2 = (
+        InequalityCheck(
+            "delta*(delta + 4*b) > 18",
+            delta * (delta + 4 * b) > eighteen,
+            delta * (delta + 4 * b),
+            eighteen,
+        ),
+        InequalityCheck(
+            "delta^3*min(5*a, b*delta^2)/100 + b*delta^3/5 + 4*b*delta > 179/10",
+            lhs2 > Fraction(179, 10),
+            lhs2,
+            Fraction(179, 10),
+        ),
+    )
+    lhs3 = delta**2 * (max(delta, Fraction(1, 4) * b * delta**2) + 4 * b)
+    group3 = (
+        InequalityCheck(
+            "delta^2*(max(delta, b*delta^2/4) + 4*b) < 189*a/10",
+            lhs3 < Fraction(189, 10) * a,
+            lhs3,
+            Fraction(189, 10) * a,
+        ),
+    )
+    return ParameterReport((group1, group2, group3))
 
 
 def minnie_donald_cycle_regions() -> tuple[frozenset, ...]:

@@ -27,6 +27,7 @@ from typing import Optional
 from .catalog import (
     BUILTIN_MODELS,
     builtin_model,
+    check_minnie_donald_conditions,
     minnie_donald_cycle_regions,
     minnie_donald_homogeneous_policy,
     two_state_history_policy,
@@ -34,7 +35,6 @@ from .catalog import (
 from .infinite import (
     PeriodicMarkovPolicy,
     check_growth,
-    check_minnie_donald_conditions,
     enumerate_periodic_equilibria,
     is_periodic_equilibrium,
     phi_markov,
@@ -63,7 +63,7 @@ from .policy import (
     phi,
     precommitted,
 )
-from .recursion import backward_solve, survival_identities, verify_snell_pair
+from .recursion import backward_solve, verify_pair_and_policy, verify_snell_pair
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -304,10 +304,22 @@ def cmd_verify(args):
     lines: list[str] = []
     failed = False
 
-    pair = policy = None
+    pair = policy = report = check = identities = None
     if args.pair is not None:
         pair = load_pair(read_json(args.pair), mode=_mode(args))
+    if args.policy is not None:
+        doc = load_policy(
+            read_json(args.policy), model if isinstance(model, MarkovModel) else None
+        )
+        policy = _tree_policy(doc, model, tree)
+    if pair is not None and policy is not None:
+        report, check, identities = verify_pair_and_policy(tree, pair, policy)
+    elif pair is not None:
         report = verify_snell_pair(tree, pair)
+    else:
+        check = is_equilibrium(tree, policy)
+
+    if report is not None:
         verification["snell_pair"] = {
             c.name: {"passed": c.passed, "failures": [list(f) for f in c.failures]}
             for c in report.conditions
@@ -318,12 +330,7 @@ def cmd_verify(args):
             lines.append(f"  {c.name}: {'pass' if c.passed else 'FAIL'}")
             for atom, why in c.failures[:3]:
                 lines.append(f"    {atom}: {why}")
-    if args.policy is not None:
-        doc = load_policy(
-            read_json(args.policy), model if isinstance(model, MarkovModel) else None
-        )
-        policy = _tree_policy(doc, model, tree)
-        check = is_equilibrium(tree, policy)
+    if check is not None:
         verification["equilibrium"] = {
             "passed": bool(check),
             "deviations": list(check.deviations),
@@ -335,15 +342,14 @@ def cmd_verify(args):
             lines.append(f"  reason: {check.reason}")
             for atom in check.deviations[:5]:
                 lines.append(f"  deviation at {atom}")
-    if pair is not None and policy is not None:
-        report = survival_identities(tree, policy, pair)
+    if identities is not None:
         verification["survival_identities"] = {
             c.name: {"passed": c.passed, "failures": [list(f) for f in c.failures]}
-            for c in report.conditions
+            for c in identities.conditions
         }
-        failed |= not report.passed
+        failed |= not identities.passed
         lines.append("survival identities:")
-        for c in report.conditions:
+        for c in identities.conditions:
             lines.append(f"  {c.name}: {'pass' if c.passed else 'FAIL'}")
     code = EXIT_VERIFICATION_FAILED if failed else EXIT_OK
     return model, {}, verification, lines, code
@@ -396,8 +402,7 @@ def _example_binomial(args):
     pair, policy = backward_solve(tree)
     pre = precommitted(tree)
     equilibria = enumerate_equilibria(tree)
-    snell = verify_snell_pair(tree, pair)
-    identities = survival_identities(tree, policy, pair)
+    snell, check, identities = verify_pair_and_policy(tree, pair, policy)
     root = tree.root.id
     results = {
         "precommitted_value": format_scalar(pre.value),
@@ -408,7 +413,7 @@ def _example_binomial(args):
         "equilibria_count": len(equilibria),
     }
     verification = {
-        "is_equilibrium": bool(is_equilibrium(tree, policy)),
+        "is_equilibrium": bool(check),
         "snell_pair": snell.passed,
         "survival_identities": identities.passed,
     }

@@ -11,7 +11,9 @@ of states in which the gain is defined, a per-state gain discounted
 geometrically, and an initial state inside the domain.  `unroll` turns a chain
 into an `AtomTree`; on the first step that leaves the domain the continuation
 is collapsed into a single absorbing out-of-domain chain, since nothing that
-happens after the exit can affect any conditional value.
+happens after the exit can affect any conditional value.  An unrolled atom's
+id joins the state names along its path with `/`, each name escaped by
+`_state_segment`, and `EXIT_SEGMENT` for every step of the out-of-domain chain.
 """
 
 from __future__ import annotations
@@ -281,6 +283,20 @@ class MarkovModel:
         return frozenset(seen)
 
 
+def _state_segment(state: State) -> str:
+    """The id segment of a state in an unrolled tree.
+
+    `%` and `/` in the state's name are percent-escaped and a state named
+    `!` becomes `%21`, so that distinct names give distinct segments, no
+    segment contains the `/` separator and none equals `EXIT_SEGMENT`.  Other
+    names are used as they are.
+    """
+    name = str(state)
+    if name == EXIT_SEGMENT:
+        return "%21"
+    return name.replace("%", "%25").replace("/", "%2F")
+
+
 def unroll(model: MarkovModel, horizon: Optional[int] = None) -> AtomTree:
     """Expand a chain into an atom tree of the given depth.
 
@@ -296,8 +312,9 @@ def unroll(model: MarkovModel, horizon: Optional[int] = None) -> AtomTree:
     if not isinstance(horizon, int) or horizon <= 0:
         raise ModelError("horizon must be a positive integer")
     mode = model.mode
+    segment = {x: _state_segment(x) for x in model.states}
     root = Atom(
-        id=str(model.initial),
+        id=segment[model.initial],
         level=0,
         parent=None,
         branch_prob=mode.one,
@@ -331,7 +348,7 @@ def unroll(model: MarkovModel, horizon: Optional[int] = None) -> AtomTree:
                     exit_mass += p
                     continue
                 child = Atom(
-                    id=f"{atom.id}/{y}",
+                    id=f"{atom.id}/{segment[y]}",
                     level=t,
                     parent=atom.id,
                     branch_prob=p,

@@ -19,8 +19,9 @@ equilibrium value; `precommitted` computes it by exhaustive enumeration.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Literal, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Literal, Mapping, Optional, Union
 
 from .model import Atom, AtomTree, State
 from .numeric import Scalar
@@ -195,28 +196,37 @@ def _check_coverage(tree: AtomTree, policy: StoppingPolicy) -> None:
             raise PolicyError(f"decision at {aid!r} must be 0 or 1, got {bit!r}")
 
 
-def _continuation_tables(
-    tree: AtomTree, policy: StoppingPolicy
-) -> tuple[dict[str, Scalar], dict[str, Scalar]]:
-    """Bottom-up numerator and survival tables for continuation values.
+def _sweep(
+    tree: AtomTree, choose: Callable[[Atom, Scalar, Scalar], int]
+) -> tuple[dict[str, int], dict[str, Scalar], dict[str, Scalar]]:
+    """The bottom-up pass behind every policy table and the backward recursion.
 
-    For every non-terminal atom A:
+    Level by level from the bottom, each non-terminal atom A first gets
       den[A] = P(first stop after A lands in-domain | A)
       num[A] = E[payoff at that stop * 1{in-domain} | A]
+    from its children, and then its own bit `choose(A, num[A], den[A])`.
     A child that stops contributes its payoff when in-domain and nothing
     otherwise; a continuing child contributes its own tables; a continuing
     child at the final level contributes nothing (mass that never stops).
+    Final-level atoms are chosen with zero tables, which are not stored.
+
+    Choosing the bits of a fixed policy gives that policy's tables; choosing
+    "stop iff payoff >= num/den" is the backward recursion.
     """
     zero = tree.mode.zero
+    horizon = tree.horizon
+    children = tree.children
+    bits: dict[str, int] = {}
     num: dict[str, Scalar] = {}
     den: dict[str, Scalar] = {}
-    horizon = tree.horizon
+    for atom in tree.levels[-1]:
+        bits[atom.id] = choose(atom, zero, zero)
     for level in reversed(tree.levels[:-1]):
         for atom in level:
             total_num = zero
             total_den = zero
-            for child in tree.children(atom.id):
-                if policy.stops(child.id):
+            for child in children(atom.id):
+                if bits[child.id]:
                     if child.in_domain:
                         total_num += child.branch_prob * child.payoff
                         total_den += child.branch_prob
@@ -225,7 +235,16 @@ def _continuation_tables(
                     total_den += child.branch_prob * den[child.id]
             num[atom.id] = total_num
             den[atom.id] = total_den
-    return num, den
+            bits[atom.id] = choose(atom, total_num, total_den)
+    return bits, num, den
+
+
+def _continuation_tables(
+    tree: AtomTree, policy: StoppingPolicy
+) -> tuple[dict[str, Scalar], dict[str, Scalar]]:
+    """The policy's (num, den) tables on every non-terminal atom; see `_sweep`."""
+    decisions = policy.decisions
+    return _sweep(tree, lambda atom, num, den: decisions[atom.id])[1:]
 
 
 def _checked_tables(
@@ -238,18 +257,15 @@ def _checked_tables(
     _check_coverage(tree, policy)
     flags = tree.effective_flags()
     num, den = _continuation_tables(tree, policy)
-    result = AdmissibilityResult(True)
     for atom in tree.atoms():  # level by level from the root
-        if not flags[atom.id]:
-            if not den[atom.id] > 0:
-                result = AdmissibilityResult(False, atom.id, "continuation never stops in-domain")
-                break
-        elif not policy.stops(atom.id):
-            result = AdmissibilityResult(
-                False, atom.id, "must stop at or past the effective horizon"
-            )
-            break
-    return result, num, den
+        if not flags[atom.id] and not den[atom.id] > 0:
+            why = "continuation never stops in-domain"
+        elif flags[atom.id] and not policy.stops(atom.id):
+            why = "must stop at or past the effective horizon"
+        else:
+            continue
+        return AdmissibilityResult(False, atom.id, why), num, den
+    return AdmissibilityResult(True), num, den
 
 
 def admissible(tree: AtomTree, policy: StoppingPolicy) -> AdmissibilityResult:
@@ -337,27 +353,25 @@ def phi(tree: AtomTree, policy: StoppingPolicy) -> StoppingPolicy:
 
 def _equilibrium_tables(
     tree: AtomTree, policy: StoppingPolicy
-) -> tuple[EquilibriumResult, Optional[dict[str, Scalar]], Optional[dict[str, Scalar]]]:
-    """`is_equilibrium` together with the continuation tables it used.
+) -> tuple[EquilibriumResult, Optional[tuple]]:
+    """`is_equilibrium` together with the `_checked_tables` it used.
 
     The tables are None when the policy does not cover the tree.
     """
     try:
-        result, num, den = _checked_tables(tree, policy)
+        tables = _checked_tables(tree, policy)
     except PolicyError as exc:
-        return EquilibriumResult(False, reason=str(exc)), None, None
+        return EquilibriumResult(False, reason=str(exc)), None
+    result, num, den = tables
     if not result:
-        check = EquilibriumResult(False, reason=f"inadmissible: {result.reason} at {result.atom!r}")
-    else:
-        updated = _best_response(tree, policy, num, den)
-        deviations = tuple(
-            aid for aid in tree.atom_ids() if updated.bit(aid) != policy.bit(aid)
-        )
-        if deviations:
-            check = EquilibriumResult(False, deviations, "not a fixed point of the best response")
-        else:
-            check = EquilibriumResult(True)
-    return check, num, den
+        reason = f"inadmissible: {result.reason} at {result.atom!r}"
+        return EquilibriumResult(False, reason=reason), tables
+    updated = _best_response(tree, policy, num, den)
+    deviations = tuple(aid for aid in tree.atom_ids() if updated.bit(aid) != policy.bit(aid))
+    if deviations:
+        reason = "not a fixed point of the best response"
+        return EquilibriumResult(False, deviations, reason), tables
+    return EquilibriumResult(True), tables
 
 
 def is_equilibrium(tree: AtomTree, policy: StoppingPolicy) -> EquilibriumResult:
@@ -378,18 +392,12 @@ def count_stopping_times(tree: AtomTree) -> int:
     for level in reversed(tree.levels):
         for atom in level:
             kids = tree.children(atom.id)
-            if not kids:
-                counts[atom.id] = 1
-            else:
-                product = 1
-                for child in kids:
-                    product *= counts[child.id]
-                counts[atom.id] = 1 + product
+            counts[atom.id] = 1 + math.prod(counts[c.id] for c in kids) if kids else 1
     return counts[tree.root.id]
 
 
-def _stopping_time_options(tree: AtomTree, atom: Atom) -> list[tuple]:
-    """All stopping times of the subtree at `atom`.
+def _stopping_time_options(tree: AtomTree, atom: Atom) -> Iterator[tuple]:
+    """All stopping times of the subtree at `atom`, stopping at `atom` first.
 
     Each option is (numerator, denominator, key): the unconditional-within-
     subtree contribution E[payoff * 1{in-domain}] and P(stop in-domain), and a
@@ -398,24 +406,18 @@ def _stopping_time_options(tree: AtomTree, atom: Atom) -> list[tuple]:
     """
     zero = tree.mode.zero
     own_key = ((atom.level, tree.index_in_level(atom.id), atom.id),)
-    if atom.in_domain:
-        own = (atom.payoff, tree.mode.one, own_key)
-    else:
-        own = (zero, zero, own_key)
-    options = [own]
+    yield (atom.payoff, tree.mode.one, own_key) if atom.in_domain else (zero, zero, own_key)
     kids = tree.children(atom.id)
-    if kids:
-        child_options = [_stopping_time_options(tree, child) for child in kids]
-        for combo in itertools.product(*child_options):
-            num = zero
-            den = zero
-            keys = []
-            for child, (c_num, c_den, c_key) in zip(kids, combo):
-                num += child.branch_prob * c_num
-                den += child.branch_prob * c_den
-                keys.extend(c_key)
-            options.append((num, den, tuple(sorted(keys))))
-    return options
+    if not kids:
+        return
+    for combo in itertools.product(*[_stopping_time_options(tree, child) for child in kids]):
+        num = den = zero
+        keys = []
+        for child, (c_num, c_den, c_key) in zip(kids, combo):
+            num += child.branch_prob * c_num
+            den += child.branch_prob * c_den
+            keys.extend(c_key)
+        yield (num, den, tuple(sorted(keys)))
 
 
 def precommitted(tree: AtomTree, size_guard: Optional[int] = None) -> PrecommitResult:
@@ -424,36 +426,20 @@ def precommitted(tree: AtomTree, size_guard: Optional[int] = None) -> PrecommitR
     Maximizes E[payoff * 1{stop in-domain}] / P(stop in-domain) over all
     stopping times with positive conditioning probability.  The objective does
     not decompose into a backward recursion, which is why enumeration is the
-    honest method here; a size guard protects against oversized trees.  Ties
-    are broken toward earliest stopping (lexicographically smallest sorted
-    stop-atom keys, level first).
+    honest method here; a size guard protects against oversized trees.  The
+    root's options stream from `_stopping_time_options` and `candidates`
+    counts all of them.  Ties are broken toward earliest stopping
+    (lexicographically smallest sorted stop-atom keys, level first).
     """
     guard = DEFAULT_STOPPING_TIME_GUARD if size_guard is None else size_guard
     total = count_stopping_times(tree)
     if total > guard:
         raise SizeGuardError(total, guard)
 
-    root = tree.root
     best_value = None
     best_key = None
     examined = 0
-    zero = tree.mode.zero
-
-    own_key = ((0, 0, root.id),)
-    candidates = itertools.chain(
-        [(root.payoff, tree.mode.one, own_key)],
-        (
-            (
-                sum((c.branch_prob * opt[0] for c, opt in zip(tree.children(root.id), combo)), zero),
-                sum((c.branch_prob * opt[1] for c, opt in zip(tree.children(root.id), combo)), zero),
-                tuple(sorted(k for opt in combo for k in opt[2])),
-            )
-            for combo in itertools.product(
-                *[_stopping_time_options(tree, child) for child in tree.children(root.id)]
-            )
-        ),
-    )
-    for num, den, key in candidates:
+    for num, den, key in _stopping_time_options(tree, tree.root):
         examined += 1
         if not den > 0:
             continue

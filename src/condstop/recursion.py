@@ -15,12 +15,15 @@ where primes denote the next level and the numerator skips children with
 S' = 0, honoring the convention that zero mass times an absent payoff is 0.
 The induced policy "stop when payoff >= V" is the unique equilibrium whose
 indifferent observers stop; when the domain covers everything, S is
-identically 1 and V reduces to the classical Snell envelope.
+identically 1 and V reduces to the classical Snell envelope.  The recursion
+is the policy-table sweep `policy._sweep` with each observer choosing their
+bit as the sweep passes them: on a continuing child S'V' and S' are the
+child's tables num' and den', so j = num / den.
 
 `verify_snell_pair` checks a candidate pair against the full list of
 structural conditions that characterize such pairs, without assuming how the
-pair was produced.  The recursion and both verifiers share one twisted step,
-`(E[S' | A], E[S'V' | A])`, computed once per atom and call.
+pair was produced.  Only the two verifiers share the twisted step
+`(E[S' | A], E[S'V' | A])` of a given pair, once per atom and call.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from typing import Mapping
 
 from .model import AtomTree
 from .numeric import Scalar
-from .policy import StoppingPolicy, _checked_tables, _equilibrium_tables
+from .policy import EquilibriumResult, PolicyError, StoppingPolicy, _checked_tables
+from .policy import _equilibrium_tables, _sweep
 
 
 class PairError(ValueError):
@@ -94,30 +98,33 @@ def backward_solve(tree: AtomTree) -> tuple[SnellPair, StoppingPolicy]:
     """Solve the tree by backward recursion; also return the induced policy."""
     flags = tree.effective_flags()
     mode = tree.mode
+
+    def choose(atom, num, den):
+        return 1 if flags[atom.id] else int(mode.ge(atom.payoff, num / den))
+
+    bits, num, den = _sweep(tree, choose)
+    policy = StoppingPolicy(bits)
+    return _pair(tree, policy, num, den), policy
+
+
+def _pair(
+    tree: AtomTree, policy: StoppingPolicy, num: Mapping[str, Scalar], den: Mapping[str, Scalar]
+) -> SnellPair:
+    """(V, S) of an admissible policy from its tables: S = 0 outside the domain,
+    (payoff, 1) where it stops, (num / den, den) where it continues."""
+    zero, one = tree.mode.zero, tree.mode.one
     values: dict[str, Scalar] = {}
     survival: dict[str, Scalar] = {}
-    bits: dict[str, int] = {}
-    for level in reversed(tree.levels):
-        for atom in level:
-            if flags[atom.id]:
-                if atom.in_domain:
-                    values[atom.id] = atom.payoff
-                    survival[atom.id] = mode.one
-                else:
-                    survival[atom.id] = mode.zero
-                bits[atom.id] = 1
-                continue
-            den, num = _twisted(tree, atom.id, survival, values)
-            cont = num / den
-            if mode.ge(atom.payoff, cont):
-                values[atom.id] = atom.payoff
-                survival[atom.id] = mode.one
-                bits[atom.id] = 1
-            else:
-                values[atom.id] = cont
-                survival[atom.id] = den
-                bits[atom.id] = 0
-    return SnellPair(values, survival), StoppingPolicy(bits)
+    for atom in tree.atoms():
+        if not atom.in_domain:
+            survival[atom.id] = zero
+        elif policy.stops(atom.id):
+            values[atom.id] = atom.payoff
+            survival[atom.id] = one
+        else:
+            values[atom.id] = num[atom.id] / den[atom.id]
+            survival[atom.id] = den[atom.id]
+    return SnellPair(values, survival)
 
 
 def classical_snell(tree: AtomTree, process: Mapping[str, Scalar]) -> dict[str, Scalar]:
@@ -141,34 +148,17 @@ def pair_from_policy(tree: AtomTree, policy: StoppingPolicy) -> SnellPair:
     Rejects policies that are not equilibria, and equilibria whose indifferent
     observers continue (those induce a different pair shape).
     """
-    check, num, den = _equilibrium_tables(tree, policy)
+    check, tables = _equilibrium_tables(tree, policy)
     if not check:
         raise PairError(f"policy is not an equilibrium: {check.reason}")
-    flags = tree.effective_flags()
-    mode = tree.mode
-    values: dict[str, Scalar] = {}
-    survival: dict[str, Scalar] = {}
-    for atom in tree.atoms():
-        if not atom.in_domain:
-            survival[atom.id] = mode.zero
-            continue
-        if flags[atom.id]:
-            values[atom.id] = atom.payoff
-            survival[atom.id] = mode.one
-            continue
-        cont = num[atom.id] / den[atom.id]
-        if mode.eq(atom.payoff, cont) and not policy.stops(atom.id):
+    _, num, den = tables
+    for atom in tree.atoms():  # continuing atoms of an equilibrium are unflagged
+        if not policy.stops(atom.id) and tree.mode.eq(atom.payoff, num[atom.id] / den[atom.id]):
             raise PairError(
                 f"indifferent observer at {atom.id!r} continues; "
                 "expected the early-stopping equilibrium"
             )
-        if policy.stops(atom.id):
-            values[atom.id] = atom.payoff
-            survival[atom.id] = mode.one
-        else:
-            values[atom.id] = cont
-            survival[atom.id] = den[atom.id]
-    return SnellPair(values, survival)
+    return _pair(tree, policy, num, den)
 
 
 def policy_from_pair(tree: AtomTree, pair: SnellPair) -> StoppingPolicy:
@@ -343,11 +333,32 @@ def survival_identities(
     The last three fail unchecked when the policy is inadmissible or the
     pair fails the `bounds` condition of `verify_snell_pair`.
     """
+    bounds = _bounds_failures(tree, pair, _tie_scale(tree))
+    return _identities(tree, policy, pair, _checked_tables(tree, policy), not bounds)
+
+
+def verify_pair_and_policy(
+    tree: AtomTree, pair: SnellPair, policy: StoppingPolicy
+) -> tuple[VerificationReport, EquilibriumResult, VerificationReport]:
+    """`verify_snell_pair`, `is_equilibrium` and `survival_identities` from one
+    bounds pass over the pair and one table pass for the policy; raises
+    PolicyError when the policy does not cover the tree."""
+    report = verify_snell_pair(tree, pair)
+    check, tables = _equilibrium_tables(tree, policy)
+    if tables is None:
+        raise PolicyError(check.reason)
+    bounds_pass = report.condition("bounds").passed
+    return report, check, _identities(tree, policy, pair, tables, bounds_pass)
+
+
+def _identities(
+    tree: AtomTree, policy: StoppingPolicy, pair: SnellPair, tables: tuple, bounds_pass: bool
+) -> VerificationReport:
+    """`survival_identities`, given `_checked_tables` and the `bounds` verdict."""
     mode = tree.mode
     flags = tree.effective_flags()
     scale = _tie_scale(tree)
-
-    adm, num, den = _checked_tables(tree, policy)
+    adm, num, den = tables
     admissibility = ConditionReport(
         "admissibility", bool(adm), () if adm else ((adm.atom, adm.reason),)
     )
@@ -355,7 +366,7 @@ def survival_identities(
         return _skipped(
             admissibility, _IDENTITY_CONDITIONS, tree.root.id, "skipped: inadmissible policy"
         )
-    if _bounds_failures(tree, pair, scale):
+    if not bounds_pass:
         return _skipped(
             admissibility, _IDENTITY_CONDITIONS, tree.root.id, "skipped: pair fails bounds"
         )

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from condstop.catalog import (
+    check_minnie_donald_conditions,
     minnie_donald_cycle_regions,
     minnie_donald_homogeneous_policy,
     minnie_donald_model,
@@ -19,7 +20,6 @@ from condstop.infinite import (
     _equilibrium_deviations,
     _markov_bits,
     check_growth,
-    check_minnie_donald_conditions,
     enumerate_periodic_equilibria,
     evaluate,
     is_periodic_equilibrium,

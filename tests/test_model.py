@@ -1,8 +1,10 @@
+import json
 from fractions import Fraction
 
 import pytest
 
 from condstop.catalog import binomial_tree, minnie_donald_model, two_state_model
+from condstop.cli import main
 from condstop.model import (
     EXIT_SEGMENT,
     Atom,
@@ -12,6 +14,7 @@ from condstop.model import (
     effective_horizon,
     unroll,
 )
+from condstop.modelio import dump_model
 
 F = Fraction
 
@@ -193,3 +196,60 @@ class TestUnroll:
                     assert flags[atom.id]
                 if not atom.in_domain:
                     assert flags[atom.id]
+
+
+def named_chain(states, transitions, domain, horizon):
+    """A chain with string state names and unit payoffs on the domain."""
+    return MarkovModel(
+        states=states,
+        initial=states[0],
+        transitions=transitions,
+        domain=frozenset(domain),
+        payoff={x: F(1) for x in domain},
+        discount=F(1, 2),
+        horizon=horizon,
+    )
+
+
+SLASHED = named_chain(
+    ("x", "x/x"),
+    {"x": {"x": F(1, 2), "x/x": F(1, 2)}, "x/x": {"x": F(1)}},
+    domain=("x", "x/x"),
+    horizon=2,
+)
+BANG = named_chain(
+    ("a", EXIT_SEGMENT, "z"),
+    {"a": {EXIT_SEGMENT: F(1, 2), "z": F(1, 2)}, EXIT_SEGMENT: {"a": F(1)}, "z": {"z": F(1)}},
+    domain=("a", EXIT_SEGMENT),
+    horizon=2,
+)
+
+
+class TestAtomIds:
+    def test_slash_in_a_state_name_is_escaped(self):
+        tree = unroll(SLASHED)
+        assert sorted(tree.atom_ids()) == [
+            "x", "x/x", "x/x%2Fx", "x/x%2Fx/x", "x/x/x", "x/x/x%2Fx",
+        ]
+
+    def test_state_named_like_the_exit_segment_is_escaped(self):
+        tree = unroll(BANG)
+        assert sorted(tree.atom_ids()) == ["a", "a/!", "a/!/!", "a/%21", "a/%21/a"]
+        assert tree.atom("a/%21").state == EXIT_SEGMENT
+        assert not tree.atom("a/!").in_domain
+
+    def test_percent_is_escaped_before_slash(self):
+        model = named_chain(
+            ("p", "%2F", "/"),
+            {"p": {"%2F": F(1, 2), "/": F(1, 2)}, "%2F": {"p": F(1)}, "/": {"p": F(1)}},
+            domain=("p", "%2F", "/"),
+            horizon=1,
+        )
+        assert sorted(unroll(model).atom_ids()) == ["p", "p/%252F", "p/%2F"]
+
+    @pytest.mark.parametrize("model", [SLASHED, BANG], ids=["slashed", "bang"])
+    def test_cli_solves_chains_with_such_names(self, capsys, tmp_path, model):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(dump_model(model)))
+        assert main(["solve", "--model", str(path)]) == 0
+        assert "equilibrium: yes" in capsys.readouterr().out

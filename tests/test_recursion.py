@@ -1,21 +1,39 @@
+import json
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condstop import policy as policy_module
 from condstop import recursion as recursion_module
 from condstop.catalog import binomial_tree
-from condstop.model import Atom, AtomTree
+from condstop.cli import main
+from condstop.model import Atom, AtomTree, unroll
+from condstop.modelio import dump_model, dump_pair
 from condstop.numeric import float_mode
-from condstop.policy import StoppingPolicy, admissible, continuation_value, is_equilibrium, phi
+from condstop.policy import (
+    PolicyError,
+    StoppingPolicy,
+    _continuation_tables,
+    admissible,
+    continuation_value,
+    induced_stop,
+    is_equilibrium,
+    phi,
+)
+from condstop.random_models import random_markov_model, random_tree
 from condstop.recursion import (
     PairError,
     SnellPair,
+    _pair,
     backward_solve,
     classical_snell,
     pair_from_policy,
     policy_from_pair,
     survival_identities,
+    verify_pair_and_policy,
     verify_snell_pair,
 )
 
@@ -347,6 +365,24 @@ def test_verifier_reports_are_pinned(case):
     assert _flat(survival_identities(tree, policy, pair)) == PINNED_IDENTITIES[case]
 
 
+@pytest.mark.parametrize("case", sorted(PINNED_CASES))
+def test_combined_verification_gives_the_pinned_reports(case):
+    tree, policy, pair = _corrupted_binomial(**PINNED_CASES[case])
+    report, check, identities = verify_pair_and_policy(tree, pair, policy)
+    assert (_flat(report), _flat(identities)) == (PINNED_SNELL[case], PINNED_IDENTITIES[case])
+    assert check == is_equilibrium(tree, policy)
+
+
+def test_combined_verification_rejects_a_policy_missing_atoms(solved_binomial):
+    tree, pair, policy = solved_binomial
+    partial = StoppingPolicy({aid: bit for aid, bit in policy.decisions.items() if aid != "dd"})
+    with pytest.raises(PolicyError) as combined:
+        verify_pair_and_policy(tree, pair, partial)
+    with pytest.raises(PolicyError) as alone:
+        survival_identities(tree, partial, pair)
+    assert str(combined.value) == str(alone.value)
+
+
 def _counting(monkeypatch, module, name):
     """Record the arguments of every call to `module.name`, under any module
     of the package that binds it."""
@@ -399,3 +435,90 @@ class TestSharedTables:
         calls.clear()
         survival_identities(tree, policy, pair)
         assert [args[1] for args in calls] == unflagged
+
+    def test_verify_pair_and_policy_cli_makes_one_pass_each(
+        self, monkeypatch, tmp_path, solved_binomial
+    ):
+        tree, pair, policy = solved_binomial
+        paths = {}
+        for name, doc in (
+            ("model", dump_model(tree)),
+            ("pair", dump_pair(pair)),
+            ("policy", {"decisions": dict(policy.decisions)}),
+        ):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(doc))
+        tables = _counting(monkeypatch, policy_module, "_continuation_tables")
+        bounds = _counting(monkeypatch, recursion_module, "_bounds_failures")
+        argv = ["verify", "--json"] + [
+            f"--{name}={path}" for name, path in paths.items()
+        ]
+        assert main(argv) == 0
+        assert (len(tables), len(bounds)) == (1, 1)
+
+    def test_backward_solve_is_one_sweep(self, monkeypatch):
+        tree = binomial_tree()
+        sweeps = _counting(monkeypatch, policy_module, "_sweep")
+        twisted = _counting(monkeypatch, recursion_module, "_twisted")
+        backward_solve(tree)
+        assert (len(sweeps), len(twisted)) == (1, 0)
+
+
+def _random_instance(kind, seed):
+    rng = random.Random(seed)
+    if kind == "tree":
+        return random_tree(rng)
+    return unroll(random_markov_model(rng, n_states=3), rng.randint(1, 4))
+
+
+def _admissible_policy(tree, seed):
+    """Random bits strictly before the effective horizon, 1 at or past it,
+    repaired bottom-up so that every continuation stops in-domain with
+    positive probability."""
+    rng = random.Random(seed)
+    flags = tree.effective_flags()
+    bits = {aid: 1 if flags[aid] else rng.randint(0, 1) for aid in tree.atom_ids()}
+    live: dict[str, bool] = {}  # continuation after the atom stops in-domain
+    for level in reversed(tree.levels[:-1]):
+        for atom in level:
+            kids = tree.children(atom.id)
+            live[atom.id] = any(
+                kid.in_domain and (bits[kid.id] or live.get(kid.id, False)) for kid in kids
+            )
+            if not live[atom.id] and not flags[atom.id]:
+                bits[next(kid.id for kid in kids if kid.in_domain)] = 1
+                live[atom.id] = True
+    return StoppingPolicy(bits)
+
+
+def _oracle_tables(tree, policy):
+    """(num, den) at every non-terminal atom, summed over `induced_stop` paths."""
+    num, den = {}, {}
+    for atom in tree.atoms():
+        if atom.level == tree.horizon:
+            continue
+        stop = induced_stop(tree, policy, atom.id)
+        den[atom.id] = stop.survive_prob
+        num[atom.id] = sum(
+            (mass * tree.atom(aid).payoff
+             for aid, mass in stop.stop_probs.items() if tree.atom(aid).in_domain),
+            Fraction(0),
+        )
+    return num, den
+
+
+class TestSweepAgainstPathOracle:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        kind=st.sampled_from(["tree", "chain"]),
+        seed=st.integers(0, 2**32),
+        policy_seed=st.integers(0, 2**32),
+    )
+    def test_tables_and_pair_match_induced_stop(self, kind, seed, policy_seed):
+        tree = _random_instance(kind, seed)
+        policy = _admissible_policy(tree, policy_seed)
+        assert admissible(tree, policy)
+        assert _continuation_tables(tree, policy) == _oracle_tables(tree, policy)
+
+        pair, solved = backward_solve(tree)
+        assert pair == _pair(tree, solved, *_oracle_tables(tree, solved))
