@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 a verification ran and failed, 2 unparsable input,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -584,8 +585,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser()`, built once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     start = time.perf_counter()
     try:
         model, results, verification, lines, code = COMMANDS[args.command](args)

@@ -123,11 +123,6 @@ def reachable_pairs(model: MarkovModel, period: int) -> frozenset:
 def _require_infinite(model: MarkovModel) -> None:
     if model.horizon is not None:
         raise ModelError("this operation requires an infinite-horizon model")
-    if model.time_payoff is not None:
-        raise ModelError(
-            "time-dependent payoffs break stationarity; only per-state payoffs "
-            "are supported on infinite horizons"
-        )
 
 
 def _validate_regions(model: MarkovModel, policy: PeriodicMarkovPolicy) -> None:

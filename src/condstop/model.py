@@ -18,8 +18,9 @@ id joins the state names along its path with `/`, each name escaped by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional
+import math
+from dataclasses import dataclass
+from typing import Hashable, Iterable, Iterator, Mapping, Optional
 
 from .numeric import EXACT, NumericMode, Scalar
 
@@ -114,11 +115,6 @@ class AtomTree:
         self._level_index = {
             a.id: i for level in self._levels for i, a in enumerate(level)
         }
-        probs: dict[str, Scalar] = {root.id: mode.one}
-        for level in self._levels[1:]:
-            for atom in level:
-                probs[atom.id] = probs[atom.parent] * atom.branch_prob
-        self._prob = probs
         self._effective_flags: Optional[dict[str, bool]] = None
 
     @property
@@ -151,8 +147,9 @@ class AtomTree:
         return self._children[atom_id]
 
     def prob(self, atom_id: str) -> Scalar:
-        """Unconditional probability of the atom."""
-        return self._prob[atom_id]
+        """Unconditional probability of the atom: the branch probabilities on its path."""
+        path = [self._by_id[atom_id], *self.ancestors(atom_id)]
+        return math.prod(atom.branch_prob for atom in reversed(path))
 
     def index_in_level(self, atom_id: str) -> int:
         return self._level_index[atom_id]
@@ -194,19 +191,15 @@ def effective_horizon(tree: AtomTree) -> dict[str, bool]:
     return flags
 
 
-PayoffFn = Callable[[int, State], Scalar]
-
-
 @dataclass(frozen=True)
 class MarkovModel:
     """A finite-state chain with a payoff domain and geometric discounting.
 
     `payoff` maps exactly the domain states to their gain; the realized gain
-    at time t in state x is discount**t * payoff[x].  A time-dependent gain
-    can be supplied through `time_payoff(t, state)`, which then replaces the
-    per-state table inside the discount factor.  `forced_stop` lists domain
-    states at which every stopping policy under study is pinned to stop.
+    at time t in state x is discount**t * payoff[x].  `forced_stop` lists
+    domain states at which every stopping policy under study is pinned to stop.
     `horizon` is a positive integer or None for an infinite-horizon model.
+    Ids and documents name states by `str()`, so no two may print alike.
     """
 
     states: tuple[State, ...]
@@ -217,7 +210,6 @@ class MarkovModel:
     discount: Scalar
     horizon: Optional[int] = None
     forced_stop: frozenset[State] = frozenset()
-    time_payoff: Optional[PayoffFn] = field(default=None, compare=False)
     mode: NumericMode = EXACT
 
     def __post_init__(self):
@@ -226,6 +218,11 @@ class MarkovModel:
         object.__setattr__(self, "forced_stop", frozenset(self.forced_stop))
         if len(set(self.states)) != len(self.states) or not self.states:
             raise ModelError("states must be a nonempty sequence without duplicates")
+        names: dict[str, State] = {}
+        for state in self.states:
+            other = names.setdefault(str(state), state)
+            if other != state:
+                raise ModelError(f"states {other!r} and {state!r} collide as {str(state)!r}")
         state_set = set(self.states)
         if not self.domain <= state_set:
             raise ModelError("domain must be a subset of the states")
@@ -257,11 +254,7 @@ class MarkovModel:
 
     def gain(self, t: int, state: State) -> Scalar:
         """Realized payoff at time t in an in-domain state."""
-        base = self.time_payoff(t, state) if self.time_payoff is not None else self.payoff[state]
-        return self.discount**t * base
-
-    def row(self, state: State) -> Mapping[State, Scalar]:
-        return self.transitions[state]
+        return self.discount**t * self.payoff[state]
 
     def domain_successor_mass(self, state: State) -> Scalar:
         """One-step probability of remaining in the domain from `state`."""

@@ -11,6 +11,8 @@ letting the policy run strictly after t, where that value is an expectation
 The best-response map rewrites every bit simultaneously: stop when the
 immediate payoff strictly beats that value, continue when it strictly loses,
 and keep the current bit on ties.  Equilibria are the admissible fixed points.
+`_best_bit` states this rule once for `phi`, the backward recursion and the
+equilibrium census, which run it inside the bottom-up `_sweep`.
 Because each observer controls a single date, the precommitted optimum (one
 stopping time chosen up front for the whole tree) can strictly exceed every
 equilibrium value; `precommitted` computes it by exhaustive enumeration.
@@ -322,20 +324,33 @@ def continuation_value(tree: AtomTree, policy: StoppingPolicy, atom_id: str) -> 
     return num[atom_id] / den[atom_id]
 
 
+def _best_bit(
+    tree: AtomTree, tie: Callable[[str], int]
+) -> Callable[[Atom, Scalar, Scalar], int]:
+    """The tree layer's best-response rule as a `_sweep` chooser: 1 at or past
+    the effective horizon, else 1 when the payoff strictly beats num/den, 0 when
+    it strictly loses, and `tie(atom_id)` on an exact tie."""
+    flags = tree.effective_flags()
+    compare = tree.mode.compare
+
+    def choose(atom: Atom, num: Scalar, den: Scalar) -> int:
+        if flags[atom.id]:
+            return 1
+        sign = compare(atom.payoff, num / den)
+        return tie(atom.id) if sign == 0 else int(sign > 0)
+
+    return choose
+
+
 def _best_response(
     tree: AtomTree, policy: StoppingPolicy, num: Mapping[str, Scalar], den: Mapping[str, Scalar]
 ) -> StoppingPolicy:
     """`phi` of an admissible policy, given its continuation tables."""
-    flags = tree.effective_flags()
-    mode = tree.mode
-    bits: dict[str, int] = {}
-    for atom in tree.atoms():
-        if flags[atom.id]:
-            bits[atom.id] = 1
-            continue
-        sign = mode.compare(atom.payoff, num[atom.id] / den[atom.id])
-        bits[atom.id] = policy.bit(atom.id) if sign == 0 else int(sign > 0)
-    return StoppingPolicy(bits)
+    zero = tree.mode.zero
+    choose = _best_bit(tree, policy.bit)
+    return StoppingPolicy(
+        {a.id: choose(a, num.get(a.id, zero), den.get(a.id, zero)) for a in tree.atoms()}
+    )
 
 
 def phi(tree: AtomTree, policy: StoppingPolicy) -> StoppingPolicy:
@@ -467,6 +482,9 @@ def _resolve_preference(
     if preference == "late":
         return StoppingPreference.late(tree)
     if isinstance(preference, StoppingPreference):
+        for aid, bit in preference.prefer_stop.items():
+            if bit not in (0, 1):
+                raise PolicyError(f"preferred bit at {aid!r} must be 0 or 1, got {bit!r}")
         return preference
     raise PolicyError(f"unknown preference {preference!r}")
 
@@ -478,40 +496,32 @@ def enumerate_equilibria(
 ) -> list[StoppingPolicy]:
     """All equilibrium policies, optionally filtered by an indifference rule.
 
-    Bits at or past the effective horizon are pinned to 1, so candidates vary
-    only on the strictly-earlier atoms.  With a preference, observers who are
-    exactly indifferent must hold the preferred bit, which selects a single
-    equilibrium per preference; with "all", every fixed point is returned.
+    Each observer's bit is forced by the bits below them except on an exact
+    tie, so every equilibrium is one `_sweep` with `_best_bit`.  With a
+    preference, ties take the preferred bit: one sweep.  With "all", a sweep
+    continues at the ties T_1..T_m it meets undecided, and T_k spawns the sweep
+    that pins T_1..T_(k-1) to continue and T_k to stop: one sweep per
+    equilibrium.  Results are in mask order (bit i for the i-th free atom in
+    `tree.atoms()` order); the size guard counts all 2^free candidates.
     """
     guard = DEFAULT_POLICY_GUARD if size_guard is None else size_guard
     flags = tree.effective_flags()
-    free = [atom for atom in tree.atoms() if not flags[atom.id]]
+    free = [atom.id for atom in tree.atoms() if not flags[atom.id]]
     if 2 ** len(free) > guard:
         raise SizeGuardError(2 ** len(free), guard)
     pref = _resolve_preference(tree, preference)
-    mode = tree.mode
+    if pref is not None:
+        choose = _best_bit(tree, lambda atom_id: int(pref.prefer_stop[atom_id]))
+        return [StoppingPolicy(_sweep(tree, choose)[0])]
 
-    base = {aid: 1 for aid, flag in flags.items() if flag}
     found: list[StoppingPolicy] = []
-    for mask in range(2 ** len(free)):
-        bits = dict(base)
-        for i, atom in enumerate(free):
-            bits[atom.id] = (mask >> i) & 1
-        policy = StoppingPolicy(bits)
-        num, den = _continuation_tables(tree, policy)
-        ok = True
-        for atom in free:
-            sign = mode.compare(atom.payoff, num[atom.id] / den[atom.id])
-            bit = bits[atom.id]
-            if sign > 0 and bit != 1:
-                ok = False
-                break
-            if sign < 0 and bit != 0:
-                ok = False
-                break
-            if sign == 0 and pref is not None and bit != pref.prefer_stop[atom.id]:
-                ok = False
-                break
-        if ok:
-            found.append(policy)
-    return found
+    branches: list[dict[str, int]] = [{}]
+    while branches:
+        pins = branches.pop()
+        decided = len(pins)
+        # an undecided tie continues and joins the pins, in sweep order
+        bits = _sweep(tree, _best_bit(tree, lambda atom_id: pins.setdefault(atom_id, 0)))[0]
+        found.append(StoppingPolicy(bits))
+        ties = list(pins.items())
+        branches.extend({**dict(ties[:k]), ties[k][0]: 1} for k in range(decided, len(ties)))
+    return sorted(found, key=lambda p: sum(p.decisions[aid] << i for i, aid in enumerate(free)))

@@ -1,10 +1,11 @@
 """Seeded random models for property testing.
 
-Trees are kept deliberately small: equilibrium enumeration is exponential in
-the number of atoms strictly before the effective horizon, and precommitted
-search is exponential in subtree structure, so the generator resamples until
-both stay within comfortable desk-scale budgets.  All probabilities and
-payoffs are exact rationals built from small integer weights.
+Trees are kept deliberately small: the brute-force equilibrium census the
+tests use as an oracle is exponential in the number of atoms strictly before
+the effective horizon, and precommitted search is exponential in subtree
+structure, so the generator resamples until both stay within desk-scale
+budgets.  All probabilities and payoffs are exact rationals built from small
+integer weights.
 """
 
 from __future__ import annotations

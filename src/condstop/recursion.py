@@ -16,8 +16,8 @@ S' = 0, honoring the convention that zero mass times an absent payoff is 0.
 The induced policy "stop when payoff >= V" is the unique equilibrium whose
 indifferent observers stop; when the domain covers everything, S is
 identically 1 and V reduces to the classical Snell envelope.  The recursion
-is the policy-table sweep `policy._sweep` with each observer choosing their
-bit as the sweep passes them: on a continuing child S'V' and S' are the
+is the policy-table sweep `policy._sweep` with the best-response rule
+`policy._best_bit`, ties to stop: on a continuing child S'V' and S' are the
 child's tables num' and den', so j = num / den.
 
 `verify_snell_pair` checks a candidate pair against the full list of
@@ -34,7 +34,7 @@ from typing import Mapping
 from .model import AtomTree
 from .numeric import Scalar
 from .policy import EquilibriumResult, PolicyError, StoppingPolicy, _checked_tables
-from .policy import _equilibrium_tables, _sweep
+from .policy import _best_bit, _equilibrium_tables, _sweep
 
 
 class PairError(ValueError):
@@ -96,13 +96,7 @@ def _tie_scale(tree: AtomTree) -> Scalar:
 
 def backward_solve(tree: AtomTree) -> tuple[SnellPair, StoppingPolicy]:
     """Solve the tree by backward recursion; also return the induced policy."""
-    flags = tree.effective_flags()
-    mode = tree.mode
-
-    def choose(atom, num, den):
-        return 1 if flags[atom.id] else int(mode.ge(atom.payoff, num / den))
-
-    bits, num, den = _sweep(tree, choose)
+    bits, num, den = _sweep(tree, _best_bit(tree, lambda atom_id: 1))
     policy = StoppingPolicy(bits)
     return _pair(tree, policy, num, den), policy
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from condstop import backward_solve, binomial_tree, dump_model, dump_pair, two_state_model
+from condstop import backward_solve, binomial_tree, cli, dump_model, dump_pair, two_state_model
 from condstop.cli import main
 
 
@@ -327,6 +327,24 @@ class TestErrorChannels:
         with pytest.raises(SystemExit) as excinfo:
             main(["example", "unknown-name"])
         assert excinfo.value.code == 2
+
+
+class TestParserReuse:
+    def test_one_parser_per_process_keeps_no_state(self, capsys, monkeypatch):
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            _, floated, _ = run(capsys, "solve", "--model", "binomial", "--float", "--json")
+            with pytest.raises(SystemExit):
+                main(["solve"])
+            _, exact, _ = run(capsys, "solve", "--model", "binomial", "--json")
+        finally:
+            cli._parser.cache_clear()
+        assert len(builds) == 1
+        assert json.loads(floated)["results"]["V0"] == "6.5"
+        assert json.loads(exact)["results"]["V0"] == "13/2"
 
 
 class TestJsonDeterminism:

@@ -247,6 +247,10 @@ class TestAtomIds:
         )
         assert sorted(unroll(model).atom_ids()) == ["p", "p/%252F", "p/%2F"]
 
+    def test_states_that_print_alike_are_rejected(self):
+        with pytest.raises(ModelError, match="states 1 and '1' collide as '1'"):
+            named_chain((1, "1"), {1: {"1": F(1)}, "1": {1: F(1)}}, domain=(1, "1"), horizon=2)
+
     @pytest.mark.parametrize("model", [SLASHED, BANG], ids=["slashed", "bang"])
     def test_cli_solves_chains_with_such_names(self, capsys, tmp_path, model):
         path = tmp_path / "chain.json"

@@ -1,11 +1,17 @@
+import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from condstop import policy as policy_module
 from condstop.catalog import binomial_tree, two_state_model
 from condstop.model import Atom, AtomTree, unroll
 from condstop.policy import (
     InadmissiblePolicyError,
+    PolicyError,
     SizeGuardError,
     StoppingPolicy,
     StoppingPreference,
@@ -18,6 +24,7 @@ from condstop.policy import (
     phi,
     precommitted,
 )
+from condstop.random_models import random_tree
 from condstop.recursion import backward_solve
 
 F = Fraction
@@ -286,7 +293,93 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_equilibria(binomial_tree(), "sideways")
 
+    def test_preferred_bits_must_be_bits(self):
+        tree = tie_tree()
+        with pytest.raises(PolicyError, match="preferred bit at 'r' must be 0 or 1, got 2"):
+            enumerate_equilibria(tree, StoppingPreference({"r": 2, "c": 1}))
+        (early,) = enumerate_equilibria(tree, StoppingPreference({"r": True, "c": True}))
+        assert type(early.bit("r")) is int
+
     def test_early_equilibria_are_phi_fixed_points(self, tree_corpus):
         for tree in tree_corpus[:30]:
             for policy in enumerate_equilibria(tree, "early"):
                 assert phi(tree, policy).decisions == policy.decisions
+
+
+def exhaustive_equilibria(tree, preference="all"):
+    """Test oracle: the census by brute force over all 2^free candidate policies.
+
+    Bits at or past the effective horizon are 1; every assignment of the free
+    bits is checked against "stop iff the payoff beats the continuation value,
+    continue iff it loses, and on a tie any bit, or the preferred one".  The
+    result is in mask order, bit i for the i-th free atom in `tree.atoms()`.
+    """
+    flags = tree.effective_flags()
+    free = [atom for atom in tree.atoms() if not flags[atom.id]]
+    preference = policy_module._resolve_preference(tree, preference)
+    base = {aid: 1 for aid, flag in flags.items() if flag}
+    found = []
+    for mask in range(2 ** len(free)):
+        bits = dict(base)
+        for i, atom in enumerate(free):
+            bits[atom.id] = (mask >> i) & 1
+        policy = StoppingPolicy(bits)
+        num, den = policy_module._continuation_tables(tree, policy)
+        ok = True
+        for atom in free:
+            sign = tree.mode.compare(atom.payoff, num[atom.id] / den[atom.id])
+            bit = bits[atom.id]
+            if sign != 0:
+                ok = bit == int(sign > 0)
+            elif preference is not None:
+                ok = bit == preference.prefer_stop[atom.id]
+            if not ok:
+                break
+        if ok:
+            found.append(policy)
+    return found
+
+
+def tie_heavy(tree, rng):
+    """The same tree with in-domain payoffs redrawn from {0, 1, 2}."""
+    return AtomTree(
+        dataclasses.replace(atom, payoff=F(rng.randint(0, 2))) if atom.in_domain else atom
+        for atom in tree.atoms()
+    )
+
+
+class TestCensusOracle:
+    @pytest.mark.parametrize("preference", ["all", "early", "late"])
+    def test_corpus_matches_exhaustive(self, tree_corpus, preference):
+        for tree in tree_corpus:
+            assert enumerate_equilibria(tree, preference) == exhaustive_equilibria(tree, preference)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        ties=st.booleans(),
+        preference=st.sampled_from(["all", "early", "late", "per-atom"]),
+    )
+    def test_random_trees_match_exhaustive(self, seed, ties, preference):
+        rng = random.Random(seed)
+        tree = random_tree(rng)
+        if ties:
+            tree = tie_heavy(tree, rng)
+        if preference == "per-atom":
+            preference = StoppingPreference({aid: rng.randint(0, 1) for aid in tree.atom_ids()})
+        assert enumerate_equilibria(tree, preference) == exhaustive_equilibria(tree, preference)
+
+    def test_one_sweep_per_equilibrium(self, tree_corpus, monkeypatch):
+        calls = []
+        sweep = policy_module._sweep
+        monkeypatch.setattr(
+            policy_module, "_sweep", lambda *args: calls.append(1) or sweep(*args)
+        )
+        rng = random.Random(5)
+        trees = tree_corpus[:40] + [tie_heavy(tree, rng) for tree in tree_corpus[:40]]
+        assert max(len(enumerate_equilibria(tree)) for tree in trees) > 1
+        for tree in trees:
+            for preference in ("all", "early", "late"):
+                calls.clear()
+                found = enumerate_equilibria(tree, preference)
+                assert len(calls) == (len(found) if preference == "all" else 1)
