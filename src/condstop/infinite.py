@@ -148,6 +148,19 @@ def _domain_pairs(model: MarkovModel, period: int) -> list[Pair]:
     ]
 
 
+def _rows(model: MarkovModel) -> dict:
+    """Per domain state: its in-domain successors with positive probability,
+    in row order, and its one-step exit mass."""
+    rows = {}
+    for x in model.domain:
+        row = model.transitions[x].items()
+        rows[x] = (
+            [(y, p) for y, p in row if p > 0 and y in model.domain],
+            sum((p for y, p in row if y not in model.domain), model.mode.zero),
+        )
+    return rows
+
+
 def _closure(pairs: list, seeds: set, successors) -> set:
     """Members of `pairs` (product pairs or states) that reach `seeds` via `successors`."""
     hit = set(seeds)
@@ -163,49 +176,45 @@ def _closure(pairs: list, seeds: set, successors) -> set:
     return hit
 
 
-def evaluate(model: MarkovModel, policy: PeriodicMarkovPolicy) -> PolicyEvaluation:
-    """Exact (h, p, J) tables for a periodic Markov policy.
+def _solve_on(mode, steps: dict, unknowns: list, weight: Scalar, constant) -> dict:
+    """Solve u = constant + weight * sum(prob * u(next)) on `unknowns`, where
+    a successor outside `unknowns` adds nothing."""
+    if not unknowns:
+        return {}
+    index = {pair: i for i, pair in enumerate(unknowns)}
+    matrix = [[mode.zero] * len(unknowns) for _ in unknowns]
+    for i, pair in enumerate(unknowns):
+        matrix[i][i] = mode.one
+        for succ, prob in steps[pair]:
+            if succ in index:
+                matrix[i][index[succ]] -= weight * prob
+    return dict(zip(unknowns, solve_linear(matrix, [constant(pair) for pair in unknowns])))
 
-    Raises when the policy is unusable: a reachable in-domain pair that
-    continues but whose continuation leaves the domain almost surely has no
-    conditional value (the observer would condition on a null event).
+
+def _evaluate(
+    model: MarkovModel, rows: dict, policy: PeriodicMarkovPolicy, pairs: list, reachable: frozenset
+) -> PolicyEvaluation:
+    """`evaluate` on `pairs`, domain pairs closed under in-domain transitions.
+
+    No continuation leaves a closed set, so the tables on `pairs` are those
+    of `evaluate`.  Admissibility is checked on the pairs in `reachable`.
     """
-    _require_infinite(model)
-    _validate_regions(model, policy)
-    mode = model.mode
-    period = policy.period
-    delta = model.discount
-    pairs = _domain_pairs(model, period)
-    continue_pairs = [
-        (phase, x) for (phase, x) in pairs if not policy.stops(phase, x)
-    ]
-    index = {pair: i for i, pair in enumerate(continue_pairs)}
+    mode, period, delta = model.mode, policy.period, model.discount
+    steps = {
+        (phase, x): [(((phase + 1) % period, y), prob) for y, prob in rows[x][0]]
+        for phase, x in pairs
+    }
+    continuing = [pair for pair in pairs if not policy.stops(*pair)]
+    cont = set(continuing)
+    exiting = {pair for pair in continuing if rows[pair[1]][1] > 0}
 
-    def continue_successors(pair: Pair):
-        phase, x = pair
-        nxt = (phase + 1) % period
-        for y, prob in model.transitions[x].items():
-            if prob > 0 and y in model.domain and (nxt, y) in index:
-                yield (nxt, y)
-
-    def exit_mass(x: State) -> Scalar:
-        return sum(
-            (p for y, p in model.transitions[x].items() if y not in model.domain),
-            mode.zero,
-        )
+    def successors(pair: Pair):
+        return (succ for succ, _ in steps[pair])
 
     if mode.eq(delta, 1):
-        absorbing = {
-            pair
-            for pair in continue_pairs
-            if exit_mass(pair[1]) > 0
-            or any(
-                prob > 0 and y in model.domain and ((pair[0] + 1) % period, y) not in index
-                for y, prob in model.transitions[pair[1]].items()
-            )
-        }
-        transient = _closure(continue_pairs, absorbing, continue_successors)
-        stuck = [pair for pair in continue_pairs if pair not in transient]
+        ends = exiting | {p for p in continuing if any(s not in cont for s in successors(p))}
+        transient = _closure(continuing, ends, successors)
+        stuck = [pair for pair in continuing if pair not in transient]
         if stuck:
             raise PolicyError(
                 "discount 1 requires the continuation region to reach a stop or "
@@ -213,90 +222,60 @@ def evaluate(model: MarkovModel, policy: PeriodicMarkovPolicy) -> PolicyEvaluati
             )
 
     # Conditional payoff numerator: one unknown per continuing pair.
-    n = len(continue_pairs)
-    h_cont: dict[Pair, Scalar] = {}
-    if n:
-        matrix = [[mode.zero] * n for _ in range(n)]
-        rhs = [mode.zero] * n
-        for i, (phase, x) in enumerate(continue_pairs):
-            matrix[i][i] = mode.one
-            nxt = (phase + 1) % period
-            for y, prob in model.transitions[x].items():
-                if not prob > 0 or y not in model.domain:
-                    continue
-                if (nxt, y) in index:
-                    matrix[i][index[(nxt, y)]] -= delta * prob
-                else:
-                    rhs[i] += delta * prob * model.payoff[y]
-        solution = solve_linear(matrix, rhs)
-        h_cont = {pair: solution[i] for i, pair in enumerate(continue_pairs)}
+    def stop_gain(pair: Pair) -> Scalar:
+        stops = (delta * prob * model.payoff[s[1]] for s, prob in steps[pair] if s not in cont)
+        return sum(stops, mode.zero)
 
+    h_cont = _solve_on(mode, steps, continuing, delta, stop_gain)
     # Exit-hitting probability: minimal nonnegative solution, i.e. zero on
     # pairs from which the exit is unreachable, then a nonsingular system on
     # the rest.
-    exit_seeds = {pair for pair in continue_pairs if exit_mass(pair[1]) > 0}
-    can_exit = _closure(continue_pairs, exit_seeds, continue_successors)
-    qpairs = [pair for pair in continue_pairs if pair in can_exit]
-    qindex = {pair: i for i, pair in enumerate(qpairs)}
-    q_cont: dict[Pair, Scalar] = {pair: mode.zero for pair in continue_pairs}
-    if qpairs:
-        matrix = [[mode.zero] * len(qpairs) for _ in range(len(qpairs))]
-        rhs = [mode.zero] * len(qpairs)
-        for i, (phase, x) in enumerate(qpairs):
-            matrix[i][i] = mode.one
-            nxt = (phase + 1) % period
-            rhs[i] = exit_mass(x)
-            for y, prob in model.transitions[x].items():
-                if not prob > 0 or y not in model.domain:
-                    continue
-                if (nxt, y) in qindex:
-                    matrix[i][qindex[(nxt, y)]] -= prob
-        solution = solve_linear(matrix, rhs)
-        for i, pair in enumerate(qpairs):
-            q_cont[pair] = solution[i]
-
-    def one_step(phase: int, x: State) -> tuple[Scalar, Scalar]:
-        """(h, q) of the continuation starting one step after (phase, x)."""
-        nxt = (phase + 1) % period
-        h_val = mode.zero
-        q_val = exit_mass(x)
-        for y, prob in model.transitions[x].items():
-            if not prob > 0 or y not in model.domain:
-                continue
-            if (nxt, y) in index:
-                h_val += delta * prob * h_cont[(nxt, y)]
-                q_val += prob * q_cont[(nxt, y)]
-            else:
-                h_val += delta * prob * model.payoff[y]
-        return h_val, q_val
+    can_exit = _closure(continuing, exiting, successors)
+    qpairs = [pair for pair in continuing if pair in can_exit]
+    q_cont = dict.fromkeys(continuing, mode.zero)
+    q_cont.update(_solve_on(mode, steps, qpairs, mode.one, lambda pair: rows[pair[1]][1]))
 
     h_table: dict[Pair, Scalar] = {}
     p_table: dict[Pair, Scalar] = {}
     j_table: dict[Pair, Scalar] = {}
-    for phase, x in pairs:
-        if (phase, x) in index:
-            h_val = h_cont[(phase, x)]
-            q_val = q_cont[(phase, x)]
-        else:
-            h_val, q_val = one_step(phase, x)
-        h_table[(phase, x)] = h_val
-        p_table[(phase, x)] = mode.one - q_val
-        if mode.gt(p_table[(phase, x)], 0):
-            j_table[(phase, x)] = h_val / p_table[(phase, x)]
-
-    reachable = reachable_pairs(model, period)
-    for phase, x in pairs:
-        if (phase, x) in reachable and (phase, x) in index:
-            if not mode.gt(p_table[(phase, x)], 0):
-                if not mode.gt(model.domain_successor_mass(x), 0):
-                    reason = "must stop when every transition leaves the domain"
+    for pair in pairs:
+        if pair in cont:
+            h_val, q_val = h_cont[pair], q_cont[pair]
+        else:  # one step, then the continuation or a stop, in row order
+            h_val, q_val = mode.zero, rows[pair[1]][1]
+            for succ, prob in steps[pair]:
+                if succ in cont:
+                    h_val += delta * prob * h_cont[succ]
+                    q_val += prob * q_cont[succ]
                 else:
-                    reason = "continuation almost surely leaves the domain before stopping"
-                raise InadmissiblePolicyError(
-                    AdmissibilityResult(False, f"(phase {phase}, state {x})", reason)
-                )
-
+                    h_val += delta * prob * model.payoff[succ[1]]
+        h_table[pair] = h_val
+        p_table[pair] = p_val = mode.one - q_val
+        if mode.gt(p_val, 0):
+            j_table[pair] = h_val / p_val
+        elif pair in cont and pair in reachable:
+            phase, x = pair
+            if not mode.gt(model.domain_successor_mass(x), 0):
+                reason = "must stop when every transition leaves the domain"
+            else:
+                reason = "continuation almost surely leaves the domain before stopping"
+            raise InadmissiblePolicyError(
+                AdmissibilityResult(False, f"(phase {phase}, state {x})", reason)
+            )
     return PolicyEvaluation(period, h_table, p_table, j_table, reachable)
+
+
+def evaluate(model: MarkovModel, policy: PeriodicMarkovPolicy) -> PolicyEvaluation:
+    """Exact (h, p, J) tables for a periodic Markov policy on every domain pair.
+
+    Raises when the policy is unusable: a reachable in-domain pair that
+    continues but whose continuation leaves the domain almost surely has no
+    conditional value (the observer would condition on a null event).
+    """
+    _require_infinite(model)
+    _validate_regions(model, policy)
+    pairs = _domain_pairs(model, policy.period)
+    return _evaluate(model, _rows(model), policy, pairs, reachable_pairs(model, policy.period))
 
 
 def phi_markov(
@@ -331,6 +310,15 @@ def phi_markov(
                 region.add(x)
         regions.append(frozenset(region))
     return PeriodicMarkovPolicy(policy.period, tuple(regions))
+
+
+def _markov_preference(preference: MarkovPreference) -> MarkovPreference:
+    """None, "early" or "late"; "all" means None."""
+    if preference == "all":
+        return None
+    if preference not in (None, "early", "late"):
+        raise PolicyError(f"unknown preference {preference!r}")
+    return preference
 
 
 def _equilibrium_deviations(
@@ -368,6 +356,7 @@ def is_periodic_equilibrium(
     preference: MarkovPreference = None,
 ) -> EquilibriumResult:
     """Equilibrium check on reachable pairs: admissible and a fixed point there."""
+    preference = _markov_preference(preference)
     try:
         evaluation = evaluate(model, policy)
     except PolicyError as exc:
@@ -394,10 +383,13 @@ def enumerate_periodic_equilibria(
     states that reach neither a stop nor an exit when every free state
     continues) get bit 1: `evaluate` rejects any discount-1 policy that
     continues at a trap, so bit 0 there would knock out whole classes.  Exit
-    and forced states sit in every region.  A candidate survives when
-    evaluation succeeds and every reachable pair's bit is a best response;
-    with no preference, ties admit both bits.  The size guard counts the
-    2**slots candidates.
+    and forced states sit in every region.  The transition rows and the
+    reachable pairs are built once; each candidate is evaluated on the
+    reachable pairs only, which are closed under in-domain transitions.  A
+    candidate survives when that evaluation succeeds and every reachable
+    pair's bit is a best response; with no preference, ties admit both bits.
+    Only survivors are evaluated on every domain pair, so each carries the
+    tables `evaluate` gives.  The size guard counts the 2**slots candidates.
     """
     _require_infinite(model)
     if period < 1:
@@ -409,23 +401,20 @@ def enumerate_periodic_equilibria(
     total = 2 ** len(slots)
     if total > guard:
         raise SizeGuardError(total, guard)
-    pinned = model.exit_states | model.forced_stop
-    if preference == "all":
-        preference = None
-    if preference not in (None, "early", "late"):
-        raise PolicyError(f"unknown preference {preference!r}")
+    preference = _markov_preference(preference)
+    rows = _rows(model)
+    pairs = _domain_pairs(model, period)
+    reached = [pair for pair in pairs if pair in reachable]
 
+    pinned = model.exit_states | model.forced_stop
     traps: set = set()
     if model.mode.eq(model.discount, 1):
-        def free_successors(x: State):
-            return (y for y, prob in model.transitions[x].items() if prob > 0 and y in free)
-
         ends = {
             x
             for x in free
-            if any(prob > 0 and y in pinned for y, prob in model.transitions[x].items())
+            if rows[x][1] > 0 or any(y in model.forced_stop for y, _ in rows[x][0])
         }
-        traps = set(free) - _closure(free, ends, free_successors)
+        traps = set(free) - _closure(free, ends, lambda x: (y for y, _ in rows[x][0]))
     base = [
         pinned | {x for x in traps if (phase, x) not in reachable} for phase in range(period)
     ]
@@ -438,11 +427,12 @@ def enumerate_periodic_equilibria(
                 regions[phase].add(x)
         policy = PeriodicMarkovPolicy(period, tuple(regions))
         try:
-            evaluation = evaluate(model, policy)
+            evaluation = _evaluate(model, rows, policy, reached, reachable)
         except PolicyError:
             continue
         if _equilibrium_deviations(model, policy, evaluation, preference):
             continue
+        evaluation = _evaluate(model, rows, policy, pairs, reachable)
         found.append(PeriodicEquilibrium(policy, evaluation))
     return found
 

@@ -116,6 +116,7 @@ class AtomTree:
             a.id: i for level in self._levels for i, a in enumerate(level)
         }
         self._effective_flags: Optional[dict[str, bool]] = None
+        self._tie_scale: Optional[Scalar] = None
 
     @property
     def horizon(self) -> int:
@@ -165,6 +166,15 @@ class AtomTree:
         if self._effective_flags is None:
             self._effective_flags = effective_horizon(self)
         return self._effective_flags
+
+    def tie_scale(self) -> Scalar:
+        """Float-mode tolerance scale for every value comparison on the tree:
+        max(1, max |payoff|); one in exact mode."""
+        if self._tie_scale is None:
+            self._tie_scale = self.mode.one if self.mode.exact else max(
+                [1.0] + [abs(float(a.payoff)) for a in self.atoms() if a.in_domain]
+            )
+        return self._tie_scale
 
 
 def effective_horizon(tree: AtomTree) -> dict[str, bool]:

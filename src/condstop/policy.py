@@ -329,14 +329,15 @@ def _best_bit(
 ) -> Callable[[Atom, Scalar, Scalar], int]:
     """The tree layer's best-response rule as a `_sweep` chooser: 1 at or past
     the effective horizon, else 1 when the payoff strictly beats num/den, 0 when
-    it strictly loses, and `tie(atom_id)` on an exact tie."""
+    it strictly loses, and `tie(atom_id)` on a tie at the tree's tie scale."""
     flags = tree.effective_flags()
     compare = tree.mode.compare
+    scale = tree.tie_scale()
 
     def choose(atom: Atom, num: Scalar, den: Scalar) -> int:
         if flags[atom.id]:
             return 1
-        sign = compare(atom.payoff, num / den)
+        sign = compare(atom.payoff, num / den, scale)
         return tie(atom.id) if sign == 0 else int(sign > 0)
 
     return choose

@@ -87,13 +87,6 @@ def _twisted(
     return exp_s, exp_sv
 
 
-def _tie_scale(tree: AtomTree) -> Scalar:
-    """Float-mode tolerance scale for value comparisons: max(1, max |payoff|)."""
-    if tree.mode.exact:
-        return tree.mode.one
-    return max([1.0] + [abs(float(a.payoff)) for a in tree.atoms() if a.in_domain])
-
-
 def backward_solve(tree: AtomTree) -> tuple[SnellPair, StoppingPolicy]:
     """Solve the tree by backward recursion; also return the induced policy."""
     bits, num, den = _sweep(tree, _best_bit(tree, lambda atom_id: 1))
@@ -146,8 +139,9 @@ def pair_from_policy(tree: AtomTree, policy: StoppingPolicy) -> SnellPair:
     if not check:
         raise PairError(f"policy is not an equilibrium: {check.reason}")
     _, num, den = tables
+    mode, scale = tree.mode, tree.tie_scale()
     for atom in tree.atoms():  # continuing atoms of an equilibrium are unflagged
-        if not policy.stops(atom.id) and tree.mode.eq(atom.payoff, num[atom.id] / den[atom.id]):
+        if not policy.stops(atom.id) and mode.eq(atom.payoff, num[atom.id] / den[atom.id], scale):
             raise PairError(
                 f"indifferent observer at {atom.id!r} continues; "
                 "expected the early-stopping equilibrium"
@@ -162,12 +156,13 @@ def policy_from_pair(tree: AtomTree, pair: SnellPair) -> StoppingPolicy:
         failed = [c.name for c in report.conditions if not c.passed]
         raise PairError(f"pair fails verification: {failed}")
     mode = tree.mode
+    scale = tree.tie_scale()
     bits: dict[str, int] = {}
     for atom in tree.atoms():
         if not atom.in_domain:
             bits[atom.id] = 1
         else:
-            bits[atom.id] = 1 if mode.ge(atom.payoff, pair.values[atom.id]) else 0
+            bits[atom.id] = 1 if mode.ge(atom.payoff, pair.values[atom.id], scale) else 0
     return StoppingPolicy(bits)
 
 
@@ -202,9 +197,9 @@ def verify_snell_pair(tree: AtomTree, pair: SnellPair) -> VerificationReport:
     """
     mode = tree.mode
     flags = tree.effective_flags()
-    scale = _tie_scale(tree)
+    scale = tree.tie_scale()
 
-    bounds = _condition("bounds", _bounds_failures(tree, pair, scale))
+    bounds = _condition("bounds", _bounds_failures(tree, pair))
     if not bounds.passed:
         # The remaining conditions need a structurally complete pair.
         return _skipped(bounds, _PAIR_CONDITIONS, tree.root.id, "skipped: bounds failed")
@@ -218,7 +213,7 @@ def verify_snell_pair(tree: AtomTree, pair: SnellPair) -> VerificationReport:
         value = pair.values[atom.id]
         exp_s, exp_sv = _twisted(tree, atom.id, pair.survival, pair.values)
         cont = exp_sv / exp_s
-        target = atom.payoff if mode.ge(atom.payoff, cont) else cont
+        target = atom.payoff if mode.ge(atom.payoff, cont, scale) else cont
         if not mode.eq(value, target, scale):
             envelope.append(
                 (atom.id,
@@ -285,10 +280,11 @@ def _skipped(
     )
 
 
-def _bounds_failures(tree: AtomTree, pair: SnellPair, scale: Scalar) -> list[tuple[str, str]]:
+def _bounds_failures(tree: AtomTree, pair: SnellPair) -> list[tuple[str, str]]:
     """The `bounds` condition of `verify_snell_pair`: one entry per defect."""
     mode = tree.mode
     flags = tree.effective_flags()
+    scale = tree.tie_scale()
     failures: list[tuple[str, str]] = []
     for atom in tree.atoms():
         s = pair.survival.get(atom.id)
@@ -327,7 +323,7 @@ def survival_identities(
     The last three fail unchecked when the policy is inadmissible or the
     pair fails the `bounds` condition of `verify_snell_pair`.
     """
-    bounds = _bounds_failures(tree, pair, _tie_scale(tree))
+    bounds = _bounds_failures(tree, pair)
     return _identities(tree, policy, pair, _checked_tables(tree, policy), not bounds)
 
 
@@ -351,7 +347,7 @@ def _identities(
     """`survival_identities`, given `_checked_tables` and the `bounds` verdict."""
     mode = tree.mode
     flags = tree.effective_flags()
-    scale = _tie_scale(tree)
+    scale = tree.tie_scale()
     adm, num, den = tables
     admissibility = ConditionReport(
         "admissibility", bool(adm), () if adm else ((adm.atom, adm.reason),)

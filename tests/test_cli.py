@@ -238,6 +238,29 @@ class TestVerify:
             "passed": False, "failures": [["root", "skipped: pair fails bounds"]]
         }
 
+    def test_float_solve_and_verify_agree_on_a_near_tie(self, capsys, tmp_path):
+        # The root payoff ties the child's within eps times the payoff scale,
+        # so solve and verify must both stop there.
+        nodes = [
+            {"id": "r", "parent": None, "prob": "1", "in_domain": True, "payoff": "1000"},
+            {"id": "a", "parent": "r", "prob": "1/2", "in_domain": True,
+             "payoff": "1000.0000005"},
+            {"id": "b", "parent": "r", "prob": "1/2", "in_domain": False, "payoff": None},
+        ]
+        model_path = tmp_path / "tree.json"
+        model_path.write_text(json.dumps({"type": "tree", "nodes": nodes}))
+        code, out, _ = run(capsys, "solve", "--model", str(model_path), "--float", "--json")
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["theta0"] == 1
+        pair_path = tmp_path / "pair.json"
+        pair_path.write_text(json.dumps(results["pair"]))
+        code, out, _ = run(
+            capsys, "verify", "--model", str(model_path), "--float", "--pair", str(pair_path)
+        )
+        assert code == 0
+        assert "FAIL" not in out
+
     def test_requires_something_to_check(self, capsys, tree_file):
         code, _, err = run(capsys, "verify", "--model", tree_file)
         assert code == 2

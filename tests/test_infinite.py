@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from condstop import infinite
 from condstop.catalog import (
     check_minnie_donald_conditions,
     minnie_donald_cycle_regions,
@@ -28,7 +31,8 @@ from condstop.infinite import (
     truncation_limit,
 )
 from condstop.model import MarkovModel, ModelError, unroll
-from condstop.numeric import NumericError
+from condstop.modelio import dump_model, load_model
+from condstop.numeric import NumericError, float_mode
 from condstop.policy import (
     InadmissiblePolicyError,
     PolicyError,
@@ -481,6 +485,145 @@ class TestCensusAgainstExhaustiveOracle:
                 assert reachable_classes(
                     enumerate_periodic_equilibria(model, period, preference)
                 ) == reachable_classes(exhaustive_periodic_equilibria(model, period, preference))
+
+
+def _float_chain(model):
+    return load_model(dump_model(model), mode=float_mode())
+
+
+class TestFloatCensusAgainstExhaustiveOracle:
+    # Candidates are judged on the systems restricted to the reachable pairs,
+    # where float results could drift from the oracle's full systems.
+    @pytest.mark.parametrize("preference", [None, "early", "late"])
+    @pytest.mark.parametrize("period", [1, 2])
+    def test_random_chains(self, period, preference):
+        for model in map(_float_chain, _differential_chains()):
+            assert enumerate_periodic_equilibria(
+                model, period, preference
+            ) == exhaustive_periodic_equilibria(model, period, preference)
+
+    @pytest.mark.parametrize("period", [1, 2])
+    def test_minnie_donald(self, period):
+        model = minnie_donald_model(mode=float_mode())
+        for preference in (None, "early", "late"):
+            assert enumerate_periodic_equilibria(
+                model, period, preference
+            ) == exhaustive_periodic_equilibria(model, period, preference)
+
+    @pytest.mark.parametrize("period", [1, 2])
+    def test_random_chains_at_discount_one(self, period):
+        for base in _differential_chains():
+            model = _float_chain(dataclasses.replace(base, discount=F(1)))
+            for preference in (None, "early", "late"):
+                assert reachable_classes(
+                    enumerate_periodic_equilibria(model, period, preference)
+                ) == reachable_classes(exhaustive_periodic_equilibria(model, period, preference))
+
+
+def census_policy(rng, model, period):
+    """Random bits on the reachable free slots and the census base elsewhere:
+    stop at unreachable pairs of discount-1 traps, continue at the others."""
+    reachable = reachable_pairs(model, period)
+    free = {x for x in model.domain if x not in model.forced_stop}
+    pinned = model.exit_states | model.forced_stop
+    traps = set()
+    if model.discount == 1:
+        for x in free:
+            seen, frontier = {x}, [x]
+            while frontier:
+                for y, prob in model.transitions[frontier.pop()].items():
+                    if prob > 0 and y not in seen:
+                        seen.add(y)
+                        frontier.append(y)
+            if not seen & pinned:
+                traps.add(x)
+    regions = []
+    for phase in range(period):
+        region = set(pinned)
+        for x in model.states:
+            if x not in free:
+                continue
+            if (phase, x) in reachable:
+                if rng.random() < 0.5:
+                    region.add(x)
+            elif x in traps:
+                region.add(x)
+        regions.append(frozenset(region))
+    return PeriodicMarkovPolicy(period, tuple(regions))
+
+
+def _outcome(function, *args):
+    try:
+        return function(*args), None
+    except PolicyError as exc:
+        return None, (type(exc), str(exc))
+
+
+def _recorded(monkeypatch, name):
+    """Record the arguments of every call to `infinite.<name>`."""
+    calls = []
+    original = getattr(infinite, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(infinite, name, recorded)
+    return calls
+
+
+class TestCensusCore:
+    def test_one_row_build_and_full_tables_only_for_survivors(self, monkeypatch):
+        model, period = minnie_donald_model(), 4
+        domain = len(infinite._domain_pairs(model, period))
+        reachable = len(reachable_pairs(model, period))
+        rows = _recorded(monkeypatch, "_rows")
+        reach = _recorded(monkeypatch, "reachable_pairs")
+        cores = _recorded(monkeypatch, "_evaluate")
+        found = infinite.enumerate_periodic_equilibria(model, period)
+        sizes = [len(args[3]) for args in cores]
+        assert len(found) == 2 and reachable < domain
+        assert len(rows) == len(reach) == 1
+        assert sizes.count(domain) == len(found)
+        assert sizes.count(reachable) == len(sizes) - len(found) == 2**4
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        period=st.integers(1, 3),
+        discount_one=st.booleans(),
+    )
+    def test_reachable_core_agrees_with_evaluate(self, seed, period, discount_one):
+        rng = random.Random(seed)
+        model = random_markov_model(rng, n_states=rng.randint(2, 4))
+        if discount_one:
+            model = dataclasses.replace(model, discount=F(1))
+            policy = census_policy(rng, model, period)
+        else:
+            policy = random_periodic_policy(rng, model, period)
+        reachable = reachable_pairs(model, period)
+        pairs = [pair for pair in infinite._domain_pairs(model, period) if pair in reachable]
+        part, part_error = _outcome(
+            infinite._evaluate, model, infinite._rows(model), policy, pairs, reachable
+        )
+        full, full_error = _outcome(evaluate, model, policy)
+        assert part_error == full_error
+        if full is None:
+            return
+        assert set(part.h) == set(part.p) == reachable
+        for pair in reachable:
+            assert part.h[pair] == full.h[pair]
+            assert part.p[pair] == full.p[pair]
+            assert part.J.get(pair) == full.J.get(pair)
+
+
+class TestPreferenceValidation:
+    def test_equilibrium_check_rejects_unknown_preference(self):
+        model = two_state_model()
+        stop_everywhere = region_policy(0, 1, 2)
+        assert is_periodic_equilibrium(model, stop_everywhere, "all")
+        with pytest.raises(PolicyError, match="unknown preference 'sideways'"):
+            is_periodic_equilibrium(model, stop_everywhere, "sideways")
 
 
 class TestCheckGrowth:
