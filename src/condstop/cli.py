@@ -58,7 +58,7 @@ from .policy import (
     PolicyError,
     SizeGuardError,
     StoppingPolicy,
-    continuation_value,
+    _equilibria,
     enumerate_equilibria,
     is_equilibrium,
     phi,
@@ -274,15 +274,15 @@ def cmd_enumerate(args):
                 lines.append(f"  J({pair_name}) = {value}")
         return model, results, {}, lines, EXIT_OK
     tree = _as_tree(model, args.horizon)
-    found = enumerate_equilibria(tree, preference=preference, size_guard=_size_guard())
+    found = _equilibria(tree, preference, _size_guard())
     entries = []
-    for policy in found:
-        root = tree.root
-        value = root.payoff if policy.stops(root.id) else continuation_value(tree, policy, root.id)
+    root = tree.root.id
+    for bits, num, den in found:
+        value = tree.root.payoff if bits[root] else num[root] / den[root]
         entries.append(
             {
-                "policy": _policy_document(tree, policy),
-                "stop_atoms": sorted(a for a in policy.decisions if policy.stops(a)),
+                "policy": _policy_document(tree, StoppingPolicy(bits)),
+                "stop_atoms": sorted(a for a, bit in bits.items() if bit),
                 "root_value": format_scalar(value),
             }
         )

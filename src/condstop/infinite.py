@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .model import AtomTree, MarkovModel, ModelError, State, unroll
+from .model import AtomTree, MarkovModel, ModelError, State, _Cells
 from .numeric import NumericError, Scalar, solve_linear
 from .policy import (
     DEFAULT_POLICY_GUARD,
@@ -37,8 +37,9 @@ from .policy import (
     PolicyError,
     SizeGuardError,
     StoppingPolicy,
+    _best_bit,
+    _sweep,
 )
-from .recursion import backward_solve
 
 Pair = tuple[int, State]
 
@@ -450,7 +451,7 @@ def check_growth(model: MarkovModel, c: Scalar) -> bool:
     mode = model.mode
     if not c > 1:
         raise NumericError(f"growth constant must exceed 1, got {c}")
-    reachable = model.reachable_domain_states()
+    reachable = {x for _, x in reachable_pairs(model, 1)}
     has_nonnegative = any(mode.ge(model.payoff[x], 0) for x in reachable)
     bounded = mode.le(c * model.discount, 1) or all(
         mode.le(model.payoff[x], 0) for x in reachable
@@ -481,21 +482,18 @@ class TruncationReport:
 
 
 def _markov_bits(model: MarkovModel, horizon: int) -> dict[tuple[int, State], int]:
-    """Per-(time, state) stop bits of the finite-horizon solution."""
-    tree = unroll(model, horizon)
-    _, policy = backward_solve(tree)
-    bits = policy.markov_bits(tree)
-    if bits is None:
-        raise RuntimeError(
-            f"horizon-{horizon} solution is not constant across the atoms of a (time, state) cell"
-        )
-    return bits
+    """Per-(time, state) stop bits of the finite-horizon solution, by one sweep of the cells."""
+    cells = _Cells(model, horizon)
+    bits = _sweep(cells, _best_bit(cells, lambda _: 1))[0]
+    return {cell: bit for cell, bit in bits.items() if cell[1] is not None}
 
 
 def truncation_limit(
     model: MarkovModel, max_horizon: int, stability_window: int
 ) -> TruncationReport:
-    """Solve horizons 1..max_horizon and report which decisions stabilize.
+    """Solve the last `stability_window` horizons up to max_horizon, horizon T
+    by one sweep over the (time, state) cells at cost O(T·|S|²), and report
+    which decisions stabilize.
 
     Instability inside the window is reported, not raised: limits of
     truncations are only guaranteed along subsequences, and a persistent

@@ -8,18 +8,19 @@ is *absent*, not zero; code that aggregates payoffs must skip those atoms.
 
 `MarkovModel` is the chain view: a row-stochastic transition matrix, a domain
 of states in which the gain is defined, a per-state gain discounted
-geometrically, and an initial state inside the domain.  `unroll` turns a chain
-into an `AtomTree`; on the first step that leaves the domain the continuation
-is collapsed into a single absorbing out-of-domain chain, since nothing that
-happens after the exit can affect any conditional value.  An unrolled atom's
-id joins the state names along its path with `/`, each name escaped by
-`_state_segment`, and `EXIT_SEGMENT` for every step of the out-of-domain chain.
+geometrically, and an initial state inside the domain.  `_Cells` holds its
+reachable (time, state) cells: on the first step that leaves the domain the
+continuation is collapsed into a single absorbing out-of-domain chain (state
+None), since nothing after the exit can affect any conditional value.  `unroll`
+expands the cells into an `AtomTree` whose atom ids join the state names along
+a path with `/`, each escaped by `_state_segment`, and `EXIT_SEGMENT` for every
+step of the out-of-domain chain.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Hashable, Iterable, Iterator, Mapping, Optional
 
 from .numeric import EXACT, NumericMode, Scalar
@@ -228,6 +229,8 @@ class MarkovModel:
         object.__setattr__(self, "forced_stop", frozenset(self.forced_stop))
         if len(set(self.states)) != len(self.states) or not self.states:
             raise ModelError("states must be a nonempty sequence without duplicates")
+        if None in self.states:
+            raise ModelError("None cannot be a state: it marks the out-of-domain chain")
         names: dict[str, State] = {}
         for state in self.states:
             other = names.setdefault(str(state), state)
@@ -273,18 +276,6 @@ class MarkovModel:
             self.mode.zero,
         )
 
-    def reachable_domain_states(self) -> frozenset[State]:
-        """Domain states reachable from the initial state along domain paths."""
-        seen = {self.initial}
-        frontier = [self.initial]
-        while frontier:
-            x = frontier.pop()
-            for y, p in self.transitions[x].items():
-                if p > 0 and y in self.domain and y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return frozenset(seen)
-
 
 def _state_segment(state: State) -> str:
     """The id segment of a state in an unrolled tree.
@@ -300,13 +291,65 @@ def _state_segment(state: State) -> str:
     return name.replace("%", "%25").replace("/", "%2F")
 
 
-def unroll(model: MarkovModel, horizon: Optional[int] = None) -> AtomTree:
-    """Expand a chain into an atom tree of the given depth.
+class _Cells:
+    """The atoms of `unroll(model, horizon)` with equal (time, state) merged,
+    each cell an `Atom` with id (time, state).  A cell's children carry the
+    transition probabilities: in-domain successors in state order, then one
+    exit child (state None) with all the exit mass; an exit cell's only child
+    is the next exit cell.  Every atom of a cell has the cell's children, so
+    `_sweep` and `_best_bit` run here, on the members borrowed from `AtomTree`.
+    """
 
-    Each in-domain atom branches according to the positive-probability
-    transitions of its state; all mass leaving the domain is merged into one
-    out-of-domain child, which then continues as a single absorbing chain down
-    to the horizon.  Zero-probability transitions produce no atoms.
+    levels = AtomTree.levels
+    horizon = AtomTree.horizon
+    atoms = AtomTree.atoms
+    effective_flags = AtomTree.effective_flags
+    tie_scale = AtomTree.tie_scale
+
+    def __init__(self, model: MarkovModel, horizon: int):
+        mode = self.mode = model.mode
+        branches = {None: [(None, mode.one)]}
+        for x in model.domain:
+            row = model.transitions[x]
+            moves = [(y, row[y]) for y in model.states if row.get(y, 0) > 0]
+            branches[x] = [(y, p) for y, p in moves if y in model.domain]
+            exit_mass = mode.zero
+            for y, p in moves:  # one by one: sum() rounds floats differently on 3.12+
+                if y not in model.domain:
+                    exit_mass += p
+            if exit_mass > 0:
+                branches[x].append((None, exit_mass))
+
+        def cell(t: int, y: Optional[State]) -> Atom:
+            gain = None if y is None else model.gain(t, y)
+            return Atom((t, y), t, None, mode.one, y is not None, gain, y)
+
+        levels = [{model.initial: cell(0, model.initial)}]
+        self._children = {}
+        for t in range(1, horizon + 1):
+            made: dict[Optional[State], Atom] = {}
+            for parent in levels[-1].values():
+                for y, _ in branches[parent.state]:
+                    if y not in made:
+                        made[y] = cell(t, y)
+                self._children[parent.id] = tuple(
+                    replace(made[y], branch_prob=p) for y, p in branches[parent.state]
+                )
+            levels.append(made)
+        self._levels = tuple(tuple(level.values()) for level in levels)
+        self._effective_flags = self._tie_scale = None
+
+    def children(self, cell_id: tuple[int, Optional[State]]) -> tuple[Atom, ...]:
+        return self._children[cell_id]
+
+
+def unroll(model: MarkovModel, horizon: Optional[int] = None) -> AtomTree:
+    """Expand a chain into an atom tree of the given depth: `_Cells` expanded
+    top-down into paths.  Each in-domain atom branches according to the
+    positive-probability transitions of its state; all mass leaving the domain
+    is merged into one out-of-domain child, which then continues as a single
+    absorbing chain down to the horizon.  Zero-probability transitions produce
+    no atoms.
     """
     if horizon is None:
         horizon = model.horizon
@@ -314,62 +357,16 @@ def unroll(model: MarkovModel, horizon: Optional[int] = None) -> AtomTree:
         raise ModelError("an explicit horizon is required for an infinite-horizon model")
     if not isinstance(horizon, int) or horizon <= 0:
         raise ModelError("horizon must be a positive integer")
-    mode = model.mode
-    segment = {x: _state_segment(x) for x in model.states}
-    root = Atom(
-        id=segment[model.initial],
-        level=0,
-        parent=None,
-        branch_prob=mode.one,
-        in_domain=True,
-        payoff=model.gain(0, model.initial),
-        state=model.initial,
-    )
-    atoms = [root]
-    frontier = [root]
-    for t in range(1, horizon + 1):
-        next_frontier = []
-        for atom in frontier:
-            if atom.state is None:
-                child = Atom(
-                    id=f"{atom.id}/{EXIT_SEGMENT}",
-                    level=t,
-                    parent=atom.id,
-                    branch_prob=mode.one,
-                    in_domain=False,
-                )
-                atoms.append(child)
-                next_frontier.append(child)
-                continue
-            row = model.transitions[atom.state]
-            exit_mass = mode.zero
-            for y in model.states:
-                p = row.get(y, mode.zero)
-                if not p > 0:
-                    continue
-                if y not in model.domain:
-                    exit_mass += p
-                    continue
-                child = Atom(
-                    id=f"{atom.id}/{segment[y]}",
-                    level=t,
-                    parent=atom.id,
-                    branch_prob=p,
-                    in_domain=True,
-                    payoff=model.gain(t, y),
-                    state=y,
-                )
-                atoms.append(child)
-                next_frontier.append(child)
-            if exit_mass > 0:
-                child = Atom(
-                    id=f"{atom.id}/{EXIT_SEGMENT}",
-                    level=t,
-                    parent=atom.id,
-                    branch_prob=exit_mass,
-                    in_domain=False,
-                )
-                atoms.append(child)
-                next_frontier.append(child)
-        frontier = next_frontier
-    return AtomTree(atoms, mode=mode)
+    cells = _Cells(model, horizon)
+    segment = {None: EXIT_SEGMENT, **{x: _state_segment(x) for x in model.states}}
+    frontier = [replace(cells.levels[0][0], id=segment[model.initial])]
+    atoms = list(frontier)
+    for t in range(horizon):
+        frontier = [
+            Atom(f"{atom.id}/{segment[c.state]}", t + 1, atom.id, c.branch_prob,
+                 c.in_domain, c.payoff, c.state)
+            for atom in frontier
+            for c in cells.children((t, atom.state))
+        ]
+        atoms += frontier
+    return AtomTree(atoms, mode=model.mode)

@@ -490,6 +490,29 @@ def _resolve_preference(
     raise PolicyError(f"unknown preference {preference!r}")
 
 
+def _equilibria(
+    tree: AtomTree, preference: PreferenceLike, size_guard: Optional[int]
+) -> list[tuple[dict[str, int], dict[str, Scalar], dict[str, Scalar]]]:
+    """The census sweep `(bits, num, den)` of every equilibrium; see
+    `enumerate_equilibria`."""
+    guard = DEFAULT_POLICY_GUARD if size_guard is None else size_guard
+    flags = tree.effective_flags()
+    free = [atom.id for atom in tree.atoms() if not flags[atom.id]]
+    pref = _resolve_preference(tree, preference)
+    found: list[tuple] = []
+    branches = [{aid: int(bit) for aid, bit in (pref.prefer_stop if pref else {}).items()}]
+    while branches:
+        if len(found) + len(branches) > guard:
+            raise SizeGuardError(len(found) + len(branches), guard)
+        pins = branches.pop()
+        decided = len(pins)
+        # a pinned tie takes its bit; an undecided one continues and joins the pins
+        found.append(_sweep(tree, _best_bit(tree, lambda atom_id: pins.setdefault(atom_id, 0))))
+        ties = list(pins.items())
+        branches.extend({**dict(ties[:k]), ties[k][0]: 1} for k in range(decided, len(ties)))
+    return sorted(found, key=lambda sweep: sum(sweep[0][aid] << i for i, aid in enumerate(free)))
+
+
 def enumerate_equilibria(
     tree: AtomTree,
     preference: PreferenceLike = "all",
@@ -498,31 +521,12 @@ def enumerate_equilibria(
     """All equilibrium policies, optionally filtered by an indifference rule.
 
     Each observer's bit is forced by the bits below them except on an exact
-    tie, so every equilibrium is one `_sweep` with `_best_bit`.  With a
-    preference, ties take the preferred bit: one sweep.  With "all", a sweep
-    continues at the ties T_1..T_m it meets undecided, and T_k spawns the sweep
+    tie, so every equilibrium is one `_sweep` with `_best_bit`.  A preference
+    pins the ties at the atoms it names to the preferred bit.  A sweep
+    continues at the ties T_1..T_m it meets unpinned, and T_k spawns the sweep
     that pins T_1..T_(k-1) to continue and T_k to stop: one sweep per
-    equilibrium.  Results are in mask order (bit i for the i-th free atom in
-    `tree.atoms()` order); the size guard counts all 2^free candidates.
+    equilibrium, and one in all with "early" or "late".  Results are in mask
+    order (bit i for the i-th free atom in `tree.atoms()` order).  The size
+    guard counts sweeps, made and pending, and raises once they exceed it.
     """
-    guard = DEFAULT_POLICY_GUARD if size_guard is None else size_guard
-    flags = tree.effective_flags()
-    free = [atom.id for atom in tree.atoms() if not flags[atom.id]]
-    if 2 ** len(free) > guard:
-        raise SizeGuardError(2 ** len(free), guard)
-    pref = _resolve_preference(tree, preference)
-    if pref is not None:
-        choose = _best_bit(tree, lambda atom_id: int(pref.prefer_stop[atom_id]))
-        return [StoppingPolicy(_sweep(tree, choose)[0])]
-
-    found: list[StoppingPolicy] = []
-    branches: list[dict[str, int]] = [{}]
-    while branches:
-        pins = branches.pop()
-        decided = len(pins)
-        # an undecided tie continues and joins the pins, in sweep order
-        bits = _sweep(tree, _best_bit(tree, lambda atom_id: pins.setdefault(atom_id, 0)))[0]
-        found.append(StoppingPolicy(bits))
-        ties = list(pins.items())
-        branches.extend({**dict(ties[:k]), ties[k][0]: 1} for k in range(decided, len(ties)))
-    return sorted(found, key=lambda p: sum(p.decisions[aid] << i for i, aid in enumerate(free)))
+    return [StoppingPolicy(bits) for bits, _, _ in _equilibria(tree, preference, size_guard)]

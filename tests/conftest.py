@@ -34,3 +34,10 @@ def markov_corpus():
         random_markov_model(rng, n_states=4, horizon=rng.randint(1, 6))
         for _ in range(24)
     ]
+
+
+@pytest.fixture(scope="session")
+def chain_pool():
+    """Random infinite-horizon 4-state chains, the pool of the benchmark inputs."""
+    rng = random.Random(4711)
+    return [random_markov_model(rng, n_states=4) for _ in range(24)]

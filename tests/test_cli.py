@@ -1,11 +1,14 @@
 """End-to-end drives of the command-line interface."""
 
 import json
+from fractions import Fraction as F
 
 import pytest
 
 from condstop import backward_solve, binomial_tree, cli, dump_model, dump_pair, two_state_model
+from condstop import policy as policy_module
 from condstop.cli import main
+from condstop.model import Atom, AtomTree
 
 
 def run(capsys, *argv):
@@ -144,6 +147,23 @@ class TestEnumerate:
         assert code == 0
         assert "equilibria found: 1" in out
         assert "root value 13/2" in out
+
+    def test_one_sweep_per_equilibrium(self, capsys, monkeypatch):
+        calls = []
+        sweep = policy_module._sweep
+        monkeypatch.setattr(policy_module, "_sweep", lambda *args: calls.append(1) or sweep(*args))
+        code, out, _ = run(capsys, "enumerate", "--model", "binomial", "--json")
+        assert code == 0
+        assert len(calls) == json.loads(out)["results"]["count"] == 1
+
+    def test_path_tree_answers_at_the_default_guard(self, capsys, tmp_path):
+        # 22 free atoms but one equilibrium, found by one sweep.
+        atoms = [Atom(f"a{t}", t, f"a{t - 1}" if t else None, F(1), True, F(t)) for t in range(23)]
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps(dump_model(AtomTree(atoms))))
+        code, out, _ = run(capsys, "enumerate", "--model", str(path))
+        assert code == 0
+        assert "equilibria found: 1" in out
 
     def test_two_state_period_one(self, capsys):
         code, out, _ = run(

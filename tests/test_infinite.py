@@ -40,6 +40,7 @@ from condstop.policy import (
     is_equilibrium,
 )
 from condstop.random_models import random_markov_model, random_periodic_policy
+from condstop.recursion import backward_solve
 
 F = Fraction
 
@@ -714,6 +715,46 @@ class TestTruncation:
             truncation_limit(model, 3, 4)
         with pytest.raises(ModelError):
             truncation_limit(random_markov_model(random.Random(2), horizon=4), 6, 2)
+
+
+def markov_bits_by_unroll(model, horizon):
+    """Oracle for `_markov_bits`: the backward recursion on the unrolled tree,
+    read per (time, state) cell; None when two atoms of a cell disagree."""
+    tree = unroll(model, horizon)
+    return backward_solve(tree)[1].markov_bits(tree)
+
+
+class TestMarkovBitsAgainstUnrollOracle:
+    @pytest.mark.parametrize("floats", [False, True], ids=["exact", "float"])
+    def test_corpora_and_builtins(self, markov_corpus, chain_pool, floats):
+        models = [*markov_corpus, *chain_pool, two_state_model(), minnie_donald_model()]
+        if floats:
+            models = list(map(_float_chain, models))
+        for model in models:
+            for horizon in range(1, 9):
+                assert _markov_bits(model, horizon) == markov_bits_by_unroll(model, horizon)
+
+    @pytest.mark.parametrize(
+        "model, horizons",
+        [(two_state_model(), range(10, 13)), (minnie_donald_model(), range(7, 17))],
+        ids=["two-state", "minnie-donald"],
+    )
+    def test_builtins_at_longer_horizons(self, model, horizons):
+        for horizon in horizons:
+            assert _markov_bits(model, horizon) == markov_bits_by_unroll(model, horizon)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_states=st.integers(2, 5),
+        horizon=st.integers(1, 5),
+        floats=st.booleans(),
+    )
+    def test_random_chains(self, seed, n_states, horizon, floats):
+        model = random_markov_model(random.Random(seed), n_states=n_states)
+        if floats:
+            model = _float_chain(model)
+        assert _markov_bits(model, horizon) == markov_bits_by_unroll(model, horizon)
 
 
 class TestParameterConditions:

@@ -1,10 +1,14 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condstop.catalog import binomial_tree, minnie_donald_model, two_state_model
 from condstop.cli import main
+from condstop.infinite import reachable_pairs
 from condstop.model import (
     EXIT_SEGMENT,
     Atom,
@@ -12,9 +16,12 @@ from condstop.model import (
     MarkovModel,
     ModelError,
     effective_horizon,
+    _state_segment,
     unroll,
 )
-from condstop.modelio import dump_model
+from condstop.modelio import dump_model, load_model
+from condstop.numeric import float_mode
+from condstop.random_models import random_markov_model
 
 F = Fraction
 
@@ -107,13 +114,13 @@ class TestMarkovModel:
         assert model.gain(0, 2) == F(6, 5)
         assert model.gain(2, 1) == F(81, 100)
         assert model.domain_successor_mass(1) == F(2, 3)
-        assert model.reachable_domain_states() == frozenset({1, 2})
+        assert {x for _, x in reachable_pairs(model, 1)} == {1, 2}
 
     def test_minnie_donald_reachability(self):
         model = minnie_donald_model()
         assert model.exit_states == frozenset({0})
         assert model.forced_stop == frozenset({3, 4})
-        assert model.reachable_domain_states() == frozenset({1, 2, 3, 4})
+        assert {x for _, x in reachable_pairs(model, 1)} == {1, 2, 3, 4}
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -146,7 +153,74 @@ class TestMarkovModel:
             MarkovModel(**base)
 
 
+def unroll_by_paths(model, horizon):
+    """Oracle for `unroll`: the chain expanded atom by atom, each atom reading
+    its state's transition row."""
+    mode = model.mode
+    segment = {x: _state_segment(x) for x in model.states}
+    root = Atom(segment[model.initial], 0, None, mode.one, True, model.gain(0, model.initial),
+                model.initial)
+    atoms = [root]
+    frontier = [root]
+    for t in range(1, horizon + 1):
+        next_frontier = []
+        for atom in frontier:
+            if atom.state is None:
+                child = Atom(f"{atom.id}/{EXIT_SEGMENT}", t, atom.id, mode.one, False)
+                atoms.append(child)
+                next_frontier.append(child)
+                continue
+            row = model.transitions[atom.state]
+            exit_mass = mode.zero
+            for y in model.states:
+                p = row.get(y, mode.zero)
+                if not p > 0:
+                    continue
+                if y not in model.domain:
+                    exit_mass += p
+                    continue
+                child = Atom(f"{atom.id}/{segment[y]}", t, atom.id, p, True, model.gain(t, y), y)
+                atoms.append(child)
+                next_frontier.append(child)
+            if exit_mass > 0:
+                child = Atom(f"{atom.id}/{EXIT_SEGMENT}", t, atom.id, exit_mass, False)
+                atoms.append(child)
+                next_frontier.append(child)
+        frontier = next_frontier
+    return AtomTree(atoms, mode=mode)
+
+
+def assert_unrolls_like_the_oracle(model, horizon):
+    tree, oracle = unroll(model, horizon), unroll_by_paths(model, horizon)
+    # Atoms compare by every field (id, level, parent, probability, domain
+    # flag, payoff, state); level tuples also pin their order.
+    assert tree.levels == oracle.levels
+    assert [type(a.payoff) for a in tree.atoms()] == [type(a.payoff) for a in oracle.atoms()]
+
+
 class TestUnroll:
+    @pytest.mark.parametrize("floats", [False, True], ids=["exact", "float"])
+    def test_equals_the_path_oracle(self, markov_corpus, chain_pool, floats):
+        models = [*markov_corpus, *chain_pool, two_state_model(), minnie_donald_model()]
+        if floats:
+            models = [load_model(dump_model(m), mode=float_mode()) for m in models]
+        for model in models:
+            for horizon in range(1, 9):
+                assert_unrolls_like_the_oracle(model, horizon)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_states=st.integers(2, 5),
+        horizon=st.integers(1, 5),
+        floats=st.booleans(),
+    )
+    def test_equals_the_path_oracle_on_random_chains(self, seed, n_states, horizon, floats):
+        model = random_markov_model(random.Random(seed), n_states=n_states)
+        if floats:
+            model = load_model(dump_model(model), mode=float_mode())
+        assert_unrolls_like_the_oracle(model, horizon)
+
     def test_two_state_structure(self):
         model = two_state_model()
         tree = unroll(model, 2)
@@ -246,6 +320,13 @@ class TestAtomIds:
             horizon=1,
         )
         assert sorted(unroll(model).atom_ids()) == ["p", "p/%252F", "p/%2F"]
+
+    def test_none_is_not_a_state(self):
+        # None marks the out-of-domain chain of the cells and the unrolled tree.
+        with pytest.raises(ModelError, match="None cannot be a state"):
+            named_chain(
+                (None, 1), {None: {None: F(1)}, 1: {None: F(1)}}, domain=(None, 1), horizon=2
+            )
 
     def test_states_that_print_alike_are_rejected(self):
         with pytest.raises(ModelError, match="states 1 and '1' collide as '1'"):

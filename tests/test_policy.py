@@ -40,6 +40,13 @@ def tie_tree():
     )
 
 
+def path_tree(levels):
+    """A single in-domain path whose payoff grows with the level."""
+    return AtomTree(
+        Atom(f"a{t}", t, f"a{t - 1}" if t else None, F(1), True, F(t)) for t in range(levels)
+    )
+
+
 class TestStoppingPolicy:
     def test_basics(self):
         tree = binomial_tree()
@@ -281,13 +288,15 @@ class TestEnumerate:
         (early,) = enumerate_equilibria(tree, StoppingPreference.early(tree))
         assert early.bit("r") == 1
 
-    def test_size_guard(self, tree_corpus):
-        big = max(
-            tree_corpus,
-            key=lambda t: sum(1 for f in t.effective_flags().values() if not f),
-        )
+    def test_size_guard(self):
+        # The guard counts sweeps, one per equilibrium: two equilibria need two.
         with pytest.raises(SizeGuardError):
-            enumerate_equilibria(big, size_guard=1)
+            enumerate_equilibria(tie_tree(), size_guard=1)
+        # 22 free atoms, 2^22 candidate policies, but one equilibrium.
+        path = path_tree(23)
+        assert sum(1 for flag in path.effective_flags().values() if not flag) == 22
+        assert len(enumerate_equilibria(path)) == 1
+        assert len(enumerate_equilibria(path, size_guard=1)) == 1
 
     def test_unknown_preference(self):
         with pytest.raises(ValueError):
