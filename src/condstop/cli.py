@@ -23,7 +23,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 from .catalog import (
     BUILTIN_MODELS,
@@ -41,10 +41,11 @@ from .infinite import (
     phi_markov,
     truncation_limit,
 )
-from .model import AtomTree, MarkovModel, ModelError, unroll
+from .model import AtomTree, MarkovModel, ModelError, _Cells, _checked_cells, unroll
 from .modelio import (
     ParseError,
     TimedRegions,
+    dump_cell_pair,
     dump_pair,
     dump_policy,
     load_model,
@@ -118,6 +119,12 @@ def _load_any_model(args):
     return load_model(read_json(args.model), mode=_mode(args))
 
 
+def _chain_horizon(model: MarkovModel, horizon: Optional[int]) -> Optional[int]:
+    if horizon is None and model.horizon is None:
+        raise ModelError("infinite-horizon chain: supply --horizon to unroll")
+    return horizon
+
+
 def _as_tree(model, horizon: Optional[int]) -> AtomTree:
     if isinstance(model, AtomTree):
         if horizon is not None and horizon != model.horizon:
@@ -125,9 +132,15 @@ def _as_tree(model, horizon: Optional[int]) -> AtomTree:
                 f"tree model has horizon {model.horizon}; --horizon {horizon} conflicts"
             )
         return model
-    if horizon is None and model.horizon is None:
-        raise ModelError("infinite-horizon chain: supply --horizon to unroll")
-    return unroll(model, horizon)
+    return unroll(model, _chain_horizon(model, horizon))
+
+
+def _as_cells(model, horizon: Optional[int]) -> Union[AtomTree, _Cells]:
+    """`_as_tree` without unrolling: a chain's (time, state) cells, after the
+    checks `unroll` makes; a tree model as `_as_tree` returns it."""
+    if isinstance(model, AtomTree):
+        return _as_tree(model, horizon)
+    return _checked_cells(model, _chain_horizon(model, horizon))
 
 
 def _tree_policy(doc_policy, model, tree: AtomTree) -> StoppingPolicy:
@@ -152,8 +165,11 @@ def _policy_document(tree: AtomTree, policy: StoppingPolicy) -> dict:
 
 
 def cmd_solve(args):
+    """Backward recursion and its equilibrium check.  A chain is solved on its
+    cells, since its stop rule, V and S depend only on (time, state); only the
+    pair document lists the atoms of the unrolled tree."""
     model = _load_any_model(args)
-    tree = _as_tree(model, args.horizon)
+    tree = _as_cells(model, args.horizon)
     pair, policy = backward_solve(tree)
     check = is_equilibrium(tree, policy)
     root = tree.root.id
@@ -162,7 +178,7 @@ def cmd_solve(args):
         "S0": format_scalar(pair.survival[root]),
         "theta0": policy.bit(root),
         "policy": _policy_document(tree, policy),
-        "pair": dump_pair(pair),
+        "pair": dump_pair(pair) if isinstance(tree, AtomTree) else dump_cell_pair(tree, pair),
     }
     verification = {"is_equilibrium": bool(check)}
     lines = [

@@ -11,10 +11,12 @@ of states in which the gain is defined, a per-state gain discounted
 geometrically, and an initial state inside the domain.  `_Cells` holds its
 reachable (time, state) cells: on the first step that leaves the domain the
 continuation is collapsed into a single absorbing out-of-domain chain (state
-None), since nothing after the exit can affect any conditional value.  `unroll`
-expands the cells into an `AtomTree` whose atom ids join the state names along
-a path with `/`, each escaped by `_state_segment`, and `EXIT_SEGMENT` for every
-step of the out-of-domain chain.
+None), since nothing after the exit can affect any conditional value.  The
+tree kernels run on the cells unchanged, so a chain is solved per cell at
+cost O(T·|S|²) for horizon T.  `_Cells.expand` walks the cells top-down into
+the atoms of the unrolled tree, whose ids join the state names along a path
+with `/`, each escaped by `_state_segment`, and `EXIT_SEGMENT` for every step
+of the out-of-domain chain; `unroll` builds the `AtomTree` from that walk.
 """
 
 from __future__ import annotations
@@ -297,12 +299,15 @@ class _Cells:
     transition probabilities: in-domain successors in state order, then one
     exit child (state None) with all the exit mass; an exit cell's only child
     is the next exit cell.  Every atom of a cell has the cell's children, so
-    `_sweep` and `_best_bit` run here, on the members borrowed from `AtomTree`.
+    `_sweep`, `_best_bit` and the policy checks run here, on the members
+    borrowed from `AtomTree`.
     """
 
     levels = AtomTree.levels
     horizon = AtomTree.horizon
+    root = AtomTree.root
     atoms = AtomTree.atoms
+    atom_ids = AtomTree.atom_ids
     effective_flags = AtomTree.effective_flags
     tie_scale = AtomTree.tie_scale
 
@@ -338,9 +343,54 @@ class _Cells:
             levels.append(made)
         self._levels = tuple(tuple(level.values()) for level in levels)
         self._effective_flags = self._tie_scale = None
+        self._segment = {None: EXIT_SEGMENT, **{x: _state_segment(x) for x in model.states}}
 
     def children(self, cell_id: tuple[int, Optional[State]]) -> tuple[Atom, ...]:
         return self._children[cell_id]
+
+    def expand(self) -> Iterator[list[tuple[str, Optional[str], Atom]]]:
+        """The levels of the unrolled tree, top-down, each a list of (atom id,
+        parent id, cell) in the tree's order: the cell carries the atom's
+        level, branch probability, domain flag, payoff and state."""
+        segment, children = self._segment, self._children
+        level = [(segment[self.root.state], None, self.root)]
+        yield level
+        for _ in range(self.horizon):
+            level = [
+                (f"{atom_id}/{segment[child.state]}", atom_id, child)
+                for atom_id, _, cell in level
+                for child in children[cell.id]
+            ]
+            yield level
+
+
+def _checked_cells(model: MarkovModel, horizon: Optional[int]) -> _Cells:
+    """The cells of `unroll(model, horizon)`, with the checks `unroll` makes.
+
+    The horizon defaults to the model's own and must be a positive integer.
+    Each cell's children must sum to one, as `AtomTree` requires of every
+    atom's; the error names the first atom, in level order, of the first cell
+    that fails.
+    """
+    if horizon is None:
+        horizon = model.horizon
+    if horizon is None:
+        raise ModelError("an explicit horizon is required for an infinite-horizon model")
+    if not isinstance(horizon, int) or horizon <= 0:
+        raise ModelError("horizon must be a positive integer")
+    mode = model.mode
+    cells = _Cells(model, horizon)
+    for level in cells.levels[:-1]:
+        for cell in level:
+            total = sum(child.branch_prob for child in cells.children(cell.id))
+            if not mode.eq(total, mode.one):
+                atom_id = next(
+                    aid for atoms in cells.expand() for aid, _, c in atoms if c.id == cell.id
+                )
+                raise ModelError(
+                    f"children of {atom_id!r} have probabilities summing to {total}, not 1"
+                )
+    return cells
 
 
 def unroll(model: MarkovModel, horizon: Optional[int] = None) -> AtomTree:
@@ -351,22 +401,9 @@ def unroll(model: MarkovModel, horizon: Optional[int] = None) -> AtomTree:
     absorbing chain down to the horizon.  Zero-probability transitions produce
     no atoms.
     """
-    if horizon is None:
-        horizon = model.horizon
-    if horizon is None:
-        raise ModelError("an explicit horizon is required for an infinite-horizon model")
-    if not isinstance(horizon, int) or horizon <= 0:
-        raise ModelError("horizon must be a positive integer")
-    cells = _Cells(model, horizon)
-    segment = {None: EXIT_SEGMENT, **{x: _state_segment(x) for x in model.states}}
-    frontier = [replace(cells.levels[0][0], id=segment[model.initial])]
-    atoms = list(frontier)
-    for t in range(horizon):
-        frontier = [
-            Atom(f"{atom.id}/{segment[c.state]}", t + 1, atom.id, c.branch_prob,
-                 c.in_domain, c.payoff, c.state)
-            for atom in frontier
-            for c in cells.children((t, atom.state))
-        ]
-        atoms += frontier
+    atoms = [
+        Atom(atom_id, c.level, parent_id, c.branch_prob, c.in_domain, c.payoff, c.state)
+        for level in _checked_cells(model, horizon).expand()
+        for atom_id, parent_id, c in level
+    ]
     return AtomTree(atoms, mode=model.mode)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Union
 
 from .infinite import PeriodicMarkovPolicy
-from .model import Atom, AtomTree, MarkovModel, State
+from .model import Atom, AtomTree, MarkovModel, State, _Cells
 from .numeric import EXACT, NumericError, NumericMode, Scalar, format_scalar, parse_rational
 from .policy import PolicyError, StoppingPolicy
 from .recursion import SnellPair
@@ -56,9 +56,10 @@ def _require(mapping: Mapping[str, Any], key: str, context: str) -> Any:
 
 def _scalar(value: Any, mode: NumericMode, context: str) -> Scalar:
     try:
-        return mode.coerce(parse_rational(value))
-    except (NumericError, TypeError) as exc:
+        number = parse_rational(value)
+    except NumericError as exc:
         raise ParseError(f"{context}: {exc}") from exc
+    return number if mode.exact else float(number)
 
 
 def _state_token(value: Any, context: str) -> State:
@@ -344,6 +345,19 @@ def dump_pair(pair: SnellPair) -> dict:
     return {
         "V": {aid: format_scalar(pair.values[aid]) for aid in sorted(pair.values)},
         "S": {aid: format_scalar(pair.survival[aid]) for aid in sorted(pair.survival)},
+    }
+
+
+def dump_cell_pair(cells: _Cells, pair: SnellPair) -> dict:
+    """`dump_pair` of the pair on the unrolled tree, from a pair on the cells:
+    each cell's entries are formatted once and shared by the cell's atoms."""
+    values = {cell: format_scalar(v) for cell, v in pair.values.items()}
+    survival = {cell: format_scalar(s) for cell, s in pair.survival.items()}
+    cell_of = {atom_id: cell.id for level in cells.expand() for atom_id, _, cell in level}
+    atom_ids = sorted(cell_of)
+    return {
+        "V": {aid: values[cell_of[aid]] for aid in atom_ids if cell_of[aid] in values},
+        "S": {aid: survival[cell_of[aid]] for aid in atom_ids},
     }
 
 

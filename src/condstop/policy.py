@@ -45,13 +45,16 @@ class InadmissiblePolicyError(PolicyError):
 
 
 class SizeGuardError(RuntimeError):
-    """An enumeration would exceed the configured size guard."""
+    """An enumeration would exceed the configured size guard.
 
-    def __init__(self, required: int, guard: int):
+    `needs` words what `required` counts, with `{}` standing for the count.
+    """
+
+    def __init__(self, required: int, guard: int, needs: str = "needs {} candidates"):
         self.required = required
         self.guard = guard
         super().__init__(
-            f"enumeration needs {required} candidates, above the guard of {guard}; "
+            f"enumeration {needs.format(required)}, above the guard of {guard}; "
             "raise the guard (CONDSTOP_SIZE_GUARD) to proceed"
         )
 
@@ -503,7 +506,7 @@ def _equilibria(
     branches = [{aid: int(bit) for aid, bit in (pref.prefer_stop if pref else {}).items()}]
     while branches:
         if len(found) + len(branches) > guard:
-            raise SizeGuardError(len(found) + len(branches), guard)
+            raise SizeGuardError(len(found) + len(branches), guard, "needs at least {} sweeps")
         pins = branches.pop()
         decided = len(pins)
         # a pinned tie takes its bit; an undecided one continues and joins the pins

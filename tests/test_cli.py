@@ -371,6 +371,53 @@ class TestErrorChannels:
             main(["example", "unknown-name"])
         assert excinfo.value.code == 2
 
+    def test_float_row_that_sums_to_one_only_in_file_order(self, capsys, tmp_path):
+        # 0.3 + 0.1 + 0.6 is 1.0, but a cell adds its exit mass last:
+        # (0.3 + 0.6) + 0.1 is 0.9999999999999999, outside eps 1e-20.
+        row = {"0": "0.3", "1": "0.1", "2": "0.6"}
+        doc = {
+            "type": "markov", "states": [0, 1, 2], "initial": 0, "domain": [0, 2],
+            "transitions": {"0": row, "1": {"1": "1"}, "2": row},
+            "payoff": {"0": "1", "2": "2"}, "discount": "9/10", "horizon": 3,
+        }
+        model, policy = tmp_path / "chain.json", tmp_path / "policy.json"
+        model.write_text(json.dumps(doc))
+        policy.write_text(json.dumps({"regions": {"0": [0]}}))
+        assert run(capsys, "solve", "--model", str(model), "--float")[0] == 0
+        message = "error: children of '0' have probabilities summing to 0.9999999999999999, not 1"
+        for command in (["solve"], ["verify", "--policy", str(policy)]):
+            argv = [*command, "--model", str(model), "--float", "--eps", "1e-20"]
+            assert run(capsys, *argv) == (3, "", message + "\n")
+
+
+def tie_tree_file(tmp_path):
+    """Root and child both pay 1: two equilibria, as the root is indifferent."""
+    tree = AtomTree([Atom("r", 0, None, F(1), True, F(1)), Atom("c", 1, "r", F(1), True, F(1))])
+    path = tmp_path / "tie.json"
+    path.write_text(json.dumps(dump_model(tree)))
+    return str(path)
+
+
+class TestSizeGuardMessages:
+    @pytest.mark.parametrize(
+        "argv, guard, needs",
+        [
+            (["precommit", "--model", "binomial"], 2, "needs 5 candidates"),
+            (["enumerate", "--model", "minnie-donald", "--period", "6"], 63, "needs 64 candidates"),
+            (["enumerate", "--model", tie_tree_file], 1, "needs at least 2 sweeps"),
+        ],
+        ids=["precommit", "periodic-census", "tree-census"],
+    )
+    def test_each_guard_words_what_it_counts(
+        self, capsys, monkeypatch, tmp_path, argv, guard, needs
+    ):
+        argv = [a(tmp_path) if callable(a) else a for a in argv]
+        monkeypatch.setenv("CONDSTOP_SIZE_GUARD", str(guard))
+        assert run(capsys, *argv) == (4, "", (
+            f"error: enumeration {needs}, above the guard of {guard}; "
+            "raise the guard (CONDSTOP_SIZE_GUARD) to proceed\n"
+        ))
+
 
 class TestParserReuse:
     def test_one_parser_per_process_keeps_no_state(self, capsys, monkeypatch):

@@ -1,11 +1,14 @@
 """Wire-format round trips and malformed-input rejection."""
 
 import json
+from fractions import Fraction
 from fractions import Fraction as F
 
 import pytest
 
+from condstop import modelio, numeric
 from condstop import (
+    EXACT,
     AtomTree,
     ModelError,
     ParseError,
@@ -293,6 +296,34 @@ class TestPairDocuments:
     def test_float_values_rejected(self):
         with pytest.raises(ParseError):
             load_pair({"V": {"root": 6.5}, "S": {"root": "1"}})
+
+    @pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
+    @pytest.mark.parametrize(
+        "literal, why",
+        [
+            (6.5, "expected a rational string, got float"),
+            (1.0, "expected a rational string, got float"),
+            (True, "not a number: True"),
+        ],
+    )
+    def test_json_floats_and_bools_rejected_in_both_modes(self, mode, literal, why):
+        with pytest.raises(ParseError) as err:
+            load_pair({"V": {"root": "1"}, "S": {"root": literal}}, mode=mode)
+        assert str(err.value) == f"S['root']: {why}"
+
+    @pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
+    def test_one_parse_per_entry(self, monkeypatch, mode):
+        pair, _ = backward_solve(binomial_tree())
+        doc = dump_pair(pair)
+        parsed = []
+        parse = numeric.parse_rational
+        for module in (numeric, modelio):
+            monkeypatch.setattr(module, "parse_rational", lambda v: parsed.append(v) or parse(v))
+        rebuilt = load_pair(doc, mode=mode)
+        assert len(parsed) == len(doc["V"]) + len(doc["S"])
+        number = Fraction if mode.exact else float
+        assert rebuilt.values == {aid: number(v) for aid, v in pair.values.items()}
+        assert all(type(s) is number for s in rebuilt.survival.values())
 
 
 class TestReadJson:

@@ -190,6 +190,34 @@ def unroll_by_paths(model, horizon):
     return AtomTree(atoms, mode=mode)
 
 
+def tenths_chain(rng):
+    """A float chain at eps 1e-20, rows of tenths in a random order, that its
+    unrolled tree rejects; None when the tree is valid or a row fails its own
+    sum."""
+    n = rng.randint(3, 5)
+    states = tuple(range(n))
+    domain = sorted(rng.sample(states, rng.randint(2, n)))
+    transitions = {}
+    for x in states:
+        support = rng.sample(states, rng.randint(1, n))
+        cuts = sorted(rng.sample(range(1, 10), len(support) - 1))
+        parts = [b - a for a, b in zip([0, *cuts], [*cuts, 10])]
+        transitions[x] = {y: part / 10 for y, part in zip(support, parts)}
+    try:
+        model = MarkovModel(
+            states=states, initial=domain[0], transitions=transitions,
+            domain=frozenset(domain), payoff={x: 1.0 for x in domain}, discount=0.9,
+            mode=float_mode(1e-20),
+        )
+    except ModelError:  # a row fails its own sum
+        return None
+    try:
+        unroll_by_paths(model, 4)
+    except ModelError:
+        return model
+    return None
+
+
 def assert_unrolls_like_the_oracle(model, horizon):
     tree, oracle = unroll(model, horizon), unroll_by_paths(model, horizon)
     # Atoms compare by every field (id, level, parent, probability, domain
@@ -220,6 +248,23 @@ class TestUnroll:
         if floats:
             model = load_model(dump_model(model), mode=float_mode())
         assert_unrolls_like_the_oracle(model, horizon)
+
+    def test_probability_check_names_the_atom_the_tree_names(self):
+        # Float rows of tenths, listed in a random order: some sum to one only
+        # in that order, and their cells fail at various depths.
+        rng = random.Random(7)
+        failed_at = set()
+        for _ in range(300):
+            model = tenths_chain(rng)
+            if model is None:
+                continue
+            with pytest.raises(ModelError) as cells_error:
+                unroll(model, 4)
+            with pytest.raises(ModelError) as tree_error:
+                unroll_by_paths(model, 4)
+            assert str(cells_error.value) == str(tree_error.value)
+            failed_at.add(str(tree_error.value).split("'")[1].count("/"))
+        assert failed_at == {0, 1, 2}
 
     def test_two_state_structure(self):
         model = two_state_model()
