@@ -1,16 +1,16 @@
 """Command-line front end.
 
 Subcommands map one-to-one onto library operations: `solve` runs the backward
-recursion, `precommit` the exhaustive precommitted search, `phi` one step of
-the best-response map, `enumerate` equilibrium enumeration (finite trees or
-periodic Markov), `verify` the condition batteries, `truncate` the
-growing-horizon diagnostic, and `example` the full battery on a built-in
-model.  Reports are printed as tables or, with --json, as a deterministic
-JSON document whose only run-dependent field is the timing.
+recursion, `precommit` the precommitted optimum by Dinkelbach sweeps, `phi`
+one step of the best-response map, `enumerate` equilibrium enumeration
+(finite trees or periodic Markov), `verify` the condition batteries,
+`truncate` the growing-horizon diagnostic, and `example` the full battery on
+a built-in model.  Reports are printed as tables or, with --json, as a
+deterministic JSON document whose only run-dependent field is the timing.
 
 Exit codes: 0 success, 1 a verification ran and failed, 2 unparsable input,
-3 structurally invalid model or policy, 4 enumeration size guard tripped
-(override with the CONDSTOP_SIZE_GUARD environment variable).
+3 structurally invalid model or policy, 4 the size guard of an equilibrium
+census tripped (override with the CONDSTOP_SIZE_GUARD environment variable).
 """
 
 from __future__ import annotations
@@ -72,6 +72,8 @@ EXIT_VERIFICATION_FAILED = 1
 EXIT_PARSE_ERROR = 2
 EXIT_INVALID_MODEL = 3
 EXIT_SIZE_GUARD = 4
+
+_INVALID = (ModelError, NumericError, PolicyError)  # exit 3
 
 
 @dataclass(frozen=True)
@@ -202,7 +204,7 @@ def cmd_solve(args):
 def cmd_precommit(args):
     model = _load_any_model(args)
     tree = _as_tree(model, args.horizon)
-    result = precommitted(tree, size_guard=_size_guard())
+    result = precommitted(tree)
     results = {
         "value": format_scalar(result.value),
         "stop_atoms": sorted(result.stop_atoms),
@@ -378,6 +380,8 @@ def cmd_truncate(args):
         raise ModelError("truncate applies to chain models only")
     try:
         report = truncation_limit(model, args.max_horizon, args.window)
+    except _INVALID:
+        raise
     except ValueError as exc:  # horizon/window arguments out of range
         raise ParseError(str(exc)) from exc
     decisions = {
@@ -415,7 +419,7 @@ def cmd_truncate(args):
 
 
 def _example_binomial(args):
-    tree = builtin_model("binomial", mode=_mode(args))
+    tree = _as_tree(builtin_model("binomial", mode=_mode(args)), args.horizon)
     pair, policy = backward_solve(tree)
     pre = precommitted(tree)
     equilibria = enumerate_equilibria(tree)
@@ -447,7 +451,7 @@ def _example_binomial(args):
 
 def _example_two_state(args):
     model = builtin_model("two-state", mode=_mode(args))
-    horizon = args.horizon or 6
+    horizon = 6 if args.horizon is None else args.horizon
     tree = unroll(model, horizon)
     pair, policy = backward_solve(tree)
     equilibria = enumerate_periodic_equilibria(model, 1)
@@ -577,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="backward recursion for the early-stopping equilibrium")
     common(p)
-    p = sub.add_parser("precommit", help="exhaustive precommitted optimum")
+    p = sub.add_parser("precommit", help="precommitted optimum by Dinkelbach sweeps")
     common(p)
     p = sub.add_parser("phi", help="one best-response step")
     common(p)
@@ -618,7 +622,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SizeGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIZE_GUARD
-    except (ModelError, NumericError, PolicyError) as exc:
+    except _INVALID as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_MODEL
     elapsed = time.perf_counter() - start

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .model import AtomTree, MarkovModel, ModelError, State, _Cells
+from .model import AtomTree, MarkovModel, ModelError, State, _checked_cells
 from .numeric import NumericError, Scalar, solve_linear
 from .policy import (
     DEFAULT_POLICY_GUARD,
@@ -482,8 +482,9 @@ class TruncationReport:
 
 
 def _markov_bits(model: MarkovModel, horizon: int) -> dict[tuple[int, State], int]:
-    """Per-(time, state) stop bits of the finite-horizon solution, by one sweep of the cells."""
-    cells = _Cells(model, horizon)
+    """Per-(time, state) stop bits of the finite-horizon solution, by one sweep of
+    the cells, after the checks `unroll` makes."""
+    cells = _checked_cells(model, horizon)
     bits = _sweep(cells, _best_bit(cells, lambda _: 1))[0]
     return {cell: bit for cell, bit in bits.items() if cell[1] is not None}
 

@@ -115,9 +115,6 @@ class AtomTree:
         )
         self._by_id = by_id
         self._children = {aid: tuple(kids) for aid, kids in children.items()}
-        self._level_index = {
-            a.id: i for level in self._levels for i, a in enumerate(level)
-        }
         self._effective_flags: Optional[dict[str, bool]] = None
         self._tie_scale: Optional[Scalar] = None
 
@@ -154,9 +151,6 @@ class AtomTree:
         """Unconditional probability of the atom: the branch probabilities on its path."""
         path = [self._by_id[atom_id], *self.ancestors(atom_id)]
         return math.prod(atom.branch_prob for atom in reversed(path))
-
-    def index_in_level(self, atom_id: str) -> int:
-        return self._level_index[atom_id]
 
     def ancestors(self, atom_id: str) -> Iterator[Atom]:
         """The chain of strict ancestors, nearest first."""

@@ -15,21 +15,20 @@ and keep the current bit on ties.  Equilibria are the admissible fixed points.
 equilibrium census, which run it inside the bottom-up `_sweep`.
 Because each observer controls a single date, the precommitted optimum (one
 stopping time chosen up front for the whole tree) can strictly exceed every
-equilibrium value; `precommitted` computes it by exhaustive enumeration.
+equilibrium value; `precommitted` computes it by Dinkelbach iteration, each
+step one `_sweep` of a classical stopping problem.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Literal, Mapping, Optional, Union
+from typing import Callable, Iterable, Literal, Mapping, Optional, Union
 
 from .model import Atom, AtomTree, State
 from .numeric import Scalar
 
 DEFAULT_POLICY_GUARD = 2**20
-DEFAULT_STOPPING_TIME_GUARD = 10**7
 
 
 class PolicyError(ValueError):
@@ -415,65 +414,50 @@ def count_stopping_times(tree: AtomTree) -> int:
     return counts[tree.root.id]
 
 
-def _stopping_time_options(tree: AtomTree, atom: Atom) -> Iterator[tuple]:
-    """All stopping times of the subtree at `atom`, stopping at `atom` first.
-
-    Each option is (numerator, denominator, key): the unconditional-within-
-    subtree contribution E[payoff * 1{in-domain}] and P(stop in-domain), and a
-    sorted tuple of (level, sibling index, atom id) stop locations used for
-    the earliest-stopping tie-break.
-    """
-    zero = tree.mode.zero
-    own_key = ((atom.level, tree.index_in_level(atom.id), atom.id),)
-    yield (atom.payoff, tree.mode.one, own_key) if atom.in_domain else (zero, zero, own_key)
-    kids = tree.children(atom.id)
-    if not kids:
-        return
-    for combo in itertools.product(*[_stopping_time_options(tree, child) for child in kids]):
-        num = den = zero
-        keys = []
-        for child, (c_num, c_den, c_key) in zip(kids, combo):
-            num += child.branch_prob * c_num
-            den += child.branch_prob * c_den
-            keys.extend(c_key)
-        yield (num, den, tuple(sorted(keys)))
-
-
-def precommitted(tree: AtomTree, size_guard: Optional[int] = None) -> PrecommitResult:
-    """Best single stopping time chosen up front, by exhaustive enumeration.
+def precommitted(tree: AtomTree) -> PrecommitResult:
+    """Best single stopping time chosen up front, by Dinkelbach iteration.
 
     Maximizes E[payoff * 1{stop in-domain}] / P(stop in-domain) over all
-    stopping times with positive conditioning probability.  The objective does
-    not decompose into a backward recursion, which is why enumeration is the
-    honest method here; a size guard protects against oversized trees.  The
-    root's options stream from `_stopping_time_options` and `candidates`
-    counts all of them.  Ties are broken toward earliest stopping
-    (lexicographically smallest sorted stop-atom keys, level first).
+    stopping times with positive conditioning probability.  For a fixed λ,
+    max E[(payoff - λ) * 1{stop in-domain}] is a classical stopping problem,
+    one `_sweep`: stop at the final level, and elsewhere when the gain
+    (payoff - λ in-domain, 0 outside) is at least the continuation
+    num - λ·den.  From λ = the root payoff, each sweep's N and D at the root
+    set λ = N/D until N - λ·D is no longer positive; λ is then the optimum
+    (W. Dinkelbach, Management Science 13(7), 1967).  λ rises strictly, so
+    the loop ends.  Ties go to stopping, so the last sweep stops at or before
+    every maximizer: ties break toward earliest stopping (lexicographically
+    smallest sorted stop-atom keys, level first), and D > 0, as for a
+    maximizer.  `stop_atoms` are its first stops in `tree.atoms()` order, and
+    `candidates` counts the sweeps.
     """
-    guard = DEFAULT_STOPPING_TIME_GUARD if size_guard is None else size_guard
-    total = count_stopping_times(tree)
-    if total > guard:
-        raise SizeGuardError(total, guard)
+    mode = tree.mode
+    zero = mode.zero
+    scale = tree.tie_scale()
+    horizon = tree.horizon
+    root = tree.root
+    lam = root.payoff
+    sweeps = 0
+    while True:
 
-    best_value = None
-    best_key = None
-    examined = 0
-    for num, den, key in _stopping_time_options(tree, tree.root):
-        examined += 1
-        if not den > 0:
-            continue
-        value = num / den
-        if (
-            best_value is None
-            or value > best_value
-            or (value == best_value and key < best_key)
-        ):
-            best_value = value
-            best_key = key
-    if best_value is None:
-        raise PolicyError("no stopping time stops in-domain with positive probability")
-    stop_atoms = tuple(entry[2] for entry in best_key)
-    return PrecommitResult(best_value, stop_atoms, examined)
+        def choose(atom: Atom, num: Scalar, den: Scalar) -> int:
+            if atom.level == horizon:
+                return 1
+            gain = atom.payoff - lam if atom.in_domain else zero
+            return int(mode.ge(gain, num - lam * den, scale))
+
+        bits, num, den = _sweep(tree, choose)
+        sweeps += 1
+        top, bottom = (root.payoff, mode.one) if bits[root.id] else (num[root.id], den[root.id])
+        if not mode.gt(top - lam * bottom, zero, scale):
+            break
+        lam = top / bottom
+    stop_atoms = tuple(
+        atom.id
+        for atom in tree.atoms()
+        if bits[atom.id] and not any(bits[up.id] for up in tree.ancestors(atom.id))
+    )
+    return PrecommitResult(top / bottom, stop_atoms, sweeps)
 
 
 def _resolve_preference(

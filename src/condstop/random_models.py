@@ -2,10 +2,11 @@
 
 Trees are kept deliberately small: the brute-force equilibrium census the
 tests use as an oracle is exponential in the number of atoms strictly before
-the effective horizon, and precommitted search is exponential in subtree
-structure, so the generator resamples until both stay within desk-scale
-budgets.  All probabilities and payoffs are exact rationals built from small
-integer weights.
+the effective horizon, and the exhaustive precommitted search they check
+Dinkelbach iteration against is exponential in subtree structure, so the
+generator resamples until both oracles stay within desk-scale budgets.  All
+probabilities and payoffs are exact rationals built from small integer
+weights.
 """
 
 from __future__ import annotations

@@ -80,16 +80,25 @@ class TestPrecommit:
         assert "du" in out and "dd" in out
 
     def test_size_guard_via_environment(self, capsys, monkeypatch):
+        # The guard bounds the equilibrium censuses only; precommit sweeps.
         monkeypatch.setenv("CONDSTOP_SIZE_GUARD", "1")
-        code, _, err = run(capsys, "precommit", "--model", "binomial")
-        assert code == 4
-        assert "CONDSTOP_SIZE_GUARD" in err
+        code, out, err = run(capsys, "precommit", "--model", "binomial")
+        assert code == 0 and err == ""
+        assert "precommitted value = 22/3" in out
 
     def test_garbage_guard_warns_and_proceeds(self, capsys, monkeypatch):
         monkeypatch.setenv("CONDSTOP_SIZE_GUARD", "many")
-        code, out, err = run(capsys, "precommit", "--model", "binomial")
+        code, out, err = run(capsys, "enumerate", "--model", "binomial")
         assert code == 0
         assert "warning" in err
+
+    def test_long_chain_answers(self, capsys):
+        # Far too many stopping times to list one by one: the exhaustive
+        # search exited 4 here.
+        argv = ["precommit", "--model", "two-state", "--horizon", "8", "--json"]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["results"]["stopping_times_examined"] == 3
 
 
 class TestPhi:
@@ -374,20 +383,59 @@ class TestErrorChannels:
     def test_float_row_that_sums_to_one_only_in_file_order(self, capsys, tmp_path):
         # 0.3 + 0.1 + 0.6 is 1.0, but a cell adds its exit mass last:
         # (0.3 + 0.6) + 0.1 is 0.9999999999999999, outside eps 1e-20.
-        row = {"0": "0.3", "1": "0.1", "2": "0.6"}
-        doc = {
-            "type": "markov", "states": [0, 1, 2], "initial": 0, "domain": [0, 2],
-            "transitions": {"0": row, "1": {"1": "1"}, "2": row},
-            "payoff": {"0": "1", "2": "2"}, "discount": "9/10", "horizon": 3,
-        }
-        model, policy = tmp_path / "chain.json", tmp_path / "policy.json"
-        model.write_text(json.dumps(doc))
+        model, policy = float_row_chain(tmp_path, horizon=3), tmp_path / "policy.json"
         policy.write_text(json.dumps({"regions": {"0": [0]}}))
-        assert run(capsys, "solve", "--model", str(model), "--float")[0] == 0
-        message = "error: children of '0' have probabilities summing to 0.9999999999999999, not 1"
-        for command in (["solve"], ["verify", "--policy", str(policy)]):
-            argv = [*command, "--model", str(model), "--float", "--eps", "1e-20"]
-            assert run(capsys, *argv) == (3, "", message + "\n")
+        assert run(capsys, "solve", "--model", model, "--float")[0] == 0
+        for command in (["solve"], ["verify", "--policy", str(policy)], ["precommit"]):
+            argv = [*command, "--model", model, "--float", "--eps", "1e-20"]
+            assert run(capsys, *argv) == (3, "", FLOAT_ROW_ERROR)
+
+    def test_truncate_checks_the_float_row_too(self, capsys, tmp_path):
+        model = float_row_chain(tmp_path)
+        argv = ["truncate", "--model", model, "--max-horizon", "5", "--window", "2", "--float"]
+        assert run(capsys, *argv)[0] == 0
+        assert run(capsys, *argv, "--eps", "1e-20") == (3, "", FLOAT_ROW_ERROR)
+
+    def test_truncate_on_a_finite_chain_is_a_model_error(self, capsys, tmp_path):
+        # As for `enumerate --period`: a model error, not unparsable input.
+        model = float_row_chain(tmp_path, horizon=3)
+        message = "error: this operation requires an infinite-horizon model\n"
+        for argv in (
+            ["truncate", "--max-horizon", "5", "--window", "2"],
+            ["enumerate", "--period", "1"],
+        ):
+            assert run(capsys, *argv, "--model", model) == (3, "", message)
+
+    def test_example_reads_the_horizon(self, capsys):
+        assert run(capsys, "example", "two-state", "--horizon", "0") == (
+            3, "", "error: horizon must be a positive integer\n"
+        )
+        assert run(capsys, "example", "binomial", "--horizon", "5") == (
+            3, "", "error: tree model has horizon 2; --horizon 5 conflicts\n"
+        )
+        assert run(capsys, "example", "binomial", "--horizon", "2")[0] == 0
+        code, out, _ = run(capsys, "example", "two-state", "--horizon", "3", "--json")
+        assert code == 0
+        assert set(json.loads(out)["results"]["solve_regions"]["regions"]) == {"0", "1", "2", "3"}
+
+
+FLOAT_ROW_ERROR = (
+    "error: children of '0' have probabilities summing to 0.9999999999999999, not 1\n"
+)
+
+
+def float_row_chain(tmp_path, **horizon):
+    """States 0, 1, 2 with domain {0, 2}, both domain rows 0.3/0.1/0.6 and 1
+    absorbing: the rows sum to 1 in file order but not with the exit mass last."""
+    row = {"0": "0.3", "1": "0.1", "2": "0.6"}
+    doc = {
+        "type": "markov", "states": [0, 1, 2], "initial": 0, "domain": [0, 2],
+        "transitions": {"0": row, "1": {"1": "1"}, "2": row},
+        "payoff": {"0": "1", "2": "2"}, "discount": "9/10", **horizon,
+    }
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 def tie_tree_file(tmp_path):
@@ -402,11 +450,10 @@ class TestSizeGuardMessages:
     @pytest.mark.parametrize(
         "argv, guard, needs",
         [
-            (["precommit", "--model", "binomial"], 2, "needs 5 candidates"),
             (["enumerate", "--model", "minnie-donald", "--period", "6"], 63, "needs 64 candidates"),
             (["enumerate", "--model", tie_tree_file], 1, "needs at least 2 sweeps"),
         ],
-        ids=["precommit", "periodic-census", "tree-census"],
+        ids=["periodic-census", "tree-census"],
     )
     def test_each_guard_words_what_it_counts(
         self, capsys, monkeypatch, tmp_path, argv, guard, needs

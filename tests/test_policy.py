@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condstop import policy as policy_module
-from condstop.catalog import binomial_tree, two_state_model
+from condstop.catalog import binomial_tree, minnie_donald_model, two_state_model
 from condstop.model import Atom, AtomTree, unroll
+from condstop.modelio import dump_model, load_model
+from condstop.numeric import float_mode
 from condstop.policy import (
     InadmissiblePolicyError,
     PolicyError,
@@ -208,13 +211,17 @@ class TestPrecommitted:
         result = precommitted(tree)
         assert result.value == F(22, 3)
         assert set(result.stop_atoms) == {"u", "du", "dd"}
-        assert result.candidates == 5
+        assert result.candidates == 3
+        oracle = precommitted_exhaustive(tree)
+        assert oracle.value == F(22, 3)
+        assert set(oracle.stop_atoms) == {"u", "du", "dd"}
+        assert oracle.candidates == 5
         assert count_stopping_times(tree) == 5
 
     def test_size_guard(self):
         tree = binomial_tree()
         with pytest.raises(SizeGuardError):
-            precommitted(tree, size_guard=2)
+            precommitted_exhaustive(tree, size_guard=2)
 
     def test_value_dominates_every_stopping_time(self, tree_corpus):
         # Exhaustively enumerate stopping times on small instances and check
@@ -266,6 +273,71 @@ def _all_stopping_values(tree):
                 num += mass * atom.payoff
                 den += mass
         yield num / den if den else None
+
+
+DEFAULT_STOPPING_TIME_GUARD = 10**7
+
+
+def _stopping_time_options(tree, atom, index_in_level):
+    """All stopping times of the subtree at `atom`, stopping at `atom` first.
+
+    Each option is (numerator, denominator, key): the unconditional-within-
+    subtree contribution E[payoff * 1{in-domain}] and P(stop in-domain), and a
+    sorted tuple of (level, sibling index, atom id) stop locations used for
+    the earliest-stopping tie-break.
+    """
+    zero = tree.mode.zero
+    own_key = ((atom.level, index_in_level[atom.id], atom.id),)
+    yield (atom.payoff, tree.mode.one, own_key) if atom.in_domain else (zero, zero, own_key)
+    kids = tree.children(atom.id)
+    if not kids:
+        return
+    options = [_stopping_time_options(tree, child, index_in_level) for child in kids]
+    for combo in itertools.product(*options):
+        num = den = zero
+        keys = []
+        for child, (c_num, c_den, c_key) in zip(kids, combo):
+            num += child.branch_prob * c_num
+            den += child.branch_prob * c_den
+            keys.extend(c_key)
+        yield (num, den, tuple(sorted(keys)))
+
+
+def precommitted_exhaustive(tree, size_guard=None):
+    """Test oracle: the precommitted optimum by exhaustive enumeration.
+
+    Maximizes E[payoff * 1{stop in-domain}] / P(stop in-domain) over all
+    stopping times with positive conditioning probability; a size guard
+    protects against oversized trees.  The root's options stream from
+    `_stopping_time_options` and `candidates` counts all of them.  Ties are
+    broken toward earliest stopping (lexicographically smallest sorted
+    stop-atom keys, level first).
+    """
+    guard = DEFAULT_STOPPING_TIME_GUARD if size_guard is None else size_guard
+    total = count_stopping_times(tree)
+    if total > guard:
+        raise SizeGuardError(total, guard)
+    index_in_level = {atom.id: i for level in tree.levels for i, atom in enumerate(level)}
+
+    best_value = None
+    best_key = None
+    examined = 0
+    for num, den, key in _stopping_time_options(tree, tree.root, index_in_level):
+        examined += 1
+        if not den > 0:
+            continue
+        value = num / den
+        if (
+            best_value is None
+            or value > best_value
+            or (value == best_value and key < best_key)
+        ):
+            best_value = value
+            best_key = key
+    if best_value is None:
+        raise PolicyError("no stopping time stops in-domain with positive probability")
+    stop_atoms = tuple(entry[2] for entry in best_key)
+    return policy_module.PrecommitResult(best_value, stop_atoms, examined)
 
 
 class TestEnumerate:
@@ -392,3 +464,79 @@ class TestCensusOracle:
                 calls.clear()
                 found = enumerate_equilibria(tree, preference)
                 assert len(calls) == (len(found) if preference == "all" else 1)
+
+
+def as_float(tree):
+    """The same tree in float mode."""
+    return load_model(dump_model(tree), mode=float_mode())
+
+
+def assert_precommit_matches_exhaustive(tree):
+    """Exact: the same value and stop atoms as the oracle.  Float: the same
+    stop atoms, and the value within the tolerance at the tree's tie scale."""
+    result, oracle = precommitted(tree), precommitted_exhaustive(tree)
+    assert (result.value, result.stop_atoms) == (oracle.value, oracle.stop_atoms)
+    floated = as_float(tree)
+    result, oracle = precommitted(floated), precommitted_exhaustive(floated)
+    assert result.stop_atoms == oracle.stop_atoms
+    assert floated.mode.eq(result.value, oracle.value, floated.tie_scale())
+
+
+class TestPrecommitOracle:
+    def test_corpora_match_exhaustive(self, tree_corpus, domain_corpus):
+        rng = random.Random(33)
+        ties = [tie_heavy(tree, rng) for tree in tree_corpus]
+        chains = [
+            unroll(model, horizon)
+            for model in (two_state_model(), minnie_donald_model())
+            for horizon in (1, 2, 3)
+        ]
+        for tree in [*tree_corpus, *domain_corpus, *ties, binomial_tree(), *chains]:
+            assert_precommit_matches_exhaustive(tree)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32), ties=st.booleans())
+    def test_random_trees_match_exhaustive(self, seed, ties):
+        rng = random.Random(seed)
+        tree = random_tree(rng)
+        assert_precommit_matches_exhaustive(tie_heavy(tree, rng) if ties else tree)
+
+    def test_long_chain_meets_the_dinkelbach_certificate(self):
+        # Too many stopping times for the oracle; instead, λ = the value is
+        # optimal iff max E[(payoff - λ) * 1{stop in-domain}] over all
+        # stopping times is 0, here by a plain recursive Snell envelope.
+        tree = unroll(two_state_model(), 8)
+        result = precommitted(tree)
+
+        def envelope(atom, lam):
+            gain = atom.payoff - lam if atom.in_domain else 0
+            kids = tree.children(atom.id)
+            if not kids:
+                return gain
+            return max(gain, sum(kid.branch_prob * envelope(kid, lam) for kid in kids))
+
+        assert count_stopping_times(tree) > 10**7
+        assert envelope(tree.root, result.value) == 0
+        assert envelope(tree.root, result.value - F(1, 10**9)) > 0
+        stops = StoppingPolicy.from_stop_atoms(tree, result.stop_atoms)
+        stop = induced_stop(tree, stops, tree.root.id)
+        mass = {aid: p for aid, p in stop.stop_probs.items() if tree.atom(aid).in_domain}
+        assert sum(p * tree.atom(aid).payoff for aid, p in mass.items()) == (
+            result.value * stop.survive_prob
+        )
+
+    def test_one_sweep_per_candidate(self, tree_corpus, monkeypatch):
+        calls = []
+        sweep = policy_module._sweep
+        monkeypatch.setattr(
+            policy_module, "_sweep", lambda *args: calls.append(1) or sweep(*args)
+        )
+        rng = random.Random(5)
+        trees = tree_corpus[:40] + [tie_heavy(tree, rng) for tree in tree_corpus[:40]]
+        most = 0
+        for tree in trees:
+            calls.clear()
+            sweeps = precommitted(tree).candidates
+            assert len(calls) == sweeps
+            most = max(most, sweeps)
+        assert most > 2
