@@ -44,10 +44,12 @@ from .infinite import (
 from .model import AtomTree, MarkovModel, ModelError, _Cells, _checked_cells, unroll
 from .modelio import (
     ParseError,
+    PolicyDocument,
     TimedRegions,
     dump_cell_pair,
     dump_pair,
     dump_policy,
+    load_cell_pair,
     load_model,
     load_pair,
     load_policy,
@@ -65,7 +67,7 @@ from .policy import (
     phi,
     precommitted,
 )
-from .recursion import backward_solve, verify_pair_and_policy, verify_snell_pair
+from .recursion import SnellPair, backward_solve, verify_pair_and_policy, verify_snell_pair
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -314,30 +316,48 @@ def cmd_enumerate(args):
     return model, results, {}, lines, EXIT_OK
 
 
-def cmd_verify(args):
-    model = _load_any_model(args)
-    tree = _as_tree(model, args.horizon)
-    if args.pair is None and args.policy is None:
-        raise ParseError("verify requires --pair and/or --policy")
+def _read_policy(args, model) -> Optional[PolicyDocument]:
+    if args.policy is None:
+        return None
+    return load_policy(read_json(args.policy), model if isinstance(model, MarkovModel) else None)
+
+
+def _verify(tree, pair: Optional[SnellPair], policy: Optional[StoppingPolicy]) -> tuple:
+    """(pair report, equilibrium check, survival identities), None where not asked."""
+    if pair is not None and policy is not None:
+        return verify_pair_and_policy(tree, pair, policy)
+    if pair is not None:
+        return verify_snell_pair(tree, pair), None, None
+    return None, is_equilibrium(tree, policy), None
+
+
+def _verify_on_cells(cells: _Cells, model, pair, doc_policy) -> Optional[tuple]:
+    """`_verify` on a chain's cells when every check passes there, else None.
+
+    A `decisions` document is per atom and is not tried.  Each cell's checks
+    are those of each of its atoms, so a pass here is the tree's pass; a
+    failure must be reported per atom, on the tree.
+    """
+    if isinstance(doc_policy, StoppingPolicy):
+        return None
+    try:
+        policy = None if doc_policy is None else _tree_policy(doc_policy, model, cells)
+        report, check, identities = outcome = _verify(cells, pair, policy)
+    except PolicyError:
+        return None
+    passed = (
+        (report is None or report.passed)
+        and (check is None or bool(check))
+        and (identities is None or identities.passed)
+    )
+    return outcome if passed else None
+
+
+def _verify_report(report, check, identities) -> tuple[dict, list[str], int]:
+    """The verification document, report lines and exit code of `_verify`'s outcome."""
     verification: dict = {}
     lines: list[str] = []
     failed = False
-
-    pair = policy = report = check = identities = None
-    if args.pair is not None:
-        pair = load_pair(read_json(args.pair), mode=_mode(args))
-    if args.policy is not None:
-        doc = load_policy(
-            read_json(args.policy), model if isinstance(model, MarkovModel) else None
-        )
-        policy = _tree_policy(doc, model, tree)
-    if pair is not None and policy is not None:
-        report, check, identities = verify_pair_and_policy(tree, pair, policy)
-    elif pair is not None:
-        report = verify_snell_pair(tree, pair)
-    else:
-        check = is_equilibrium(tree, policy)
-
     if report is not None:
         verification["snell_pair"] = {
             c.name: {"passed": c.passed, "failures": [list(f) for f in c.failures]}
@@ -370,8 +390,37 @@ def cmd_verify(args):
         lines.append("survival identities:")
         for c in identities.conditions:
             lines.append(f"  {c.name}: {'pass' if c.passed else 'FAIL'}")
-    code = EXIT_VERIFICATION_FAILED if failed else EXIT_OK
-    return model, {}, verification, lines, code
+    return verification, lines, EXIT_VERIFICATION_FAILED if failed else EXIT_OK
+
+
+def cmd_verify(args):
+    """The pair and policy condition batteries.
+
+    A chain is checked on its (time, state) cells when the pair document is
+    constant on each cell and the policy is a region document, and every
+    check passes there.  Otherwise, to report a failure or to check a pair or
+    policy that is not Markov, the chain is unrolled and checked per atom,
+    which is also the only path for a tree model.  Each document is read once.
+    """
+    model = _load_any_model(args)
+    cells = _as_cells(model, args.horizon)
+    if args.pair is None and args.policy is None:
+        raise ParseError("verify requires --pair and/or --policy")
+    doc_pair = None if args.pair is None else read_json(args.pair)
+    doc_policy = None
+    if isinstance(cells, _Cells):
+        pair = None if doc_pair is None else load_cell_pair(cells, doc_pair, _mode(args))
+        if doc_pair is None or pair is not None:
+            doc_policy = _read_policy(args, model)
+            outcome = _verify_on_cells(cells, model, pair, doc_policy)
+            if outcome is not None:
+                return model, {}, *_verify_report(*outcome)
+    tree = _as_tree(model, args.horizon)
+    pair = None if doc_pair is None else load_pair(doc_pair, mode=_mode(args))
+    if doc_policy is None:
+        doc_policy = _read_policy(args, model)
+    policy = None if doc_policy is None else _tree_policy(doc_policy, model, tree)
+    return model, {}, *_verify_report(*_verify(tree, pair, policy))
 
 
 def cmd_truncate(args):
@@ -502,6 +551,11 @@ def _example_two_state(args):
 
 def _example_minnie_donald(args):
     model = builtin_model("minnie-donald", mode=_mode(args))
+    if args.horizon is not None:
+        raise ModelError(
+            f"the minnie-donald example is about the infinite-horizon chain; "
+            f"--horizon {args.horizon} does not apply"
+        )
     conditions = check_minnie_donald_conditions(
         model.discount, model.payoff[1], model.payoff[4]
     )

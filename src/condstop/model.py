@@ -292,9 +292,9 @@ class _Cells:
     each cell an `Atom` with id (time, state).  A cell's children carry the
     transition probabilities: in-domain successors in state order, then one
     exit child (state None) with all the exit mass; an exit cell's only child
-    is the next exit cell.  Every atom of a cell has the cell's children, so
-    `_sweep`, `_best_bit` and the policy checks run here, on the members
-    borrowed from `AtomTree`.
+    is the next exit cell; a final-level cell has none.  Every atom of a cell
+    has the cell's children, so `_sweep`, `_best_bit`, the policy checks and
+    the pair verifiers run here, on the members borrowed from `AtomTree`.
     """
 
     levels = AtomTree.levels
@@ -335,6 +335,7 @@ class _Cells:
                     replace(made[y], branch_prob=p) for y, p in branches[parent.state]
                 )
             levels.append(made)
+        self._children.update((cell.id, ()) for cell in levels[-1].values())
         self._levels = tuple(tuple(level.values()) for level in levels)
         self._effective_flags = self._tie_scale = None
         self._segment = {None: EXIT_SEGMENT, **{x: _state_segment(x) for x in model.states}}

@@ -341,6 +341,55 @@ def load_pair(document: Mapping[str, Any], mode: NumericMode = EXACT) -> SnellPa
     return SnellPair(values, survival)
 
 
+def _same_entry(a: Any, b: Any) -> bool:
+    """Equal raw JSON entries of one type: `1`, `true`, `1.0` and `"1"` differ."""
+    return type(a) is type(b) and a == b
+
+
+def load_cell_pair(
+    cells: _Cells, document: Any, mode: NumericMode = EXACT
+) -> Optional[SnellPair]:
+    """`load_pair` of a pair on the unrolled tree, keyed by cell id instead.
+
+    The walk is `cells.expand()`, the one `dump_cell_pair` makes.  The pair
+    is returned when the document has the `{"V": {...}, "S": {...}}` shape,
+    every key names an atom, every atom of a cell carries the same raw `V`
+    entry and the same raw `S` entry (an entry missing at every atom of a
+    cell stays missing), and each cell's entries parse.  Otherwise the answer
+    is None, and only `load_pair` on the tree can say what is wrong.
+    """
+    if not isinstance(document, Mapping):
+        return None
+    values_doc, survival_doc = document.get("V"), document.get("S")
+    if not isinstance(values_doc, Mapping) or not isinstance(survival_doc, Mapping):
+        return None
+    missing = object()
+    raw: dict[Any, tuple[Any, Any]] = {}
+    found_v = found_s = 0
+    for level in cells.expand():
+        for atom_id, _, cell in level:
+            v = values_doc.get(atom_id, missing)
+            s = survival_doc.get(atom_id, missing)
+            found_v += v is not missing
+            found_s += s is not missing
+            first_v, first_s = raw.setdefault(cell.id, (v, s))
+            if not (_same_entry(first_v, v) and _same_entry(first_s, s)):
+                return None
+    if found_v != len(values_doc) or found_s != len(survival_doc):
+        return None  # a key that is no atom
+    values: dict[Any, Scalar] = {}
+    survival: dict[Any, Scalar] = {}
+    try:
+        for cell_id, (v, s) in raw.items():
+            if v is not missing:
+                values[cell_id] = _scalar(v, mode, "V")
+            if s is not missing:
+                survival[cell_id] = _scalar(s, mode, "S")
+    except ParseError:
+        return None
+    return SnellPair(values, survival)
+
+
 def dump_pair(pair: SnellPair) -> dict:
     return {
         "V": {aid: format_scalar(pair.values[aid]) for aid in sorted(pair.values)},

@@ -1,14 +1,17 @@
-"""Chain `solve` on the (time, state) cells, against the unrolled tree.
+"""Chain `solve` and `verify` on the (time, state) cells, against the unrolled tree.
 
-The oracle is the tree path that `solve` ran before: `unroll`, then
+The oracle of `solve` is the tree path that it ran before: `unroll`, then
 `backward_solve` and `is_equilibrium` on the tree, reported through
-`_policy_document` and `dump_pair`.
+`_policy_document` and `dump_pair`.  The oracle of `verify` is the same call
+with the cell projection forced off, which unrolls the chain, loads the pair
+per atom and runs the verifiers on the tree.
 """
 
 import contextlib
 import io
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +20,7 @@ from hypothesis import strategies as st
 from condstop import cli, model as model_module, policy as policy_module, recursion
 from condstop.catalog import builtin_model
 from condstop.model import _checked_cells, unroll
-from condstop.modelio import dump_model, dump_pair, load_model
+from condstop.modelio import dump_cell_pair, dump_model, dump_pair, load_model
 from condstop.numeric import EXACT, float_mode, format_scalar
 from condstop.policy import StoppingPolicy, admissible, is_equilibrium
 from condstop.random_models import random_markov_model
@@ -153,3 +156,273 @@ def test_chain_solve_sweeps_the_cells_without_unrolling(capsys, monkeypatch):
     assert cli.main(["solve", "--model", "two-state", "--horizon", "6", "--json"]) == 0
     capsys.readouterr()
     assert calls == {"unroll": 0, "_sweep": 2}
+
+
+def test_final_level_cells_have_no_children():
+    model = builtin_model("two-state")
+    cells, tree = _checked_cells(model, 3), unroll(model, 3)
+    assert all(cells.children(cell.id) == () for cell in cells.levels[-1])
+    indicator = {atom.id: atom.in_domain for atom in tree.atoms()}
+    on_tree = recursion.classical_snell(tree, indicator)
+    on_cells = recursion.classical_snell(cells, {c.id: c.in_domain for c in cells.atoms()})
+    assert {cell_of(tree, aid): value for aid, value in on_tree.items()} == on_cells
+    pair, _ = backward_solve(cells)
+    assert recursion.verify_snell_pair(cells, pair).passed
+
+
+# `verify` on the cells, against the tree path: the same call with the cell
+# projection forced off, which unrolls the chain and loads the pair per atom.
+
+
+def verify_output(argv):
+    """(exit code, stdout, stderr) of `main(argv)` without the timing."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    text = out.getvalue()
+    if text and "--json" in argv:
+        doc = json.loads(text)
+        del doc["timing_seconds"]
+        text = json.dumps(doc, sort_keys=True)
+    elif text:
+        text = text[: text.rindex("(")]
+    return code, text, err.getvalue()
+
+
+def tree_path_output(monkeypatch, argv):
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "load_cell_pair", lambda *args: None)
+        patched.setattr(cli, "_verify_on_cells", lambda *args: None)
+        return verify_output(argv)
+
+
+def bump(entry):
+    return str(Fraction(entry) + 1)
+
+
+def solved_documents(model, horizon):
+    """The pair and policy documents of `solve`, and each atom's cell."""
+    cells = _checked_cells(model, horizon)
+    pair, policy = backward_solve(cells)
+    cell_of_atom = {aid: cell for level in cells.expand() for aid, _, cell in level}
+    return dump_cell_pair(cells, pair), cli._policy_document(cells, policy), cell_of_atom
+
+
+def _deepest_in_domain(pair, cell_of_atom):
+    """An in-domain atom of the deepest level, of a cell with the most atoms."""
+    size = {}
+    for cell in cell_of_atom.values():
+        size[cell.id] = size.get(cell.id, 0) + 1
+    return max(
+        pair["V"], key=lambda aid: (cell_of_atom[aid].level, size[cell_of_atom[aid].id], aid)
+    )
+
+
+def _cell_atoms(cell_of_atom, atom_id):
+    cell = cell_of_atom[atom_id].id
+    return [aid for aid, c in cell_of_atom.items() if c.id == cell]
+
+
+def _set(table, atom_ids, entry):
+    for aid in atom_ids:
+        if entry is None:
+            table.pop(aid, None)
+        else:
+            table[aid] = entry
+
+
+def variant_documents(variant, pair, policy, cell_of_atom):
+    """(pair document or None, policy document or None) for one input variant."""
+    pair, policy = json.loads(json.dumps(pair)), json.loads(json.dumps(policy))
+    atom = _deepest_in_domain(pair, cell_of_atom)
+    members = _cell_atoms(cell_of_atom, atom)
+    regions = policy["regions"]
+    if variant == "solved":
+        pass
+    elif variant == "pair-only":
+        policy = None
+    elif variant == "policy-only":
+        pair = None
+    elif variant == "one-atom-V":
+        pair["V"][atom] = bump(pair["V"][atom])
+    elif variant == "one-atom-S":
+        pair["S"][atom] = str(Fraction(pair["S"][atom]) / 2)
+    elif variant == "cell-V":
+        _set(pair["V"], members, bump(pair["V"][atom]))
+    elif variant == "cell-V-missing":
+        _set(pair["V"], members, None)
+    elif variant == "cell-S-missing":
+        _set(pair["S"], members, None)
+    elif variant == "one-atom-S-missing":
+        del pair["S"][members[-1]]
+    elif variant in ("int-1", "true", "float-1.0"):
+        raw = {"int-1": 1, "true": True, "float-1.0": 1.0}[variant]
+        _set(pair["S"], [aid for aid, s in pair["S"].items() if s == "1"], raw)
+    elif variant in ("one-int-1", "int-1-one-true", "int-1-one-float"):
+        # the last atom, in walk order, of the chosen cell (S is "1" at the horizon)
+        if variant != "one-int-1":
+            _set(pair["S"], [aid for aid, s in pair["S"].items() if s == "1"], 1)
+        pair["S"][members[-1]] = {"one-int-1": 1, "int-1-one-true": True}.get(variant, 1.0)
+    elif variant == "exit-cell-bad-V":  # a V entry that no check reads
+        exits = [aid for aid, c in cell_of_atom.items() if c.state is None]
+        if exits:
+            _set(pair["V"], _cell_atoms(cell_of_atom, exits[-1]), "1/0")
+    elif variant == "unknown-atom-bad-literal":
+        pair["V"]["no/such/atom"] = "1/0"
+    elif variant == "unknown-atom":
+        pair["S"]["no/such/atom"] = "1"
+    elif variant == "region-missing-time":
+        del regions[max(regions, key=int)]
+    elif variant == "region-flipped":
+        time, state = str(cell_of_atom[atom].level), str(cell_of_atom[atom].state)
+        regions[time] = sorted(set(regions[time]) ^ {state})
+    elif variant == "decisions":
+        policy = {
+            "decisions": {
+                aid: int(not c.in_domain or str(c.state) in regions[str(c.level)])
+                for aid, c in cell_of_atom.items()
+            }
+        }
+    elif variant == "periodic":
+        policy = {"period": 1, "regions": {"0": regions[max(regions, key=int)]}}
+    else:
+        raise AssertionError(variant)
+    return pair, policy
+
+
+VARIANTS = (
+    "solved", "pair-only", "policy-only", "one-atom-V", "one-atom-S", "one-atom-S-missing",
+    "cell-V", "cell-V-missing", "cell-S-missing", "int-1", "one-int-1", "true", "float-1.0",
+    "int-1-one-true", "int-1-one-float", "exit-cell-bad-V", "unknown-atom-bad-literal",
+    "unknown-atom", "region-missing-time", "region-flipped", "decisions", "periodic",
+)
+PER_CELL = {"solved", "pair-only", "policy-only", "cell-V", "int-1", "region-flipped", "periodic"}
+
+
+def assert_verifies_like_the_tree_path(monkeypatch, tmp_path, model_arg, horizon, floats,
+                                       documents, variant, human=False):
+    pair, policy = variant_documents(variant, *documents)
+    argv = ["verify", "--model", model_arg, "--horizon", str(horizon)]
+    for flag, doc in (("--pair", pair), ("--policy", policy)):
+        if doc is not None:
+            path = tmp_path / f"{flag[2:]}.json"
+            path.write_text(json.dumps(doc))
+            argv += [flag, str(path)]
+    if floats:
+        argv.append("--float")
+    if not human:
+        argv.append("--json")
+    unrolls = []
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "unroll", lambda *args: unrolls.append(args) or unroll(*args))
+        reported = verify_output(argv)
+    assert reported == tree_path_output(monkeypatch, argv), (variant, horizon)
+    code = reported[0]
+    if code != 0:
+        assert len(unrolls) == 1
+    elif variant in PER_CELL:
+        assert not unrolls
+    return code
+
+
+def verify_battery(monkeypatch, tmp_path, model_arg, model, horizons, floats, start,
+                   varied=range(1, 11)):
+    """The solved documents at every horizon, in `--json`; at each horizon in
+    `varied`, one further variant, in turn, alternating the human and `--json`
+    reports."""
+    codes = []
+    for k, horizon in enumerate(horizons):
+        documents = solved_documents(model, horizon)
+        args = (monkeypatch, tmp_path, model_arg, horizon, floats, documents)
+        assert assert_verifies_like_the_tree_path(*args, "solved") == 0
+        if horizon in varied:
+            variant = VARIANTS[1 + (start + k) % (len(VARIANTS) - 1)]
+            human = (start + k) % 2
+            codes.append(assert_verifies_like_the_tree_path(*args, variant, human))
+    return codes
+
+
+def in_mode(model, floats):
+    return load_model(dump_model(model), mode=float_mode()) if floats else model
+
+
+@pytest.mark.parametrize("floats", [False, True], ids=["exact", "float"])
+class TestVerifyAgainstTheTreePath:
+    def test_corpus_chains(self, monkeypatch, tmp_path, markov_corpus, floats):
+        codes = []
+        for i, model in enumerate(markov_corpus):
+            path = chain_file(tmp_path, model)
+            codes += verify_battery(
+                monkeypatch, tmp_path, path, in_mode(model, floats), [model.horizon], floats, i
+            )
+        assert {0, 1, 2, 3} <= set(codes)
+
+    def test_pool_chains(self, monkeypatch, tmp_path, chain_pool, floats):
+        codes = []
+        for i, model in enumerate(chain_pool):
+            path = chain_file(tmp_path, model)
+            codes += verify_battery(
+                monkeypatch, tmp_path, path, in_mode(model, floats), range(1, 7), floats, 4 * i,
+                varied=range(1, 5),
+            )
+        assert {0, 1, 2, 3} <= set(codes)
+
+    @pytest.mark.parametrize("name", ["two-state", "minnie-donald"])
+    def test_builtins(self, monkeypatch, tmp_path, name, floats):
+        model = builtin_model(name, mode=float_mode() if floats else EXACT)
+        verify_battery(monkeypatch, tmp_path, name, model, range(1, 11), floats, 0)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_every_variant_on_two_state(self, monkeypatch, tmp_path, variant, floats):
+        model = builtin_model("two-state", mode=float_mode() if floats else EXACT)
+        documents = solved_documents(model, 5)
+        for human in (False, True):
+            assert_verifies_like_the_tree_path(
+                monkeypatch, tmp_path, "two-state", 5, floats, documents, variant, human
+            )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_states=st.integers(2, 5),
+    horizon=st.integers(1, 5),
+    floats=st.booleans(),
+    variant=st.sampled_from(VARIANTS),
+    human=st.booleans(),
+)
+def test_verify_against_the_tree_path_on_random_chains(
+    tmp_path_factory, seed, n_states, horizon, floats, variant, human
+):
+    model = random_markov_model(random.Random(seed), n_states=n_states)
+    tmp_path = tmp_path_factory.mktemp("chain")
+    path = chain_file(tmp_path, model)
+    documents = solved_documents(in_mode(model, floats), horizon)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_verifies_like_the_tree_path(
+            monkeypatch, tmp_path, path, horizon, floats, documents, variant, human
+        )
+
+
+def test_chain_verify_unrolls_only_to_report_a_failure(tmp_path, monkeypatch):
+    calls = {"unroll": 0}
+    unroll = model_module.unroll
+
+    def counted(*args, **kwargs):
+        calls["unroll"] += 1
+        return unroll(*args, **kwargs)
+
+    for module in (cli, model_module):
+        monkeypatch.setattr(module, "unroll", counted)
+    model = builtin_model("two-state")
+    pair, policy, cell_of_atom = solved_documents(model, 6)
+    for variant, code, unrolls in (("solved", 0, 0), ("one-atom-V", 1, 1)):
+        calls["unroll"] = 0
+        docs = variant_documents(variant, pair, policy, cell_of_atom)
+        argv = ["verify", "--model", "two-state", "--horizon", "6"]
+        for flag, doc in zip(("--pair", "--policy"), docs):
+            path = tmp_path / f"{flag[2:]}.json"
+            path.write_text(json.dumps(doc))
+            argv += [flag, str(path)]
+        assert verify_output(argv)[0] == code
+        assert calls["unroll"] == unrolls

@@ -418,6 +418,13 @@ class TestErrorChannels:
         assert code == 0
         assert set(json.loads(out)["results"]["solve_regions"]["regions"]) == {"0", "1", "2", "3"}
 
+    @pytest.mark.parametrize("horizon", ["-5", "0", "4"])
+    def test_minnie_donald_example_rejects_a_horizon(self, capsys, horizon):
+        assert run(capsys, "example", "minnie-donald", "--horizon", horizon, "--json") == (
+            3, "", "error: the minnie-donald example is about the infinite-horizon chain; "
+            f"--horizon {horizon} does not apply\n"
+        )
+
 
 FLOAT_ROW_ERROR = (
     "error: children of '0' have probabilities summing to 0.9999999999999999, not 1\n"
