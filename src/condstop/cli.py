@@ -687,13 +687,21 @@ def main(argv: Optional[list[str]] = None) -> int:
         verification=verification,
         timing_seconds=round(elapsed, 6),
     )
-    if args.json:
-        print(json.dumps(report.to_document(), sort_keys=True, indent=2))
-    else:
-        print(f"model digest: {report.model_digest[:16]}")
-        for line in lines:
-            print(line)
-        print(f"({elapsed:.3f}s)")
+    try:
+        if args.json:
+            print(json.dumps(report.to_document(), sort_keys=True, indent=2))
+        else:
+            print(f"model digest: {report.model_digest[:16]}")
+            for line in lines:
+                print(line)
+            print(f"({elapsed:.3f}s)")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (`... | head`); send what is left to
+        # devnull so the interpreter's final flush stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -14,12 +14,12 @@ current time modulo a period) are evaluated exactly on the product chain of
     stop nor exit: "stop before exit, or exit never happens" holds on them.
 
 The conditional continuation value is J = h / p wherever p > 0, directly
-comparable with the undiscounted per-state payoff.  On top of evaluation sit
-the best-response map restricted to periodic policies, exhaustive equilibrium
-enumeration over the reachable (phase, state) pairs, one candidate per
-almost-sure class, and a truncation diagnostic that solves finite-horizon
-problems of increasing depth and reports which (time, state) decisions
-stabilize.
+comparable with the undiscounted per-state payoff.  One best-response rule
+(forced-stop states and dead ends always stop) serves the best-response map
+on periodic policies, the equilibrium check (a fixed point of that map on the
+reachable pairs) and the exhaustive census of reachable (phase, state) pairs,
+one candidate per almost-sure class.  A truncation diagnostic reports which
+finite-horizon decisions stabilize.
 """
 
 from __future__ import annotations
@@ -279,37 +279,37 @@ def evaluate(model: MarkovModel, policy: PeriodicMarkovPolicy) -> PolicyEvaluati
     return _evaluate(model, _rows(model), policy, pairs, reachable_pairs(model, policy.period))
 
 
-def phi_markov(
-    model: MarkovModel, policy: PeriodicMarkovPolicy
-) -> PeriodicMarkovPolicy:
-    """Best response within the periodic class, pair by pair.
+def _must_stop(model: MarkovModel) -> frozenset:
+    """Forced-stop states and dead ends (every transition leaves the domain)."""
+    dead = {x for x in model.domain if not model.mode.gt(model.domain_successor_mass(x), 0)}
+    return model.forced_stop | dead
+
+
+def _response(
+    model: MarkovModel, evaluation: PolicyEvaluation, pair: Pair, must_stop: frozenset
+) -> Optional[int]:
+    """The best response at a domain pair as a sign: +1 stop, -1 continue,
+    0 a tie, None where p = 0; always +1 on `must_stop` (`_must_stop(model)`)."""
+    if pair[1] in must_stop:
+        return 1
+    J = evaluation.J.get(pair)
+    return None if J is None else model.mode.compare(model.payoff[pair[1]], J)
+
+
+def phi_markov(model: MarkovModel, policy: PeriodicMarkovPolicy) -> PeriodicMarkovPolicy:
+    """Best response within the periodic class, pair by pair, by `_response`.
 
     The new bit stops when the state payoff strictly beats J = h/p, continues
-    when it strictly loses, and keeps the old bit on ties.  Pairs whose every
-    transition leaves the domain must stop; pairs with p = 0 keep their old
-    bit (no conditional value exists to compare against); exit and forced
-    states stay in every region.
+    when it strictly loses, and keeps the old bit on ties and where p = 0 (no
+    conditional value exists to compare against).  Forced-stop states, dead
+    ends and exit states stop in every region.
     """
-    evaluation = evaluate(model, policy)
-    mode = model.mode
-    pinned = model.exit_states | model.forced_stop
+    evaluation, must_stop = evaluate(model, policy), _must_stop(model)
     regions = []
     for phase in range(policy.period):
-        region = set(pinned)
-        for x in model.states:
-            if x not in model.domain or x in model.forced_stop:
-                continue
-            old = policy.stops(phase, x)
-            if not mode.gt(model.domain_successor_mass(x), 0):
-                stop = True
-            elif (phase, x) in evaluation.J:
-                sign = mode.compare(model.payoff[x], evaluation.J[(phase, x)])
-                stop = old if sign == 0 else sign > 0
-            else:
-                stop = old
-            if stop:
-                region.add(x)
-        regions.append(frozenset(region))
+        signs = {x: _response(model, evaluation, (phase, x), must_stop) for x in model.domain}
+        stop = {x for x, sign in signs.items() if (sign > 0 if sign else policy.stops(phase, x))}
+        regions.append(model.exit_states | stop)
     return PeriodicMarkovPolicy(policy.period, tuple(regions))
 
 
@@ -327,27 +327,21 @@ def _equilibrium_deviations(
     policy: PeriodicMarkovPolicy,
     evaluation: PolicyEvaluation,
     preference: MarkovPreference,
+    reached: list[Pair],
+    must_stop: frozenset,
 ) -> tuple[str, ...]:
-    """Reachable pairs whose bit is not a best response (or breaks a tie rule)."""
-    mode = model.mode
+    """Pairs of `reached` whose bit is not the best response of `_response`;
+    a tie must take the preferred bit when a preference is set."""
     deviations = []
-    order = {x: i for i, x in enumerate(model.states)}
-    for phase, x in sorted(evaluation.reachable, key=lambda pr: (pr[0], order[pr[1]])):
-        bit = policy.stops(phase, x)
-        if (phase, x) not in evaluation.J:
-            continue  # no conditional value: stopping is trivially unimproved
-        sign = mode.compare(model.payoff[x], evaluation.J[(phase, x)])
-        if sign > 0 and not bit:
-            deviations.append(f"(phase {phase}, state {x}): payoff beats continuation")
-        elif sign < 0 and bit:
-            deviations.append(f"(phase {phase}, state {x}): continuation beats payoff")
-        elif (
-            sign == 0
-            and preference in ("early", "late")
-            and x not in model.forced_stop
-            and bit != (preference == "early")
-        ):
-            deviations.append(f"(phase {phase}, state {x}): tie broken against preference")
+    for phase, x in reached:
+        sign = _response(model, evaluation, (phase, x), must_stop)
+        if sign is None or (sign == 0 and preference is None):
+            continue
+        stop = sign > 0 if sign else preference == "early"
+        if stop != policy.stops(phase, x):
+            reason = ("continuation beats payoff", "tie broken against preference",
+                      "payoff beats continuation")[sign + 1]
+            deviations.append(f"(phase {phase}, state {x}): {reason}")
     return tuple(deviations)
 
 
@@ -356,13 +350,17 @@ def is_periodic_equilibrium(
     policy: PeriodicMarkovPolicy,
     preference: MarkovPreference = None,
 ) -> EquilibriumResult:
-    """Equilibrium check on reachable pairs: admissible and a fixed point there."""
+    """Admissible and a fixed point of `phi_markov` on the reachable pairs,
+    where a tie must take the preferred bit when a preference is set."""
     preference = _markov_preference(preference)
     try:
         evaluation = evaluate(model, policy)
     except PolicyError as exc:
         return EquilibriumResult(False, reason=str(exc))
-    deviations = _equilibrium_deviations(model, policy, evaluation, preference)
+    reached = [pair for pair in _domain_pairs(model, policy.period) if pair in evaluation.reachable]
+    deviations = _equilibrium_deviations(
+        model, policy, evaluation, preference, reached, _must_stop(model)
+    )
     if deviations:
         return EquilibriumResult(False, deviations, "not a fixed point of the best response")
     return EquilibriumResult(True)
@@ -387,10 +385,10 @@ def enumerate_periodic_equilibria(
     and forced states sit in every region.  The transition rows and the
     reachable pairs are built once; each candidate is evaluated on the
     reachable pairs only, which are closed under in-domain transitions.  A
-    candidate survives when that evaluation succeeds and every reachable
-    pair's bit is a best response; with no preference, ties admit both bits.
-    Only survivors are evaluated on every domain pair, so each carries the
-    tables `evaluate` gives.  The size guard counts the 2**slots candidates.
+    candidate survives when that evaluation succeeds and it is a fixed point
+    of `phi_markov` there, ties taking the preferred bit if one is set.  Only
+    survivors are evaluated on every domain pair, so each carries the tables
+    `evaluate` gives.  The size guard counts the 2**slots candidates.
     """
     _require_infinite(model)
     if period < 1:
@@ -406,6 +404,7 @@ def enumerate_periodic_equilibria(
     rows = _rows(model)
     pairs = _domain_pairs(model, period)
     reached = [pair for pair in pairs if pair in reachable]
+    must_stop = _must_stop(model)
 
     pinned = model.exit_states | model.forced_stop
     traps: set = set()
@@ -431,7 +430,7 @@ def enumerate_periodic_equilibria(
             evaluation = _evaluate(model, rows, policy, reached, reachable)
         except PolicyError:
             continue
-        if _equilibrium_deviations(model, policy, evaluation, preference):
+        if _equilibrium_deviations(model, policy, evaluation, preference, reached, must_stop):
             continue
         evaluation = _evaluate(model, rows, policy, pairs, reachable)
         found.append(PeriodicEquilibrium(policy, evaluation))

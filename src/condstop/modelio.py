@@ -289,13 +289,11 @@ def load_policy(
         raise ParseError("policy: 'regions' must be an object")
     rows: dict[int, frozenset] = {}
     for key, members in regions_doc.items():
-        try:
-            time = int(key)
-        except (TypeError, ValueError):
-            raise ParseError(f"policy: region key {key!r} is not an integer") from None
+        if not (isinstance(key, str) and key.isdecimal() and key == str(int(key))):
+            raise ParseError(f"policy: region key {key!r} is not a canonical non-negative integer")
         if not isinstance(members, list):
             raise ParseError(f"policy: region {key!r} must be a list of states")
-        rows[time] = frozenset(_resolve(s, lookup, f"region {key!r}") for s in members)
+        rows[int(key)] = frozenset(_resolve(s, lookup, f"region {key!r}") for s in members)
     if "period" in document:
         period = document["period"]
         if isinstance(period, bool) or not isinstance(period, int) or period < 1:

@@ -1,14 +1,18 @@
 """End-to-end drives of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from condstop import backward_solve, binomial_tree, cli, dump_model, dump_pair, two_state_model
 from condstop import policy as policy_module
 from condstop.cli import main
-from condstop.model import Atom, AtomTree
+from condstop.model import Atom, AtomTree, MarkovModel
 
 
 def run(capsys, *argv):
@@ -136,6 +140,21 @@ class TestPhi:
         assert code == 0
         assert "phase 0" in out
 
+    @pytest.mark.parametrize("key", ["+0", "00", "1_0", "-1"])
+    def test_region_keys_must_be_canonical(self, capsys, tmp_path, key):
+        # "+0" and "00" used to alias phase 0 and "1_0" to time 10.
+        policy_path = tmp_path / "policy.json"
+        policy_path.write_text(
+            '{"period": 1, "regions": {"0": [0, 2], "%s": [0, 1, 2]}}' % key
+        )
+        code, out, err = run(
+            capsys,
+            "phi", "--model", "two-state", "--period", "1",
+            "--policy", str(policy_path),
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: policy: region key {key!r} is not a canonical non-negative integer\n"
+
     def test_period_mismatch(self, capsys, tmp_path):
         policy_path = tmp_path / "policy.json"
         policy_path.write_text(
@@ -182,6 +201,29 @@ class TestEnumerate:
         assert "equilibria found: 2" in out
         assert "99/100" in out
         assert "36/35" in out
+
+    def test_forced_stop_state_never_deviates(self, capsys, tmp_path):
+        # Continuing beats stopping at forced state 2, which must stop anyway.
+        model = MarkovModel(
+            states=(0, 1, 2, 3),
+            initial=1,
+            transitions={
+                0: {0: F(1)},
+                1: {1: F(1, 2), 2: F(1, 2)},
+                2: {3: F(1, 2), 0: F(1, 2)},
+                3: {3: F(1)},
+            },
+            domain=frozenset({1, 2, 3}),
+            forced_stop=frozenset({2, 3}),
+            payoff={1: F(1), 2: F(0), 3: F(10)},
+            discount=F(9, 10),
+        )
+        path = tmp_path / "forced.json"
+        path.write_text(json.dumps(dump_model(model)))
+        code, out, _ = run(capsys, "enumerate", "--model", str(path), "--period", "1")
+        assert code == 0
+        assert "equilibria found: 1" in out
+        assert "  phase 0: {0, 1, 2, 3}" in out
 
     def test_period_on_a_tree_is_a_model_error(self, capsys):
         code, _, err = run(
@@ -424,6 +466,25 @@ class TestErrorChannels:
             3, "", "error: the minnie-donald example is about the infinite-horizon chain; "
             f"--horizon {horizon} does not apply\n"
         )
+
+    def test_closed_stdout_exits_with_the_command_code(self):
+        # The reader takes one line of a 260 kB report and closes the pipe.
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        with subprocess.Popen(
+            [sys.executable, "-m", "condstop.cli", "solve", "--model", "two-state",
+             "--horizon", "10", "--json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        ) as process:
+            assert process.stdout.readline() == b"{\n"
+            process.stdout.close()
+            stderr = process.stderr.read().decode()
+            code = process.wait(timeout=120)
+        assert code == 0
+        assert stderr == ""  # no BrokenPipeError traceback
 
 
 FLOAT_ROW_ERROR = (

@@ -20,7 +20,6 @@ from condstop.catalog import (
 from condstop.infinite import (
     PeriodicEquilibrium,
     PeriodicMarkovPolicy,
-    _equilibrium_deviations,
     _markov_bits,
     check_growth,
     enumerate_periodic_equilibria,
@@ -49,17 +48,46 @@ def region_policy(*states):
     return PeriodicMarkovPolicy(1, (frozenset(states),))
 
 
+def is_dead_end(model, x):
+    """Every transition from `x` leaves the domain."""
+    return not any(prob > 0 and y in model.domain for y, prob in model.transitions[x].items())
+
+
+def best_response_holds(model, policy, evaluation, preference):
+    """The equilibrium spec, read off the `evaluate` tables.
+
+    At each reachable pair with a J whose state is not forced, an exit or a
+    dead end, a payoff strictly above J must stop and one strictly below
+    must continue; on a tie the bit must be the preferred one when a
+    preference is given.
+    """
+    for phase, x in evaluation.reachable:
+        if (
+            x in model.forced_stop
+            or x in model.exit_states
+            or is_dead_end(model, x)
+            or (phase, x) not in evaluation.J
+        ):
+            continue
+        sign = model.mode.compare(model.payoff[x], evaluation.J[(phase, x)])
+        bit = policy.stops(phase, x)
+        if sign != 0 and bit != (sign > 0):
+            return False
+        if sign == 0 and preference in ("early", "late") and bit != (preference == "early"):
+            return False
+    return True
+
+
 def exhaustive_periodic_equilibria(model, period, preference=None):
     """Reference census: every bit at every free (phase, state) pair.
 
     Tries all 2**(period * free) region families in mask order, skips those
-    whose evaluation fails, and keeps the first survivor of each almost-sure
-    class, i.e. of each stop profile on the reachable pairs.
+    whose evaluation fails or that break `best_response_holds`, and keeps the
+    first survivor of each almost-sure class, i.e. of each stop profile on
+    the reachable pairs.
     """
     free = [x for x in model.states if x in model.domain and x not in model.forced_stop]
     pinned = model.exit_states | model.forced_stop
-    if preference == "all":
-        preference = None
     found = []
     seen = set()
     for mask in range(2 ** (period * len(free))):
@@ -75,7 +103,7 @@ def exhaustive_periodic_equilibria(model, period, preference=None):
             evaluation = evaluate(model, policy)
         except PolicyError:
             continue
-        if _equilibrium_deviations(model, policy, evaluation, preference):
+        if not best_response_holds(model, policy, evaluation, preference):
             continue
         key = frozenset(pair for pair in evaluation.reachable if policy.stops(*pair))
         if key in seen:
@@ -369,6 +397,36 @@ class TestPhiMarkov:
         stepped = phi_markov(model, region_policy(0, 1, 2))
         assert 2 in stepped.regions[0]
 
+    def test_stops_at_unreachable_dead_ends(self):
+        # Every transition from state 2 leaves the domain; it is unreachable
+        # from the absorbing initial state 1, so continuing there is admissible
+        # and has no J, yet the best response stops.
+        model = MarkovModel(
+            states=(0, 1, 2),
+            initial=1,
+            transitions={0: {0: F(1)}, 1: {1: F(1)}, 2: {0: F(1)}},
+            domain=frozenset({1, 2}),
+            payoff={1: F(1), 2: F(5)},
+            discount=F(9, 10),
+        )
+        assert (0, 2) not in evaluate(model, region_policy(0)).J
+        assert phi_markov(model, region_policy(0)) == region_policy(0, 1, 2)
+
+    def test_keeps_either_bit_on_an_exact_tie(self):
+        # At state 1, stopping pays 1 and continuing to the stop at 2 pays
+        # 1/2 * 2 = 1.
+        model = MarkovModel(
+            states=(0, 1, 2),
+            initial=1,
+            transitions={0: {0: F(1)}, 1: {2: F(1)}, 2: {2: F(1)}},
+            domain=frozenset({1, 2}),
+            payoff={1: F(1), 2: F(2)},
+            discount=F(1, 2),
+        )
+        for policy in (region_policy(0, 2), region_policy(0, 1, 2)):
+            assert evaluate(model, policy).J[(0, 1)] == F(1)
+            assert phi_markov(model, policy) == policy
+
 
 class TestMinnieDonaldCensus:
     def test_no_time_homogeneous_equilibrium(self):
@@ -519,6 +577,75 @@ class TestFloatCensusAgainstExhaustiveOracle:
                 assert reachable_classes(
                     enumerate_periodic_equilibria(model, period, preference)
                 ) == reachable_classes(exhaustive_periodic_equilibria(model, period, preference))
+
+
+def forced_stop_chain():
+    """Forced state 2 pays 0, but continuing there is worth J = 9."""
+    return MarkovModel(
+        states=(0, 1, 2, 3),
+        initial=1,
+        transitions={
+            0: {0: F(1)},
+            1: {1: F(1, 2), 2: F(1, 2)},
+            2: {3: F(1, 2), 0: F(1, 2)},
+            3: {3: F(1)},
+        },
+        domain=frozenset({1, 2, 3}),
+        forced_stop=frozenset({2, 3}),
+        payoff={1: F(1), 2: F(0), 3: F(10)},
+        discount=F(9, 10),
+    )
+
+
+def with_random_forced_stops(rng, model):
+    forced = frozenset(x for x in sorted(model.domain) if rng.random() < 0.5)
+    return dataclasses.replace(model, forced_stop=forced)
+
+
+class TestForcedStopsNeverDeviate:
+    def test_census_returns_the_fixed_point_of_phi(self):
+        model = forced_stop_chain()
+        stop_everywhere = region_policy(0, 1, 2, 3)
+        assert evaluate(model, stop_everywhere).J[(0, 2)] == F(9)
+        assert phi_markov(model, stop_everywhere) == stop_everywhere
+        for preference in (None, "early", "late"):
+            found = enumerate_periodic_equilibria(model, 1, preference)
+            assert [eq.policy for eq in found] == [stop_everywhere]
+
+    def test_equilibrium_check_passes(self):
+        result = is_periodic_equilibrium(forced_stop_chain(), region_policy(0, 1, 2, 3))
+        assert result.equilibrium and result.deviations == ()
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        period=st.integers(1, 2),
+        preference=st.sampled_from(["all", "early", "late"]),
+        discount_one=st.booleans(),
+    )
+    def test_census_equals_the_oracle(self, seed, period, preference, discount_one):
+        rng = random.Random(seed)
+        model = with_random_forced_stops(rng, random_markov_model(rng, n_states=rng.randint(2, 4)))
+        if discount_one:
+            model = dataclasses.replace(model, discount=F(1))
+        assert reachable_classes(
+            enumerate_periodic_equilibria(model, period, preference)
+        ) == reachable_classes(exhaustive_periodic_equilibria(model, period, preference))
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32), period=st.integers(1, 2))
+    def test_equilibrium_check_is_a_fixed_point_of_phi(self, seed, period):
+        rng = random.Random(seed)
+        model = with_random_forced_stops(rng, random_markov_model(rng, n_states=rng.randint(2, 4)))
+        policy = random_periodic_policy(rng, model, period)
+        try:
+            reachable = evaluate(model, policy).reachable
+        except PolicyError:
+            fixed = False
+        else:
+            updated = phi_markov(model, policy)
+            fixed = all(updated.stops(*pair) == policy.stops(*pair) for pair in reachable)
+        assert is_periodic_equilibrium(model, policy).equilibrium == fixed
 
 
 def census_policy(rng, model, period):
