@@ -17,9 +17,10 @@ The conditional continuation value is J = h / p wherever p > 0, directly
 comparable with the undiscounted per-state payoff.  One best-response rule
 (forced-stop states and dead ends always stop) serves the best-response map
 on periodic policies, the equilibrium check (a fixed point of that map on the
-reachable pairs) and the exhaustive census of reachable (phase, state) pairs,
-one candidate per almost-sure class.  A truncation diagnostic reports which
-finite-horizon decisions stabilize.
+reachable pairs) and the census of reachable (phase, state) pairs, one
+candidate per almost-sure class, by a depth-first search that prunes every
+completion of a partial assignment that must fail.  A truncation diagnostic
+reports which finite-horizon decisions stabilize.
 """
 
 from __future__ import annotations
@@ -382,13 +383,27 @@ def enumerate_periodic_equilibria(
     states that reach neither a stop nor an exit when every free state
     continues) get bit 1: `evaluate` rejects any discount-1 policy that
     continues at a trap, so bit 0 there would knock out whole classes.  Exit
-    and forced states sit in every region.  The transition rows and the
-    reachable pairs are built once; each candidate is evaluated on the
-    reachable pairs only, which are closed under in-domain transitions.  A
-    candidate survives when that evaluation succeeds and it is a fixed point
-    of `phi_markov` there, ties taking the preferred bit if one is set.  Only
-    survivors are evaluated on every domain pair, so each carries the tables
-    `evaluate` gives.  The size guard counts the 2**slots candidates.
+    and forced states sit in every region.  A candidate survives when its
+    evaluation succeeds and it is a fixed point of `phi_markov` on the
+    reachable pairs, ties taking the preferred bit if one is set.
+
+    The search is depth first over the slots, slots[-1] first and slots[0]
+    last, bit 0 before bit 1, so survivors come in the order of their bits
+    read as a binary number (bit i for slots[i]).  A node stops at the slots
+    it has not assigned and is evaluated on the reachable pairs, which are
+    closed under in-domain transitions; the transition rows and the
+    reachable pairs are built once.  Two rules prune every completion below
+    a node.  If its evaluation fails, so does each completion: continuing at
+    more slots only lowers p and, at discount 1, only grows the pairs that
+    reach no stop.  And a pair's J is final once no unassigned slot can be
+    reached from its successors through continuing pairs, so an assigned
+    pair whose final J disagrees with its bit is a deviation in every
+    completion.  A bit-1 child shares its parent's policy and evaluation,
+    and a slot whose J is already final takes the bits its best response
+    allows (both on a tie with no preference).  Only survivors are
+    evaluated on every domain pair, so each carries the tables `evaluate`
+    gives.  The size guard counts the 2**slots candidates, an upper bound on
+    the nodes the search evaluates.
     """
     _require_infinite(model)
     if period < 1:
@@ -419,21 +434,55 @@ def enumerate_periodic_equilibria(
         pinned | {x for x in traps if (phase, x) not in reachable} for phase in range(period)
     ]
 
+    def successors(pair: Pair):
+        nxt = (pair[0] + 1) % period
+        return ((nxt, y) for y, _ in rows[pair[1]][0])
+
+    # Depth first over the slots, slots[-1] first, bit 0 before bit 1, so
+    # leaves come in mask order (bit i for slots[i]).  A node with slots[:k]
+    # unassigned stops at them: its evaluation is None until popped, except
+    # that a bit-1 child shares its parent's policy and evaluation.
     found: list[PeriodicEquilibrium] = []
-    for mask in range(total):
-        regions = [set(region) for region in base]
-        for i, (phase, x) in enumerate(slots):
-            if (mask >> i) & 1:
-                regions[phase].add(x)
-        policy = PeriodicMarkovPolicy(period, tuple(regions))
-        try:
-            evaluation = _evaluate(model, rows, policy, reached, reachable)
-        except PolicyError:
+    stop_all = [set(region) for region in base]
+    for phase, x in slots:
+        stop_all[phase].add(x)
+    stack = [(len(slots), PeriodicMarkovPolicy(period, tuple(stop_all)), None)]
+    while stack:
+        k, policy, evaluation = stack.pop()
+        if evaluation is None:
+            try:
+                evaluation = _evaluate(model, rows, policy, reached, reachable)
+            except PolicyError:
+                continue  # continuing at more slots cannot repair it
+        unassigned = set(slots[:k])
+        continuing = [pair for pair in reached if not policy.stops(*pair)]
+        unsettled = _closure(continuing, unassigned, successors)
+        # No completion of the node changes J at these pairs.
+        final = {pair for pair in reached if not any(s in unsettled for s in successors(pair))}
+        assigned = [pair for pair in reached if pair in final and pair not in unassigned]
+        if _equilibrium_deviations(model, policy, evaluation, preference, assigned, must_stop):
             continue
-        if _equilibrium_deviations(model, policy, evaluation, preference, reached, must_stop):
+        if not k:
+            evaluation = _evaluate(model, rows, policy, pairs, reachable)
+            found.append(PeriodicEquilibrium(policy, evaluation))
             continue
-        evaluation = _evaluate(model, rows, policy, pairs, reachable)
-        found.append(PeriodicEquilibrium(policy, evaluation))
+        slot = slots[k - 1]
+        bits = (0, 1)
+        if slot in final:
+            sign = _response(model, evaluation, slot, must_stop)
+            if sign is None or sign > 0:
+                bits = (1,)
+            elif sign < 0:
+                bits = (0,)
+            elif preference is not None:
+                bits = (int(preference == "early"),)
+        if 1 in bits:
+            stack.append((k - 1, policy, evaluation))
+        if 0 in bits:
+            phase, x = slot
+            regions = list(policy.regions)
+            regions[phase] = regions[phase] - {x}
+            stack.append((k - 1, PeriodicMarkovPolicy(period, tuple(regions)), None))
     return found
 
 

@@ -155,6 +155,18 @@ class TestPhi:
         assert code == 2 and out == ""
         assert err == f"error: policy: region key {key!r} is not a canonical non-negative integer\n"
 
+    def test_repeated_region_key_is_rejected(self, capsys, tmp_path):
+        # The second "0" used to override the first, and phi ran on {0, 1, 2}.
+        policy_path = tmp_path / "policy.json"
+        policy_path.write_text('{"period": 1, "regions": {"0": [0, 2], "0": [0, 1, 2]}}')
+        code, out, err = run(
+            capsys,
+            "phi", "--model", "two-state", "--period", "1",
+            "--policy", str(policy_path),
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: {policy_path}: duplicate key '0'\n"
+
     def test_period_mismatch(self, capsys, tmp_path):
         policy_path = tmp_path / "policy.json"
         policy_path.write_text(
@@ -394,6 +406,14 @@ class TestErrorChannels:
         code, _, err = run(capsys, "solve", "--model", str(path))
         assert code == 2
         assert "invalid JSON" in err
+
+    def test_repeated_key_in_model_file(self, capsys, tmp_path):
+        text = json.dumps(dump_model(two_state_model()))
+        path = tmp_path / "chain.json"
+        path.write_text(text.replace('"1": "1"', '"1": "1", "1": "6/5"', 1))
+        code, out, err = run(capsys, "enumerate", "--model", str(path), "--period", "1")
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: duplicate key '1'\n"
 
     def test_missing_model_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "solve", "--model", str(tmp_path / "none.json"))

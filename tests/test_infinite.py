@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from condstop import infinite
@@ -713,7 +713,8 @@ class TestCensusCore:
         assert len(found) == 2 and reachable < domain
         assert len(rows) == len(reach) == 1
         assert sizes.count(domain) == len(found)
-        assert sizes.count(reachable) == len(sizes) - len(found) == 2**4
+        # The pruned search evaluates 9 of the 2**4 candidates' policies.
+        assert sizes.count(reachable) == len(sizes) - len(found) == 9 < 2**4
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(
@@ -743,6 +744,117 @@ class TestCensusCore:
             assert part.h[pair] == full.h[pair]
             assert part.p[pair] == full.p[pair]
             assert part.J.get(pair) == full.J.get(pair)
+
+
+def tie_chain():
+    """State 1 stays, moves to the forced stop 2 or exits; both pay 1, so at
+    discount 1 its J is 1 and either bit is a best response."""
+    return MarkovModel(
+        states=(0, 1, 2),
+        initial=1,
+        transitions={0: {0: F(1)}, 1: {1: F(1, 2), 2: F(1, 4), 0: F(1, 4)}, 2: {2: F(1)}},
+        domain=frozenset({1, 2}),
+        forced_stop=frozenset({2}),
+        payoff={1: F(1), 2: F(1)},
+        discount=F(1),
+    )
+
+
+class TestPrunedCensus:
+    """The depth-first census finds what the exhaustive oracle finds, in the
+    same order, with far fewer evaluations than 2**slots."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        n_states=st.integers(2, 4),
+        period=st.integers(1, 3),
+        preference=st.sampled_from(["all", "early", "late"]),
+        forced=st.booleans(),
+        floats=st.booleans(),
+        discount_one=st.booleans(),
+        flat=st.booleans(),
+    )
+    def test_census_equals_the_oracle(
+        self, seed, n_states, period, preference, forced, floats, discount_one, flat
+    ):
+        assume(n_states < 4 or period < 3)
+        rng = random.Random(seed)
+        model = random_markov_model(rng, n_states=n_states)
+        if forced:
+            model = with_random_forced_stops(rng, model)
+        if discount_one:
+            model = dataclasses.replace(model, discount=F(1))
+        if flat:  # at discount 1, J = 1 wherever it exists: every bit ties
+            model = dataclasses.replace(model, payoff=dict.fromkeys(model.payoff, F(1)))
+        if floats:
+            model = _float_chain(model)
+        census = enumerate_periodic_equilibria(model, period, preference)
+        oracle = exhaustive_periodic_equilibria(model, period, preference)
+        if discount_one:
+            assert reachable_classes(census) == reachable_classes(oracle)
+        else:
+            assert census == oracle
+
+    @pytest.mark.parametrize("preference", [None, "early", "late"])
+    def test_minnie_donald_period_five(self, monkeypatch, preference):
+        model = minnie_donald_model()
+        cores = _recorded(monkeypatch, "_evaluate")
+        assert enumerate_periodic_equilibria(model, 5, preference) == []
+        # 78 of 2**10: without the early-deviation check it takes 85.
+        assert len(cores) == 78
+        assert exhaustive_periodic_equilibria(model, 5, preference) == []
+
+    def test_nothing_below_a_failed_evaluation_is_evaluated(self, monkeypatch):
+        # Continuing at more slots cannot repair a failed evaluation, so no
+        # policy is evaluated whose reachable stops lie inside those of a
+        # policy that already failed.
+        outcomes = []
+        original = infinite._evaluate
+
+        def recorded(model, rows, policy, pairs, reachable):
+            stops = frozenset(pair for pair in reachable if policy.stops(*pair))
+            try:
+                result = original(model, rows, policy, pairs, reachable)
+            except PolicyError:
+                outcomes.append((stops, False))
+                raise
+            outcomes.append((stops, True))
+            return result
+
+        monkeypatch.setattr(infinite, "_evaluate", recorded)
+        failures = 0
+        for base in _differential_chains():
+            model = dataclasses.replace(base, discount=F(1))
+            for period in (1, 2, 3):
+                outcomes.clear()
+                enumerate_periodic_equilibria(model, period)
+                failed = []
+                for stops, ok in outcomes:
+                    assert not any(stops <= other for other in failed)
+                    if not ok:
+                        failed.append(stops)
+                failures += len(failed)
+        assert failures > 0
+
+    def test_ties_branch_unless_a_preference_picks_a_bit(self):
+        model = tie_chain()
+        stop, go = frozenset({0, 1, 2}), frozenset({0, 2})
+
+        def regions(period, preference):
+            found = enumerate_periodic_equilibria(model, period, preference)
+            return [eq.policy.regions for eq in found]
+
+        assert regions(1, None) == [(go,), (stop,)]
+        assert regions(2, None) == [(go, go), (stop, go), (go, stop), (stop, stop)]
+        for period in (1, 2):
+            assert regions(period, "early") == [(stop,) * period]
+            assert regions(period, "late") == [(go,) * period]
+
+    def test_minnie_donald_period_seven_in_a_few_evaluations(self, monkeypatch):
+        cores = _recorded(monkeypatch, "_evaluate")
+        assert enumerate_periodic_equilibria(minnie_donald_model(), 7) == []
+        assert len(cores) < 2**14 // 50
 
 
 class TestPreferenceValidation:

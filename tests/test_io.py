@@ -1,6 +1,7 @@
 """Wire-format round trips and malformed-input rejection."""
 
 import json
+import re
 from fractions import Fraction
 from fractions import Fraction as F
 
@@ -342,4 +343,33 @@ class TestReadJson:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         with pytest.raises(ParseError):
+            read_json(str(path))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"a": {"b": 1}, "c": [{"d": "x:y"}, {}]}',
+            '{"a:b": "c:d", "e": {"f": ":::"}}',
+            '[{"a": 1}, {"a": 2}, "::"]',
+            '"just: a string"',
+        ],
+    )
+    def test_documents_without_repeated_keys_read_as_json(self, tmp_path, text):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        assert read_json(str(path)) == json.loads(text)
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"a": 1, "a": 1}', "a"),
+            ('{"a": {"b": 1, "c": 2, "b": 3}}', "b"),
+            ('[{"x": "1:2", "y": {"z": 0, "z": 0}}]', "z"),  # colons in strings too
+            ('{"k:": 1, "k:": 2}', "k:"),
+        ],
+    )
+    def test_repeated_keys_are_rejected(self, tmp_path, text, key):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=re.escape(f"{path}: duplicate key '{key}'")):
             read_json(str(path))
