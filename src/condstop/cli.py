@@ -249,7 +249,7 @@ def cmd_phi(args):
         lines = ["updated policy:"]
         for phase, region in enumerate(updated.regions):
             lines.append(f"  phase {phase}: {{{', '.join(sorted(map(str, region)))}}}")
-        lines.append(f"changed phases: {sorted(changed) if changed else 'none'}")
+        lines.append(f"changed phases: {list(changed) if changed else 'none'}")
         return model, results, {}, lines, EXIT_OK
     tree = _as_tree(model, args.horizon)
     policy = _tree_policy(doc, model, tree)
@@ -286,10 +286,10 @@ def cmd_enumerate(args):
             entries.append({"policy": dump_policy(eq.policy), "J": values})
         results = {"count": len(found), "equilibria": entries}
         lines = [f"equilibria found: {len(found)}"]
-        for i, entry in enumerate(entries):
+        for i, (eq, entry) in enumerate(zip(found, entries)):
             lines.append(f"equilibrium {i + 1}:")
-            for phase, region in sorted(entry["policy"]["regions"].items()):
-                lines.append(f"  phase {phase}: {{{', '.join(map(str, region))}}}")
+            for phase, region in enumerate(eq.policy.regions):
+                lines.append(f"  phase {phase}: {{{', '.join(sorted(map(str, region)))}}}")
             for pair_name, value in entry["J"].items():
                 lines.append(f"  J({pair_name}) = {value}")
         return model, results, {}, lines, EXIT_OK

@@ -18,9 +18,10 @@ comparable with the undiscounted per-state payoff.  One best-response rule
 (forced-stop states and dead ends always stop) serves the best-response map
 on periodic policies, the equilibrium check (a fixed point of that map on the
 reachable pairs) and the census of reachable (phase, state) pairs, one
-candidate per almost-sure class, by a depth-first search that prunes every
-completion of a partial assignment that must fail.  A truncation diagnostic
-reports which finite-horizon decisions stabilize.
+candidate per almost-sure class.  The census first pins the states whose
+payoff beats every continuation value they can face, then runs a depth-first
+search that prunes every completion of a partial assignment that must fail.
+A truncation diagnostic reports which finite-horizon decisions stabilize.
 """
 
 from __future__ import annotations
@@ -161,6 +162,31 @@ def _rows(model: MarkovModel) -> dict:
             sum((p for y, p in row if y not in model.domain), model.mode.zero),
         )
     return rows
+
+
+def _dominant(model: MarkovModel, rows: dict, free: list) -> set:
+    """Free states whose payoff beats every continuation value they can have.
+
+    J at a pair in state x is a conditional mean of discount**t * payoff(y),
+    t >= 1, over the domain states y that x reaches by in-domain steps, and a
+    path that never stops adds 0.  So J is at most discount * max payoff(y)
+    when that is positive and at most 0 otherwise.  Where the payoff at x
+    beats that bound, continuing at a reachable pair in state x either leaves
+    p = 0 there or deviates, so every equilibrium stops there.
+    """
+    mode = model.mode
+    dominant = set()
+    for x in free:
+        seen, frontier = set(), [x]
+        while frontier:
+            for y, _ in rows[frontier.pop()][0]:
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+        bound = max([mode.zero] + [model.discount * model.payoff[y] for y in seen])
+        if mode.compare(model.payoff[x], bound) > 0:
+            dominant.add(x)
+    return dominant
 
 
 def _closure(pairs: list, seeds: set, successors) -> set:
@@ -387,9 +413,14 @@ def enumerate_periodic_equilibria(
     evaluation succeeds and it is a fixed point of `phi_markov` on the
     reachable pairs, ties taking the preferred bit if one is set.
 
-    The search is depth first over the slots, slots[-1] first and slots[0]
-    last, bit 0 before bit 1, so survivors come in the order of their bits
-    read as a binary number (bit i for slots[i]).  A node stops at the slots
+    Dominant states (`_dominant`) have a payoff above every J they can face,
+    so every equilibrium stops at their reachable pairs: those pairs get bit
+    1 and are not slots.  Every survivor has bit 1 there anyway, so dropping
+    them changes neither the survivors nor their order.
+
+    The search is depth first over the open slots, slots[-1] first and
+    slots[0] last, bit 0 before bit 1, so survivors come in the order of
+    their bits read as a binary number (bit i for slots[i]).  A node stops at the slots
     it has not assigned and is evaluated on the reachable pairs, which are
     closed under in-domain transitions; the transition rows and the
     reachable pairs are built once.  Two rules prune every completion below
@@ -402,8 +433,8 @@ def enumerate_periodic_equilibria(
     and a slot whose J is already final takes the bits its best response
     allows (both on a tie with no preference).  Only survivors are
     evaluated on every domain pair, so each carries the tables `evaluate`
-    gives.  The size guard counts the 2**slots candidates, an upper bound on
-    the nodes the search evaluates.
+    gives.  The size guard counts the 2**slots candidates over the open
+    slots, an upper bound on the nodes the search evaluates.
     """
     _require_infinite(model)
     if period < 1:
@@ -411,12 +442,18 @@ def enumerate_periodic_equilibria(
     guard = DEFAULT_POLICY_GUARD if size_guard is None else size_guard
     free = [x for x in model.states if x in model.domain and x not in model.forced_stop]
     reachable = reachable_pairs(model, period)
-    slots = [(phase, x) for phase in range(period) for x in free if (phase, x) in reachable]
+    rows = _rows(model)
+    dominant = _dominant(model, rows, free)
+    slots = [
+        (phase, x)
+        for phase in range(period)
+        for x in free
+        if (phase, x) in reachable and x not in dominant
+    ]
     total = 2 ** len(slots)
     if total > guard:
         raise SizeGuardError(total, guard)
     preference = _markov_preference(preference)
-    rows = _rows(model)
     pairs = _domain_pairs(model, period)
     reached = [pair for pair in pairs if pair in reachable]
     must_stop = _must_stop(model)
@@ -431,7 +468,10 @@ def enumerate_periodic_equilibria(
         }
         traps = set(free) - _closure(free, ends, lambda x: (y for y, _ in rows[x][0]))
     base = [
-        pinned | {x for x in traps if (phase, x) not in reachable} for phase in range(period)
+        pinned
+        | {x for x in traps if (phase, x) not in reachable}
+        | {x for x in dominant if (phase, x) in reachable}
+        for phase in range(period)
     ]
 
     def successors(pair: Pair):

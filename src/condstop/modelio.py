@@ -409,7 +409,7 @@ def dump_cell_pair(cells: _Cells, pair: SnellPair) -> dict:
 
 
 def read_json(path: str) -> Any:
-    """Read a JSON document from disk, mapping failures to ParseError.
+    """Read a UTF-8 JSON document from disk, mapping failures to ParseError.
 
     A key repeated in any object is an error, not a silent override.  Each
     object member has one ':' outside strings, so a text with no more colons
@@ -439,7 +439,9 @@ def read_json(path: str) -> Any:
         if text.count(":") > members:
             document = json.loads(text, object_pairs_hook=unique)
         return document
-    except FileNotFoundError as exc:
-        raise ParseError(f"{path}: {exc.strerror}") from exc
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ParseError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc

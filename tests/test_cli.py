@@ -167,6 +167,23 @@ class TestPhi:
         assert code == 2 and out == ""
         assert err == f"error: {policy_path}: duplicate key '0'\n"
 
+    def test_changed_phases_in_numeric_order(self, capsys, tmp_path):
+        policy_path = tmp_path / "policy.json"
+        policy_path.write_text(
+            json.dumps({"period": 12, "regions": {str(p): [0, 1] for p in range(12)}})
+        )
+        code, out, _ = run(
+            capsys,
+            "phi", "--model", "two-state", "--period", "12",
+            "--policy", str(policy_path),
+        )
+        assert code == 0
+        phases = [str(p) for p in range(12)]
+        assert f"changed phases: {phases}\n" in out
+        assert [line.split(":")[0] for line in out.splitlines() if line.startswith("  phase")] == [
+            f"  phase {p}" for p in range(12)
+        ]
+
     def test_period_mismatch(self, capsys, tmp_path):
         policy_path = tmp_path / "policy.json"
         policy_path.write_text(
@@ -213,6 +230,16 @@ class TestEnumerate:
         assert "equilibria found: 2" in out
         assert "99/100" in out
         assert "36/35" in out
+
+    def test_two_state_period_twelve_lists_phases_in_order(self, capsys):
+        # State 2 stops at every phase, so 12 slots stay open, not 24.
+        code, out, _ = run(
+            capsys, "enumerate", "--model", "two-state", "--period", "12"
+        )
+        assert code == 0
+        assert "equilibria found: 2" in out
+        phases = [line.split(":")[0] for line in out.splitlines() if line.startswith("  phase")]
+        assert phases == [f"  phase {p}" for p in range(12)] * 2
 
     def test_forced_stop_state_never_deviates(self, capsys, tmp_path):
         # Continuing beats stopping at forced state 2, which must stop anyway.
@@ -416,8 +443,22 @@ class TestErrorChannels:
         assert err == f"error: {path}: duplicate key '1'\n"
 
     def test_missing_model_file(self, capsys, tmp_path):
-        code, _, err = run(capsys, "solve", "--model", str(tmp_path / "none.json"))
+        path = tmp_path / "none.json"
+        code, _, err = run(capsys, "solve", "--model", str(path))
         assert code == 2
+        assert err == f"error: {path}: No such file or directory\n"
+
+    def test_model_file_that_is_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run(capsys, "solve", "--model", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: not UTF-8 text (invalid start byte at byte 0)\n"
+
+    def test_directory_as_model_file(self, capsys, tmp_path):
+        code, out, err = run(capsys, "solve", "--model", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err == f"error: {tmp_path}: Is a directory\n"
 
     def test_float_payload_rejected_in_exact_mode(self, capsys, tmp_path):
         doc = dump_model(binomial_tree())

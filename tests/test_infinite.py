@@ -857,6 +857,113 @@ class TestPrunedCensus:
         assert len(cores) < 2**14 // 50
 
 
+def dominant_states(model):
+    """Free states whose payoff beats discount * max(0, payoff(y)) over the
+    domain states y they reach by in-domain steps, a bound on every J there."""
+    dominant = set()
+    for x in model.domain - model.forced_stop:
+        seen, frontier = set(), [x]
+        while frontier:
+            for y, prob in model.transitions[frontier.pop()].items():
+                if prob > 0 and y in model.domain and y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+        best = max([0] + [model.payoff[y] for y in seen])
+        if model.mode.compare(model.payoff[x], model.discount * best) > 0:
+            dominant.add(x)
+    return dominant
+
+
+class TestDominantStates:
+    """A free state whose payoff beats every continuation value it can face
+    stops at each reachable phase of every equilibrium, so the census takes
+    it out of the search."""
+
+    @settings(max_examples=120, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        n_states=st.integers(2, 4),
+        period=st.integers(1, 2),
+        preference=st.sampled_from(["all", "early", "late"]),
+        forced=st.booleans(),
+        rich=st.booleans(),
+        floats=st.booleans(),
+        discount_one=st.booleans(),
+    )
+    def test_every_equilibrium_stops_at_dominant_states(
+        self, seed, n_states, period, preference, forced, rich, floats, discount_one
+    ):
+        rng = random.Random(seed)
+        model = random_markov_model(rng, n_states=n_states)
+        if forced:
+            model = with_random_forced_stops(rng, model)
+        free = [x for x in model.states if x in model.domain and x not in model.forced_stop]
+        rich = rich and bool(free)
+        if rich:  # above discount * every payoff, its own included
+            x = rng.choice(free)
+            top = max(abs(value) for value in model.payoff.values())
+            model = dataclasses.replace(model, payoff={**model.payoff, x: 2 * top + 1})
+        if discount_one:
+            model = dataclasses.replace(model, discount=F(1))
+        if floats:
+            model = _float_chain(model)
+        dominant = dominant_states(model)
+        assert infinite._dominant(model, infinite._rows(model), free) == dominant
+        if rich and not discount_one:
+            assert x in dominant
+        oracle = exhaustive_periodic_equilibria(model, period, preference)
+        for eq in oracle:
+            for phase, y in eq.evaluation.reachable:
+                assert y not in dominant or eq.policy.stops(phase, y)
+        census = enumerate_periodic_equilibria(model, period, preference)
+        if discount_one:
+            assert reachable_classes(census) == reachable_classes(oracle)
+        else:
+            assert census == oracle
+
+    @pytest.mark.parametrize("period, calls", [(5, 8), (6, 9)])
+    def test_two_state_in_a_few_evaluations(self, monkeypatch, period, calls):
+        # State 2 pays 6/5, above 9/10 * 6/5, so only the slots of state 1
+        # stay open; with state 2's slots open too it took 366 and 1,095.
+        model = two_state_model()
+        assert infinite._dominant(model, infinite._rows(model), [1, 2]) == {2}
+        cores = _recorded(monkeypatch, "_evaluate")
+        found = enumerate_periodic_equilibria(model, period)
+        assert len(found) == 2 and len(cores) == calls
+        assert all(eq.policy.stops(phase, 2) for eq in found for phase in range(period))
+
+    def test_size_guard_counts_open_slots(self):
+        model = two_state_model()
+        unguarded = enumerate_periodic_equilibria(model, 6)
+        assert enumerate_periodic_equilibria(model, 6, size_guard=64) == unguarded
+        with pytest.raises(SizeGuardError) as err:
+            enumerate_periodic_equilibria(model, 6, size_guard=63)
+        assert err.value.required == 64
+
+    def test_a_path_that_never_stops_counts_as_zero(self):
+        # Both payoffs are negative and nothing exits: continuing forever is
+        # worth J = 0, above -1 at state 1, so state 1 is not dominant.
+        model = MarkovModel(
+            states=(1, 2),
+            initial=1,
+            transitions={1: {2: F(1)}, 2: {2: F(1)}},
+            domain=frozenset({1, 2}),
+            payoff={1: F(-1), 2: F(-5)},
+            discount=F(1, 2),
+        )
+        assert infinite._dominant(model, infinite._rows(model), [1, 2]) == set()
+        (only,) = enumerate_periodic_equilibria(model, 1)
+        assert only.policy.regions == (frozenset(),)
+        assert only.evaluation.J == {(0, 1): 0, (0, 2): 0}
+
+    def test_minnie_donald_has_none(self, monkeypatch):
+        model = minnie_donald_model()
+        assert dominant_states(model) == set()
+        cores = _recorded(monkeypatch, "_evaluate")
+        assert len(enumerate_periodic_equilibria(model, 4)) == 2
+        assert len(cores) == 9 + 2  # 9 search nodes, then each survivor on every pair
+
+
 class TestPreferenceValidation:
     def test_equilibrium_check_rejects_unknown_preference(self):
         model = two_state_model()
