@@ -46,10 +46,10 @@ from .modelio import (
     ParseError,
     PolicyDocument,
     TimedRegions,
+    cell_pair,
     dump_cell_pair,
     dump_pair,
     dump_policy,
-    load_cell_pair,
     load_model,
     load_pair,
     load_policy,
@@ -105,10 +105,14 @@ def _size_guard() -> Optional[int]:
     if raw is None:
         return None
     try:
-        return int(raw)
+        guard = int(raw)
     except ValueError:
         print(f"warning: ignoring non-integer CONDSTOP_SIZE_GUARD={raw!r}", file=sys.stderr)
         return None
+    if guard < 1:  # every census makes at least one candidate or sweep
+        print(f"warning: ignoring CONDSTOP_SIZE_GUARD={raw!r} below 1", file=sys.stderr)
+        return None
+    return guard
 
 
 def _mode(args):
@@ -222,8 +226,6 @@ def cmd_precommit(args):
 
 def cmd_phi(args):
     model = _load_any_model(args)
-    if args.policy is None:
-        raise ParseError("phi requires --policy")
     doc = load_policy(
         read_json(args.policy), model if isinstance(model, MarkovModel) else None
     )
@@ -396,29 +398,27 @@ def _verify_report(report, check, identities) -> tuple[dict, list[str], int]:
 def cmd_verify(args):
     """The pair and policy condition batteries.
 
-    A chain is checked on its (time, state) cells when the pair document is
-    constant on each cell and the policy is a region document, and every
-    check passes there.  Otherwise, to report a failure or to check a pair or
-    policy that is not Markov, the chain is unrolled and checked per atom,
-    which is also the only path for a tree model.  Each document is read once.
+    Each document is read and parsed once, before any unroll, so a malformed
+    one exits 2 on the cells as on the tree.  A chain is checked on its
+    (time, state) cells when the parsed pair is constant on each cell
+    (`cell_pair`), the policy is a region document, and every check passes
+    there.  Otherwise, to report a failure or to check a pair or policy that
+    is not Markov, the chain is unrolled and the same pair and policy are
+    checked per atom, which is also the only path for a tree model.
     """
-    model = _load_any_model(args)
-    cells = _as_cells(model, args.horizon)
     if args.pair is None and args.policy is None:
         raise ParseError("verify requires --pair and/or --policy")
-    doc_pair = None if args.pair is None else read_json(args.pair)
-    doc_policy = None
+    model = _load_any_model(args)
+    cells = _as_cells(model, args.horizon)
+    pair = None if args.pair is None else load_pair(read_json(args.pair), mode=_mode(args))
+    doc_policy = _read_policy(args, model)
     if isinstance(cells, _Cells):
-        pair = None if doc_pair is None else load_cell_pair(cells, doc_pair, _mode(args))
-        if doc_pair is None or pair is not None:
-            doc_policy = _read_policy(args, model)
-            outcome = _verify_on_cells(cells, model, pair, doc_policy)
+        on_cells = None if pair is None else cell_pair(cells, pair)
+        if pair is None or on_cells is not None:
+            outcome = _verify_on_cells(cells, model, on_cells, doc_policy)
             if outcome is not None:
                 return model, {}, *_verify_report(*outcome)
     tree = _as_tree(model, args.horizon)
-    pair = None if doc_pair is None else load_pair(doc_pair, mode=_mode(args))
-    if doc_policy is None:
-        doc_policy = _read_policy(args, model)
     policy = None if doc_policy is None else _tree_policy(doc_policy, model, tree)
     return model, {}, *_verify_report(*_verify(tree, pair, policy))
 

@@ -328,64 +328,34 @@ def dump_policy(policy: PolicyDocument) -> dict:
 
 
 def load_pair(document: Mapping[str, Any], mode: NumericMode = EXACT) -> SnellPair:
+    """A value/survival pair from its wire form, keyed as the document keys it.
+
+    Each distinct string literal is parsed once per document, since a pair on
+    an unrolled chain repeats each cell's entries at every atom of the cell.
+    Entries of any other type are parsed one by one, so `1`, `true` and `1.0`
+    never share a parse with each other or with `"1"`.  The first bad entry,
+    `V` before `S` and in document order, raises ParseError.
+    """
     if not isinstance(document, Mapping):
         raise ParseError("pair document must be a JSON object")
     values_doc = _require(document, "V", "pair")
     survival_doc = _require(document, "S", "pair")
     if not isinstance(values_doc, Mapping) or not isinstance(survival_doc, Mapping):
         raise ParseError("pair: 'V' and 'S' must be objects keyed by atom id")
-    values = {aid: _scalar(v, mode, f"V[{aid!r}]") for aid, v in values_doc.items()}
-    survival = {aid: _scalar(s, mode, f"S[{aid!r}]") for aid, s in survival_doc.items()}
-    return SnellPair(values, survival)
+    parsed: dict[str, Scalar] = {}
 
+    def table(entries: Mapping[str, Any], name: str) -> dict[str, Scalar]:
+        numbers = {}
+        for aid, entry in entries.items():
+            if type(entry) is not str:
+                numbers[aid] = _scalar(entry, mode, f"{name}[{aid!r}]")
+            elif entry in parsed:
+                numbers[aid] = parsed[entry]
+            else:
+                numbers[aid] = parsed[entry] = _scalar(entry, mode, f"{name}[{aid!r}]")
+        return numbers
 
-def _same_entry(a: Any, b: Any) -> bool:
-    """Equal raw JSON entries of one type: `1`, `true`, `1.0` and `"1"` differ."""
-    return type(a) is type(b) and a == b
-
-
-def load_cell_pair(
-    cells: _Cells, document: Any, mode: NumericMode = EXACT
-) -> Optional[SnellPair]:
-    """`load_pair` of a pair on the unrolled tree, keyed by cell id instead.
-
-    The walk is `cells.expand()`, the one `dump_cell_pair` makes.  The pair
-    is returned when the document has the `{"V": {...}, "S": {...}}` shape,
-    every key names an atom, every atom of a cell carries the same raw `V`
-    entry and the same raw `S` entry (an entry missing at every atom of a
-    cell stays missing), and each cell's entries parse.  Otherwise the answer
-    is None, and only `load_pair` on the tree can say what is wrong.
-    """
-    if not isinstance(document, Mapping):
-        return None
-    values_doc, survival_doc = document.get("V"), document.get("S")
-    if not isinstance(values_doc, Mapping) or not isinstance(survival_doc, Mapping):
-        return None
-    missing = object()
-    raw: dict[Any, tuple[Any, Any]] = {}
-    found_v = found_s = 0
-    for level in cells.expand():
-        for atom_id, _, cell in level:
-            v = values_doc.get(atom_id, missing)
-            s = survival_doc.get(atom_id, missing)
-            found_v += v is not missing
-            found_s += s is not missing
-            first_v, first_s = raw.setdefault(cell.id, (v, s))
-            if not (_same_entry(first_v, v) and _same_entry(first_s, s)):
-                return None
-    if found_v != len(values_doc) or found_s != len(survival_doc):
-        return None  # a key that is no atom
-    values: dict[Any, Scalar] = {}
-    survival: dict[Any, Scalar] = {}
-    try:
-        for cell_id, (v, s) in raw.items():
-            if v is not missing:
-                values[cell_id] = _scalar(v, mode, "V")
-            if s is not missing:
-                survival[cell_id] = _scalar(s, mode, "S")
-    except ParseError:
-        return None
-    return SnellPair(values, survival)
+    return SnellPair(table(values_doc, "V"), table(survival_doc, "S"))
 
 
 def dump_pair(pair: SnellPair) -> dict:
@@ -406,6 +376,30 @@ def dump_cell_pair(cells: _Cells, pair: SnellPair) -> dict:
         "V": {aid: values[cell_of[aid]] for aid in atom_ids if cell_of[aid] in values},
         "S": {aid: survival[cell_of[aid]] for aid in atom_ids},
     }
+
+
+def cell_pair(cells: _Cells, pair: SnellPair) -> Optional[SnellPair]:
+    """The pair on the unrolled tree keyed by cell id instead, or None when
+    it is not constant on each cell.
+
+    The walk is `cells.expand()`, the one `dump_cell_pair` makes.  Every atom
+    of a cell must carry equal `V` entries and equal `S` entries; the tuple
+    comparison tries identity before `==`, and `load_pair` shares one object
+    per literal.  An entry missing at every atom of a cell stays missing.
+    Keys that name no atom are ignored, as the checks on the tree ignore them.
+    """
+    missing = object()
+    values, survival = pair.values, pair.survival
+    first: dict[Any, tuple[Any, Any]] = {}
+    for level in cells.expand():
+        for atom_id, _, cell in level:
+            entries = (values.get(atom_id, missing), survival.get(atom_id, missing))
+            if first.setdefault(cell.id, entries) != entries:
+                return None
+    return SnellPair(
+        {cell_id: v for cell_id, (v, _) in first.items() if v is not missing},
+        {cell_id: s for cell_id, (_, s) in first.items() if s is not missing},
+    )
 
 
 def read_json(path: str) -> Any:

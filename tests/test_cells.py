@@ -3,8 +3,8 @@
 The oracle of `solve` is the tree path that it ran before: `unroll`, then
 `backward_solve` and `is_equilibrium` on the tree, reported through
 `_policy_document` and `dump_pair`.  The oracle of `verify` is the same call
-with the cell projection forced off, which unrolls the chain, loads the pair
-per atom and runs the verifiers on the tree.
+with the cell projection forced off, which unrolls the chain and runs the
+verifiers on the tree with the same parsed pair.
 """
 
 import contextlib
@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 from condstop import cli, model as model_module, policy as policy_module, recursion
 from condstop.catalog import builtin_model
 from condstop.model import _checked_cells, unroll
-from condstop.modelio import dump_cell_pair, dump_model, dump_pair, load_model
+from condstop.modelio import (
+    cell_pair, dump_cell_pair, dump_model, dump_pair, load_model, load_pair,
+)
 from condstop.numeric import EXACT, float_mode, format_scalar
 from condstop.policy import StoppingPolicy, admissible, is_equilibrium
 from condstop.random_models import random_markov_model
@@ -171,7 +173,8 @@ def test_final_level_cells_have_no_children():
 
 
 # `verify` on the cells, against the tree path: the same call with the cell
-# projection forced off, which unrolls the chain and loads the pair per atom.
+# projection forced off, which unrolls the chain and checks the parsed pair
+# per atom.
 
 
 def verify_output(argv):
@@ -191,7 +194,6 @@ def verify_output(argv):
 
 def tree_path_output(monkeypatch, argv):
     with monkeypatch.context() as patched:
-        patched.setattr(cli, "load_cell_pair", lambda *args: None)
         patched.setattr(cli, "_verify_on_cells", lambda *args: None)
         return verify_output(argv)
 
@@ -318,8 +320,10 @@ def assert_verifies_like_the_tree_path(monkeypatch, tmp_path, model_arg, horizon
         reported = verify_output(argv)
     assert reported == tree_path_output(monkeypatch, argv), (variant, horizon)
     code = reported[0]
-    if code != 0:
+    if code in (1, 3):  # a failed check or an invalid policy is reported on the tree
         assert len(unrolls) == 1
+    elif code == 2:  # the documents are parsed before anything is unrolled
+        assert not unrolls
     elif variant in PER_CELL:
         assert not unrolls
     return code
@@ -405,19 +409,25 @@ def test_verify_against_the_tree_path_on_random_chains(
 
 
 def test_chain_verify_unrolls_only_to_report_a_failure(tmp_path, monkeypatch):
-    calls = {"unroll": 0}
+    # and parses the pair once, on the cells and on the tree path alike
+    calls = {"unroll": 0, "load_pair": 0}
     unroll = model_module.unroll
 
     def counted(*args, **kwargs):
         calls["unroll"] += 1
         return unroll(*args, **kwargs)
 
+    def counted_load(*args, **kwargs):
+        calls["load_pair"] += 1
+        return load_pair(*args, **kwargs)
+
     for module in (cli, model_module):
         monkeypatch.setattr(module, "unroll", counted)
+    monkeypatch.setattr(cli, "load_pair", counted_load)
     model = builtin_model("two-state")
     pair, policy, cell_of_atom = solved_documents(model, 6)
     for variant, code, unrolls in (("solved", 0, 0), ("one-atom-V", 1, 1)):
-        calls["unroll"] = 0
+        calls["unroll"] = calls["load_pair"] = 0
         docs = variant_documents(variant, pair, policy, cell_of_atom)
         argv = ["verify", "--model", "two-state", "--horizon", "6"]
         for flag, doc in zip(("--pair", "--policy"), docs):
@@ -425,4 +435,63 @@ def test_chain_verify_unrolls_only_to_report_a_failure(tmp_path, monkeypatch):
             path.write_text(json.dumps(doc))
             argv += [flag, str(path)]
         assert verify_output(argv)[0] == code
-        assert calls["unroll"] == unrolls
+        assert calls == {"unroll": unrolls, "load_pair": 1}
+
+
+class TestCellPair:
+    """`cell_pair` against the pair document `dump_cell_pair` writes."""
+
+    def setup_method(self):
+        self.cells = _checked_cells(builtin_model("two-state"), 4)
+        self.pair, _ = backward_solve(self.cells)
+        self.document = dump_cell_pair(self.cells, self.pair)
+        self.cell_of_atom = {
+            aid: cell for level in self.cells.expand() for aid, _, cell in level
+        }
+
+    def project(self, document):
+        return cell_pair(self.cells, load_pair(json.loads(json.dumps(document))))
+
+    def shared_cell(self, table):
+        """The atoms of a cell with several atoms, all keyed in `table`."""
+        members = {}
+        for aid, cell in self.cell_of_atom.items():
+            if aid in self.document[table]:
+                members.setdefault(cell.id, []).append(aid)
+        return max(members.values(), key=len)
+
+    def test_cell_constant_pair(self):
+        projected = self.project(self.document)
+        assert projected.values == dict(self.pair.values)
+        assert projected.survival == dict(self.pair.survival)
+
+    def test_equal_entries_written_apart(self):
+        atoms = self.shared_cell("V")
+        entry = Fraction(self.document["V"][atoms[-1]])
+        self.document["V"][atoms[-1]] = f"{2 * entry.numerator}/{2 * entry.denominator}"
+        assert self.project(self.document).values == dict(self.pair.values)
+
+    def test_one_differing_atom(self):
+        atoms = self.shared_cell("V")
+        self.document["V"][atoms[-1]] = bump(self.document["V"][atoms[-1]])
+        assert self.project(self.document) is None
+
+    def test_entry_missing_at_every_atom_of_a_cell(self):
+        atoms = self.shared_cell("V")
+        for aid in atoms:
+            del self.document["V"][aid]
+        projected = self.project(self.document)
+        assert self.cell_of_atom[atoms[0]].id not in projected.values
+        assert projected.survival == dict(self.pair.survival)
+
+    def test_entry_missing_at_some_atoms_of_a_cell(self):
+        atoms = self.shared_cell("S")
+        del self.document["S"][atoms[0]]
+        assert self.project(self.document) is None
+
+    def test_unknown_key_is_ignored(self):
+        self.document["V"]["no/such/atom"] = "7"
+        self.document["S"]["no/such/atom"] = "2"
+        projected = self.project(self.document)
+        assert projected.values == dict(self.pair.values)
+        assert projected.survival == dict(self.pair.survival)

@@ -96,6 +96,20 @@ class TestPrecommit:
         assert code == 0
         assert "warning" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["enumerate", "--model", "binomial"],
+         ["enumerate", "--model", "minnie-donald", "--period", "1"]],
+        ids=["tree-census", "periodic-census"],
+    )
+    @pytest.mark.parametrize("guard", ["0", "-3"])
+    def test_guard_below_one_warns_and_proceeds(self, capsys, monkeypatch, argv, guard):
+        # every census makes at least one sweep or candidate, so such a guard could only refuse
+        monkeypatch.setenv("CONDSTOP_SIZE_GUARD", guard)
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and "equilibria found:" in out
+        assert err == f"warning: ignoring CONDSTOP_SIZE_GUARD='{guard}' below 1\n"
+
     def test_long_chain_answers(self, capsys):
         # Far too many stopping times to list one by one: the exhaustive
         # search exited 4 here.
@@ -375,6 +389,10 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--model", tree_file)
         assert code == 2
         assert "--pair" in err
+        # checked before the model: an infinite-horizon chain needs no --horizon here
+        assert run(capsys, "verify", "--model", "minnie-donald") == (
+            2, "", "error: verify requires --pair and/or --policy\n"
+        )
 
 
 class TestTruncate:

@@ -313,7 +313,22 @@ class TestPairDocuments:
         assert str(err.value) == f"S['root']: {why}"
 
     @pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
+    @pytest.mark.parametrize(
+        "survival, why",
+        [
+            ({"root": 1, "u": True}, "S['u']: not a number: True"),
+            ({"root": "1", "u": 1.0}, "S['u']: expected a rational string, got float"),
+        ],
+        ids=["true-after-1", "1.0-after-string-1"],
+    )
+    def test_equal_literals_of_other_types_are_parsed_apart(self, mode, survival, why):
+        with pytest.raises(ParseError) as err:
+            load_pair({"V": {"root": "1"}, "S": survival}, mode=mode)
+        assert str(err.value) == why
+
+    @pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
     def test_one_parse_per_entry(self, monkeypatch, mode):
+        # at most one: each distinct string literal is parsed once per document
         pair, _ = backward_solve(binomial_tree())
         doc = dump_pair(pair)
         parsed = []
@@ -321,7 +336,9 @@ class TestPairDocuments:
         for module in (numeric, modelio):
             monkeypatch.setattr(module, "parse_rational", lambda v: parsed.append(v) or parse(v))
         rebuilt = load_pair(doc, mode=mode)
-        assert len(parsed) == len(doc["V"]) + len(doc["S"])
+        literals = set(doc["V"].values()) | set(doc["S"].values())
+        assert len(literals) < len(doc["V"]) + len(doc["S"])
+        assert sorted(parsed) == sorted(literals)
         number = Fraction if mode.exact else float
         assert rebuilt.values == {aid: number(v) for aid, v in pair.values.items()}
         assert all(type(s) is number for s in rebuilt.survival.values())
