@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .model import AtomTree, MarkovModel, ModelError, State, _checked_cells
-from .numeric import NumericError, Scalar, solve_linear
+from .numeric import NumericError, Scalar, solve_exact, solve_linear
 from .policy import (
     DEFAULT_POLICY_GUARD,
     AdmissibilityResult,
@@ -153,15 +153,32 @@ def _domain_pairs(model: MarkovModel, period: int) -> list[Pair]:
 
 def _rows(model: MarkovModel) -> dict:
     """Per domain state: its in-domain successors with positive probability,
-    in row order, and its one-step exit mass."""
+    in row order, each as (y, p, discount * p, discount * p * payoff(y)), and
+    its one-step exit mass."""
     rows = {}
+    delta = model.discount
     for x in model.domain:
         row = model.transitions[x].items()
         rows[x] = (
-            [(y, p) for y, p in row if p > 0 and y in model.domain],
+            [
+                (y, p, delta * p, delta * p * model.payoff[y])
+                for y, p in row
+                if p > 0 and y in model.domain
+            ],
             sum((p for y, p in row if y not in model.domain), model.mode.zero),
         )
     return rows
+
+
+def _steps(rows: dict, pairs: list, period: int) -> dict:
+    """Per (phase, x) of `pairs`: row x of `_rows`, each successor y replaced
+    by the product-chain pair (phase + 1 mod period, y)."""
+    steps = {}
+    for phase, x in pairs:
+        successors, exit_mass = rows[x]
+        nxt = (phase + 1) % period
+        steps[phase, x] = ([((nxt, y), *rest) for y, *rest in successors], exit_mass)
+    return steps
 
 
 def _dominant(model: MarkovModel, rows: dict, free: list) -> set:
@@ -179,7 +196,7 @@ def _dominant(model: MarkovModel, rows: dict, free: list) -> set:
     for x in free:
         seen, frontier = set(), [x]
         while frontier:
-            for y, _ in rows[frontier.pop()][0]:
+            for y, *_ in rows[frontier.pop()][0]:
                 if y not in seen:
                     seen.add(y)
                     frontier.append(y)
@@ -204,40 +221,41 @@ def _closure(pairs: list, seeds: set, successors) -> set:
     return hit
 
 
-def _solve_on(mode, steps: dict, unknowns: list, weight: Scalar, constant) -> dict:
-    """Solve u = constant + weight * sum(prob * u(next)) on `unknowns`, where
-    a successor outside `unknowns` adds nothing."""
+def _solve_on(mode, steps: dict, unknowns: list, column: int, constant) -> dict:
+    """Solve u = constant + sum(coefficient * u(next)) on `unknowns`, where the
+    coefficient is entry `column` of a successor in `_steps` (1: prob, 2:
+    discount * prob) and a successor outside `unknowns` adds nothing.  Exact
+    mode solves with `solve_exact`, float mode with `solve_linear`."""
     if not unknowns:
         return {}
     index = {pair: i for i, pair in enumerate(unknowns)}
     matrix = [[mode.zero] * len(unknowns) for _ in unknowns]
     for i, pair in enumerate(unknowns):
         matrix[i][i] = mode.one
-        for succ, prob in steps[pair]:
-            if succ in index:
-                matrix[i][index[succ]] -= weight * prob
-    return dict(zip(unknowns, solve_linear(matrix, [constant(pair) for pair in unknowns])))
+        for step in steps[pair][0]:
+            j = index.get(step[0])
+            if j is not None:  # a successor pair occurs once per row
+                matrix[i][j] = mode.one - step[column] if j == i else -step[column]
+    solve = solve_exact if mode.exact else solve_linear
+    return dict(zip(unknowns, solve(matrix, [constant(pair) for pair in unknowns])))
 
 
 def _evaluate(
-    model: MarkovModel, rows: dict, policy: PeriodicMarkovPolicy, pairs: list, reachable: frozenset
+    model: MarkovModel, steps: dict, policy: PeriodicMarkovPolicy, pairs: list, reachable: frozenset
 ) -> PolicyEvaluation:
     """`evaluate` on `pairs`, domain pairs closed under in-domain transitions.
 
     No continuation leaves a closed set, so the tables on `pairs` are those
-    of `evaluate`.  Admissibility is checked on the pairs in `reachable`.
+    of `evaluate`.  `steps` is `_steps` on at least `pairs` for the policy's
+    period.  Admissibility is checked on the pairs in `reachable`.
     """
-    mode, period, delta = model.mode, policy.period, model.discount
-    steps = {
-        (phase, x): [(((phase + 1) % period, y), prob) for y, prob in rows[x][0]]
-        for phase, x in pairs
-    }
+    mode, delta = model.mode, model.discount
     continuing = [pair for pair in pairs if not policy.stops(*pair)]
     cont = set(continuing)
-    exiting = {pair for pair in continuing if rows[pair[1]][1] > 0}
+    exiting = {pair for pair in continuing if steps[pair][1] > 0}
 
     def successors(pair: Pair):
-        return (succ for succ, _ in steps[pair])
+        return (step[0] for step in steps[pair][0])
 
     if mode.eq(delta, 1):
         ends = exiting | {p for p in continuing if any(s not in cont for s in successors(p))}
@@ -251,17 +269,16 @@ def _evaluate(
 
     # Conditional payoff numerator: one unknown per continuing pair.
     def stop_gain(pair: Pair) -> Scalar:
-        stops = (delta * prob * model.payoff[s[1]] for s, prob in steps[pair] if s not in cont)
-        return sum(stops, mode.zero)
+        return sum((step[3] for step in steps[pair][0] if step[0] not in cont), mode.zero)
 
-    h_cont = _solve_on(mode, steps, continuing, delta, stop_gain)
+    h_cont = _solve_on(mode, steps, continuing, 2, stop_gain)
     # Exit-hitting probability: minimal nonnegative solution, i.e. zero on
     # pairs from which the exit is unreachable, then a nonsingular system on
     # the rest.
     can_exit = _closure(continuing, exiting, successors)
     qpairs = [pair for pair in continuing if pair in can_exit]
     q_cont = dict.fromkeys(continuing, mode.zero)
-    q_cont.update(_solve_on(mode, steps, qpairs, mode.one, lambda pair: rows[pair[1]][1]))
+    q_cont.update(_solve_on(mode, steps, qpairs, 1, lambda pair: steps[pair][1]))
 
     h_table: dict[Pair, Scalar] = {}
     p_table: dict[Pair, Scalar] = {}
@@ -270,13 +287,14 @@ def _evaluate(
         if pair in cont:
             h_val, q_val = h_cont[pair], q_cont[pair]
         else:  # one step, then the continuation or a stop, in row order
-            h_val, q_val = mode.zero, rows[pair[1]][1]
-            for succ, prob in steps[pair]:
+            row, q_val = steps[pair]
+            h_val = mode.zero
+            for succ, prob, discounted, gain in row:
                 if succ in cont:
-                    h_val += delta * prob * h_cont[succ]
+                    h_val += discounted * h_cont[succ]
                     q_val += prob * q_cont[succ]
                 else:
-                    h_val += delta * prob * model.payoff[succ[1]]
+                    h_val += gain
         h_table[pair] = h_val
         p_table[pair] = p_val = mode.one - q_val
         if mode.gt(p_val, 0):
@@ -290,7 +308,7 @@ def _evaluate(
             raise InadmissiblePolicyError(
                 AdmissibilityResult(False, f"(phase {phase}, state {x})", reason)
             )
-    return PolicyEvaluation(period, h_table, p_table, j_table, reachable)
+    return PolicyEvaluation(policy.period, h_table, p_table, j_table, reachable)
 
 
 def evaluate(model: MarkovModel, policy: PeriodicMarkovPolicy) -> PolicyEvaluation:
@@ -303,7 +321,8 @@ def evaluate(model: MarkovModel, policy: PeriodicMarkovPolicy) -> PolicyEvaluati
     _require_infinite(model)
     _validate_regions(model, policy)
     pairs = _domain_pairs(model, policy.period)
-    return _evaluate(model, _rows(model), policy, pairs, reachable_pairs(model, policy.period))
+    steps = _steps(_rows(model), pairs, policy.period)
+    return _evaluate(model, steps, policy, pairs, reachable_pairs(model, policy.period))
 
 
 def _must_stop(model: MarkovModel) -> frozenset:
@@ -464,9 +483,9 @@ def enumerate_periodic_equilibria(
         ends = {
             x
             for x in free
-            if rows[x][1] > 0 or any(y in model.forced_stop for y, _ in rows[x][0])
+            if rows[x][1] > 0 or any(y in model.forced_stop for y, *_ in rows[x][0])
         }
-        traps = set(free) - _closure(free, ends, lambda x: (y for y, _ in rows[x][0]))
+        traps = set(free) - _closure(free, ends, lambda x: (y for y, *_ in rows[x][0]))
     base = [
         pinned
         | {x for x in traps if (phase, x) not in reachable}
@@ -474,9 +493,10 @@ def enumerate_periodic_equilibria(
         for phase in range(period)
     ]
 
+    steps = _steps(rows, pairs, period)
+
     def successors(pair: Pair):
-        nxt = (pair[0] + 1) % period
-        return ((nxt, y) for y, _ in rows[pair[1]][0])
+        return (step[0] for step in steps[pair][0])
 
     # Depth first over the slots, slots[-1] first, bit 0 before bit 1, so
     # leaves come in mask order (bit i for slots[i]).  A node with slots[:k]
@@ -491,7 +511,7 @@ def enumerate_periodic_equilibria(
         k, policy, evaluation = stack.pop()
         if evaluation is None:
             try:
-                evaluation = _evaluate(model, rows, policy, reached, reachable)
+                evaluation = _evaluate(model, steps, policy, reached, reachable)
             except PolicyError:
                 continue  # continuing at more slots cannot repair it
         unassigned = set(slots[:k])
@@ -503,7 +523,7 @@ def enumerate_periodic_equilibria(
         if _equilibrium_deviations(model, policy, evaluation, preference, assigned, must_stop):
             continue
         if not k:
-            evaluation = _evaluate(model, rows, policy, pairs, reachable)
+            evaluation = _evaluate(model, steps, policy, pairs, reachable)
             found.append(PeriodicEquilibrium(policy, evaluation))
             continue
         slot = slots[k - 1]

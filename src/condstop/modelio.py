@@ -59,7 +59,12 @@ def _scalar(value: Any, mode: NumericMode, context: str) -> Scalar:
         number = parse_rational(value)
     except NumericError as exc:
         raise ParseError(f"{context}: {exc}") from exc
-    return number if mode.exact else float(number)
+    if mode.exact:
+        return number
+    try:
+        return float(number)
+    except OverflowError:
+        raise ParseError(f"{context}: {value!r} is out of range for a float") from None
 
 
 def _state_token(value: Any, context: str) -> State:

@@ -10,6 +10,7 @@ classification through a configurable tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -132,7 +133,8 @@ def float_mode(eps: float = 1e-9) -> NumericMode:
 def solve_linear(matrix: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> list[Scalar]:
     """Solve a small dense linear system by Gaussian elimination with pivoting.
 
-    Works over Fractions (exactly) and floats alike.  Raises
+    Works over Fractions (exactly) and floats alike; float mode solves with
+    it, and it is the reference `solve_exact` is tested against.  Raises
     SingularSystemError when no unique solution exists.
     """
     n = len(rhs)
@@ -156,3 +158,38 @@ def solve_linear(matrix: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> l
             for c in range(col, n + 1):
                 rows[r][c] -= scale * rows[col][c]
     return [rows[i][n] / rows[i][i] for i in range(n)]
+
+
+def solve_exact(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
+    """`solve_linear` on rationals, by fraction-free elimination over integers.
+
+    Each row is scaled to integers by the lcm of its denominators.
+    Gauss-Jordan elimination then updates a row by cross-multiplication with
+    the pivot row and divides it by the gcd of its entries, so no
+    intermediate rational is normalized; one Fraction is made per unknown.
+    The solution is the unique one `solve_linear` returns, and
+    SingularSystemError is raised exactly when it raises, at the same column.
+    """
+    n = len(rhs)
+    if len(matrix) != n or any(len(row) != n for row in matrix):
+        raise ValueError("matrix shape does not match right-hand side")
+    rows = []
+    for row, b in zip(matrix, rhs):
+        entries = [*row, b]
+        scale = math.lcm(*(a.denominator for a in entries))
+        rows.append([a.numerator * (scale // a.denominator) for a in entries])
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if rows[r][col]), None)
+        if pivot_row is None:
+            raise SingularSystemError(f"singular at column {col}")
+        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+        pivots = rows[col]
+        pivot = pivots[col]
+        for r in range(n):
+            factor = rows[r][col]
+            if r == col or not factor:
+                continue
+            row = [pivot * a - factor * b for a, b in zip(rows[r], pivots)]
+            divisor = math.gcd(*row)
+            rows[r] = [a // divisor for a in row] if divisor > 1 else row
+    return [Fraction(row[n], row[i]) for i, row in enumerate(rows)]

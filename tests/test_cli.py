@@ -486,6 +486,28 @@ class TestErrorChannels:
         code, _, err = run(capsys, "solve", "--model", str(path))
         assert code == 2
 
+    def test_float_overflow_in_a_model_exits_two(self, capsys, tmp_path):
+        doc = dump_model(two_state_model())
+        doc["payoff"]["1"] = "1e400"
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "solve", "--model", str(path), "--horizon", "3", "--float")
+        assert (code, out) == (2, "")
+        assert err == "error: payoff['1']: '1e400' is out of range for a float\n"
+        assert run(capsys, "solve", "--model", str(path), "--horizon", "3")[0] == 0
+
+    def test_float_overflow_in_a_pair_exits_two(self, capsys, tmp_path):
+        pair, _ = backward_solve(binomial_tree())
+        doc = dump_pair(pair)
+        doc["V"]["root"] = "1e400"
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        argv = ["verify", "--model", "binomial", "--pair", str(path)]
+        code, out, err = run(capsys, *argv, "--float")
+        assert (code, out) == (2, "")
+        assert err == "error: V['root']: '1e400' is out of range for a float\n"
+        assert run(capsys, *argv)[0] == 1
+
     @pytest.mark.parametrize("eps", ["nan", "inf", "-1", "0"])
     def test_bad_eps_exits_two(self, capsys, eps):
         code, out, err = run(capsys, "solve", "--model", "binomial", "--float", "--eps", eps)

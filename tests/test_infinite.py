@@ -716,6 +716,14 @@ class TestCensusCore:
         # The pruned search evaluates 9 of the 2**4 candidates' policies.
         assert sizes.count(reachable) == len(sizes) - len(found) == 9 < 2**4
 
+    @pytest.mark.parametrize("floats", [False, True], ids=["exact", "float"])
+    def test_exact_census_makes_no_solve_linear_call(self, monkeypatch, floats):
+        model = minnie_donald_model(mode=float_mode()) if floats else minnie_donald_model()
+        linear = _recorded(monkeypatch, "solve_linear")
+        integer = _recorded(monkeypatch, "solve_exact")
+        assert len(enumerate_periodic_equilibria(model, 4)) == 2
+        assert (bool(linear), bool(integer)) == (floats, not floats)
+
     @settings(max_examples=300, deadline=None, database=None)
     @given(
         seed=st.integers(0, 2**32),
@@ -732,9 +740,8 @@ class TestCensusCore:
             policy = random_periodic_policy(rng, model, period)
         reachable = reachable_pairs(model, period)
         pairs = [pair for pair in infinite._domain_pairs(model, period) if pair in reachable]
-        part, part_error = _outcome(
-            infinite._evaluate, model, infinite._rows(model), policy, pairs, reachable
-        )
+        steps = infinite._steps(infinite._rows(model), pairs, period)
+        part, part_error = _outcome(infinite._evaluate, model, steps, policy, pairs, reachable)
         full, full_error = _outcome(evaluate, model, policy)
         assert part_error == full_error
         if full is None:

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condstop.numeric import (
@@ -12,6 +12,7 @@ from condstop.numeric import (
     float_mode,
     format_scalar,
     parse_rational,
+    solve_exact,
     solve_linear,
 )
 
@@ -110,3 +111,47 @@ class TestSolveLinear:
         sol = solve_linear(matrix, rhs)
         for i in range(3):
             assert sum(matrix[i][j] * sol[j] for j in range(3)) == rhs[i]
+
+
+@st.composite
+def linear_systems(draw):
+    """A square rational system of size 1-8 and whether it was made singular:
+    then one row is a combination of the others (all zero when n = 1)."""
+    n = draw(st.integers(1, 8))
+    entry = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 6))
+    row = st.lists(entry, min_size=n, max_size=n)
+    matrix = draw(st.lists(row, min_size=n, max_size=n))
+    deficient = draw(st.booleans())
+    if deficient:
+        i, weights = draw(st.integers(0, n - 1)), draw(row)
+        others = [(w, r) for k, (w, r) in enumerate(zip(weights, matrix)) if k != i]
+        matrix[i] = [sum((w * r[c] for w, r in others), Fraction(0)) for c in range(n)]
+    return matrix, draw(row), deficient
+
+
+class TestSolveExact:
+    """`solve_exact` against its reference `solve_linear`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(linear_systems())
+    def test_agrees_with_solve_linear(self, system):
+        matrix, rhs, deficient = system
+        try:
+            expected = solve_linear(matrix, rhs)
+        except SingularSystemError as exc:
+            with pytest.raises(SingularSystemError) as raised:
+                solve_exact(matrix, rhs)
+            assert str(raised.value) == str(exc)
+            return
+        assert not deficient
+        assert solve_exact(matrix, rhs) == expected
+
+    def test_pivots_past_a_zero_diagonal(self):
+        # x2 = 1/3, x1 + x2 = 1, as `solve_linear` solves it after a row swap.
+        matrix = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(1)]]
+        rhs = [Fraction(1, 3), Fraction(1)]
+        assert solve_exact(matrix, rhs) == solve_linear(matrix, rhs) == [Fraction(2, 3), Fraction(1, 3)]
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            solve_exact([[Fraction(1), Fraction(2)]], [Fraction(1)])
