@@ -22,7 +22,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .catalog import (
@@ -76,24 +75,6 @@ EXIT_INVALID_MODEL = 3
 EXIT_SIZE_GUARD = 4
 
 _INVALID = (ModelError, NumericError, PolicyError)  # exit 3
-
-
-@dataclass(frozen=True)
-class RunReport:
-    command: tuple[str, ...]
-    model_digest: Optional[str]
-    results: dict
-    verification: dict
-    timing_seconds: float
-
-    def to_document(self) -> dict:
-        return {
-            "command": list(self.command),
-            "model_digest": self.model_digest,
-            "results": self.results,
-            "verification": self.verification,
-            "timing_seconds": self.timing_seconds,
-        }
 
 
 def _fmt(value) -> str:
@@ -151,7 +132,13 @@ def _as_cells(model, horizon: Optional[int]) -> Union[AtomTree, _Cells]:
     return _checked_cells(model, _chain_horizon(model, horizon))
 
 
-def _tree_policy(doc_policy, model, tree: AtomTree) -> StoppingPolicy:
+def _no_horizon(args, reason: str) -> None:
+    """Refuse a --horizon the command would otherwise ignore."""
+    if args.horizon is not None:
+        raise ModelError(f"{reason}; --horizon {args.horizon} does not apply")
+
+
+def _tree_policy(doc_policy, tree: AtomTree) -> StoppingPolicy:
     if isinstance(doc_policy, StoppingPolicy):
         return doc_policy
     if isinstance(doc_policy, (TimedRegions, PeriodicMarkovPolicy)):
@@ -165,7 +152,7 @@ def _policy_document(tree: AtomTree, policy: StoppingPolicy) -> dict:
     if bits is None:
         return dump_policy(policy)
     regions: dict[str, list] = {}
-    for (level, x), bit in sorted(bits.items(), key=lambda cell: cell[0][0]):
+    for (level, x), bit in bits.items():  # in level order
         row = regions.setdefault(str(level), [])
         if bit:
             row.append(str(x))
@@ -226,12 +213,11 @@ def cmd_precommit(args):
 
 def cmd_phi(args):
     model = _load_any_model(args)
-    doc = load_policy(
-        read_json(args.policy), model if isinstance(model, MarkovModel) else None
-    )
+    doc = _read_policy(args, model)
     if args.period is not None:
         if not isinstance(model, MarkovModel):
             raise ModelError("--period applies to chain models only")
+        _no_horizon(args, "--period works on the infinite-horizon chain")
         if not isinstance(doc, PeriodicMarkovPolicy):
             raise ParseError("--period needs a policy document with a 'period' field")
         if doc.period != args.period:
@@ -254,7 +240,7 @@ def cmd_phi(args):
         lines.append(f"changed phases: {list(changed) if changed else 'none'}")
         return model, results, {}, lines, EXIT_OK
     tree = _as_tree(model, args.horizon)
-    policy = _tree_policy(doc, model, tree)
+    policy = _tree_policy(doc, tree)
     updated = phi(tree, policy)
     changed = sorted(
         aid for aid in tree.atom_ids() if policy.bit(aid) != updated.bit(aid)
@@ -272,6 +258,7 @@ def cmd_enumerate(args):
     if args.period is not None:
         if not isinstance(model, MarkovModel):
             raise ModelError("--period applies to chain models only")
+        _no_horizon(args, "--period works on the infinite-horizon chain")
         found = enumerate_periodic_equilibria(
             model, args.period, preference=preference, size_guard=_size_guard()
         )
@@ -333,7 +320,7 @@ def _verify(tree, pair: Optional[SnellPair], policy: Optional[StoppingPolicy]) -
     return None, is_equilibrium(tree, policy), None
 
 
-def _verify_on_cells(cells: _Cells, model, pair, doc_policy) -> Optional[tuple]:
+def _verify_on_cells(cells: _Cells, pair, doc_policy) -> Optional[tuple]:
     """`_verify` on a chain's cells when every check passes there, else None.
 
     A `decisions` document is per atom and is not tried.  Each cell's checks
@@ -343,7 +330,7 @@ def _verify_on_cells(cells: _Cells, model, pair, doc_policy) -> Optional[tuple]:
     if isinstance(doc_policy, StoppingPolicy):
         return None
     try:
-        policy = None if doc_policy is None else _tree_policy(doc_policy, model, cells)
+        policy = None if doc_policy is None else _tree_policy(doc_policy, cells)
         report, check, identities = outcome = _verify(cells, pair, policy)
     except PolicyError:
         return None
@@ -415,11 +402,11 @@ def cmd_verify(args):
     if isinstance(cells, _Cells):
         on_cells = None if pair is None else cell_pair(cells, pair)
         if pair is None or on_cells is not None:
-            outcome = _verify_on_cells(cells, model, on_cells, doc_policy)
+            outcome = _verify_on_cells(cells, on_cells, doc_policy)
             if outcome is not None:
                 return model, {}, *_verify_report(*outcome)
     tree = _as_tree(model, args.horizon)
-    policy = None if doc_policy is None else _tree_policy(doc_policy, model, tree)
+    policy = None if doc_policy is None else _tree_policy(doc_policy, tree)
     return model, {}, *_verify_report(*_verify(tree, pair, policy))
 
 
@@ -427,6 +414,7 @@ def cmd_truncate(args):
     model = _load_any_model(args)
     if not isinstance(model, MarkovModel):
         raise ModelError("truncate applies to chain models only")
+    _no_horizon(args, "truncate sweeps the horizons 1..--max-horizon")
     try:
         report = truncation_limit(model, args.max_horizon, args.window)
     except _INVALID:
@@ -551,11 +539,7 @@ def _example_two_state(args):
 
 def _example_minnie_donald(args):
     model = builtin_model("minnie-donald", mode=_mode(args))
-    if args.horizon is not None:
-        raise ModelError(
-            f"the minnie-donald example is about the infinite-horizon chain; "
-            f"--horizon {args.horizon} does not apply"
-        )
+    _no_horizon(args, "the minnie-donald example is about the infinite-horizon chain")
     conditions = check_minnie_donald_conditions(
         model.discount, model.payoff[1], model.payoff[4]
     )
@@ -680,18 +664,19 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_MODEL
     elapsed = time.perf_counter() - start
-    report = RunReport(
-        command=tuple(sys.argv[1:] if argv is None else argv),
-        model_digest=model_digest(model),
-        results=results,
-        verification=verification,
-        timing_seconds=round(elapsed, 6),
-    )
+    digest = model_digest(model)
     try:
         if args.json:
-            print(json.dumps(report.to_document(), sort_keys=True, indent=2))
+            report = {
+                "command": list(sys.argv[1:] if argv is None else argv),
+                "model_digest": digest,
+                "results": results,
+                "verification": verification,
+                "timing_seconds": round(elapsed, 6),
+            }
+            print(json.dumps(report, sort_keys=True, indent=2))
         else:
-            print(f"model digest: {report.model_digest[:16]}")
+            print(f"model digest: {digest[:16]}")
             for line in lines:
                 print(line)
             print(f"({elapsed:.3f}s)")

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .model import AtomTree, MarkovModel, ModelError, State, _checked_cells
-from .numeric import NumericError, Scalar, solve_exact, solve_linear
+from .numeric import NumericError, Scalar, solve_exact, solve_linear, sum_in_order
 from .policy import (
     DEFAULT_POLICY_GUARD,
     AdmissibilityResult,
@@ -165,7 +165,7 @@ def _rows(model: MarkovModel) -> dict:
                 for y, p in row
                 if p > 0 and y in model.domain
             ],
-            sum((p for y, p in row if y not in model.domain), model.mode.zero),
+            sum_in_order((p for y, p in row if y not in model.domain), model.mode.zero),
         )
     return rows
 
@@ -269,7 +269,8 @@ def _evaluate(
 
     # Conditional payoff numerator: one unknown per continuing pair.
     def stop_gain(pair: Pair) -> Scalar:
-        return sum((step[3] for step in steps[pair][0] if step[0] not in cont), mode.zero)
+        gains = (step[3] for step in steps[pair][0] if step[0] not in cont)
+        return sum_in_order(gains, mode.zero)
 
     h_cont = _solve_on(mode, steps, continuing, 2, stop_gain)
     # Exit-hitting probability: minimal nonnegative solution, i.e. zero on

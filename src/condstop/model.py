@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Hashable, Iterable, Iterator, Mapping, Optional
 
-from .numeric import EXACT, NumericMode, Scalar
+from .numeric import EXACT, NumericMode, Scalar, sum_in_order
 
 State = Hashable
 
@@ -102,7 +102,7 @@ class AtomTree:
             if atom.level < horizon:
                 if not kids:
                     raise ModelError(f"atom {atom.id!r} at level {atom.level} has no children")
-                total = sum(k.branch_prob for k in kids)
+                total = sum_in_order(k.branch_prob for k in kids)
                 if not mode.eq(total, mode.one):
                     raise ModelError(
                         f"children of {atom.id!r} have probabilities summing to {total}, not 1"
@@ -254,7 +254,7 @@ class MarkovModel:
                 raise ModelError(f"row of {state!r} references unknown states")
             if any(p < 0 for p in row.values()):
                 raise ModelError(f"row of {state!r} has a negative probability")
-            if not mode.eq(sum(row.values(), mode.zero), mode.one):
+            if not mode.eq(sum_in_order(row.values(), mode.zero), mode.one):
                 raise ModelError(f"row of {state!r} does not sum to 1")
 
     @property
@@ -267,7 +267,7 @@ class MarkovModel:
 
     def domain_successor_mass(self, state: State) -> Scalar:
         """One-step probability of remaining in the domain from `state`."""
-        return sum(
+        return sum_in_order(
             (p for y, p in self.transitions[state].items() if y in self.domain),
             self.mode.zero,
         )
@@ -312,10 +312,7 @@ class _Cells:
             row = model.transitions[x]
             moves = [(y, row[y]) for y in model.states if row.get(y, 0) > 0]
             branches[x] = [(y, p) for y, p in moves if y in model.domain]
-            exit_mass = mode.zero
-            for y, p in moves:  # one by one: sum() rounds floats differently on 3.12+
-                if y not in model.domain:
-                    exit_mass += p
+            exit_mass = sum_in_order((p for y, p in moves if y not in model.domain), mode.zero)
             if exit_mass > 0:
                 branches[x].append((None, exit_mass))
 
@@ -377,7 +374,7 @@ def _checked_cells(model: MarkovModel, horizon: Optional[int]) -> _Cells:
     cells = _Cells(model, horizon)
     for level in cells.levels[:-1]:
         for cell in level:
-            total = sum(child.branch_prob for child in cells.children(cell.id))
+            total = sum_in_order(child.branch_prob for child in cells.children(cell.id))
             if not mode.eq(total, mode.one):
                 atom_id = next(
                     aid for atoms in cells.expand() for aid, _, c in atoms if c.id == cell.id

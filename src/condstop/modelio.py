@@ -241,15 +241,11 @@ def dump_model(model: Model) -> dict:
         "states": list(model.states),
         "initial": model.initial,
         "transitions": {
-            str(x): {str(y): format_scalar(p) for y, p in sorted(
-                model.transitions[x].items(), key=lambda item: str(item[0])
-            )}
+            str(x): {str(y): format_scalar(p) for y, p in model.transitions[x].items()}
             for x in model.states
         },
-        "domain": sorted((s for s in model.domain), key=str),
-        "payoff": {str(s): format_scalar(g) for s, g in sorted(
-            model.payoff.items(), key=lambda item: str(item[0])
-        )},
+        "domain": sorted(model.domain, key=str),
+        "payoff": {str(s): format_scalar(g) for s, g in model.payoff.items()},
         "discount": format_scalar(model.discount),
         "horizon": "infinite" if model.horizon is None else model.horizon,
     }
@@ -313,7 +309,7 @@ def load_policy(
 
 def dump_policy(policy: PolicyDocument) -> dict:
     if isinstance(policy, StoppingPolicy):
-        return {"decisions": {aid: policy.decisions[aid] for aid in sorted(policy.decisions)}}
+        return {"decisions": dict(policy.decisions)}
     if isinstance(policy, PeriodicMarkovPolicy):
         return {
             "period": policy.period,
@@ -325,8 +321,8 @@ def dump_policy(policy: PolicyDocument) -> dict:
     if isinstance(policy, TimedRegions):
         return {
             "regions": {
-                str(time): sorted(policy.regions[time], key=str)
-                for time in sorted(policy.regions)
+                str(time): sorted(region, key=str)
+                for time, region in policy.regions.items()
             }
         }
     raise TypeError(f"not a policy: {policy!r}")
@@ -364,23 +360,28 @@ def load_pair(document: Mapping[str, Any], mode: NumericMode = EXACT) -> SnellPa
 
 
 def dump_pair(pair: SnellPair) -> dict:
+    """Wire form of a pair, inverse of `load_pair`.  Each table keeps the
+    pair's own atom order; the JSON writer sorts the keys."""
     return {
-        "V": {aid: format_scalar(pair.values[aid]) for aid in sorted(pair.values)},
-        "S": {aid: format_scalar(pair.survival[aid]) for aid in sorted(pair.survival)},
+        "V": {aid: format_scalar(v) for aid, v in pair.values.items()},
+        "S": {aid: format_scalar(s) for aid, s in pair.survival.items()},
     }
 
 
 def dump_cell_pair(cells: _Cells, pair: SnellPair) -> dict:
-    """`dump_pair` of the pair on the unrolled tree, from a pair on the cells:
-    each cell's entries are formatted once and shared by the cell's atoms."""
+    """`dump_pair` of the pair on the unrolled tree, from a pair on the cells,
+    in one `cells.expand()` walk: each cell's entries are formatted once and
+    shared by the cell's atoms.  The tables are in tree order; the JSON
+    writer sorts the keys."""
     values = {cell: format_scalar(v) for cell, v in pair.values.items()}
     survival = {cell: format_scalar(s) for cell, s in pair.survival.items()}
-    cell_of = {atom_id: cell.id for level in cells.expand() for atom_id, _, cell in level}
-    atom_ids = sorted(cell_of)
-    return {
-        "V": {aid: values[cell_of[aid]] for aid in atom_ids if cell_of[aid] in values},
-        "S": {aid: survival[cell_of[aid]] for aid in atom_ids},
-    }
+    per_atom_values, per_atom_survival = {}, {}
+    for level in cells.expand():
+        for atom_id, _, cell in level:
+            if cell.id in values:
+                per_atom_values[atom_id] = values[cell.id]
+            per_atom_survival[atom_id] = survival[cell.id]
+    return {"V": per_atom_values, "S": per_atom_survival}
 
 
 def cell_pair(cells: _Cells, pair: SnellPair) -> Optional[SnellPair]:
@@ -410,37 +411,30 @@ def cell_pair(cells: _Cells, pair: SnellPair) -> Optional[SnellPair]:
 def read_json(path: str) -> Any:
     """Read a UTF-8 JSON document from disk, mapping failures to ParseError.
 
-    A key repeated in any object is an error, not a silent override.  Each
-    object member has one ':' outside strings, so a text with no more colons
-    than its parsed objects hold keys repeats none, and one plain parse
-    suffices; any other text (a repeated key, or a colon inside a string) is
-    parsed again pair by pair, which is about 40% slower on a 2 MB pair file.
+    The text is parsed once.  A key repeated in any object is an error, not a
+    silent override: the first object to close with a repeated key names its
+    first repeated key.  Each object keeps the file's key order; no report
+    depends on it, since the JSON writer sorts the keys.
     """
-    members = 0
-
-    def count(obj: dict) -> dict:
-        nonlocal members
-        members += len(obj)
-        return obj
 
     def unique(pairs: list) -> dict:
-        obj: dict = {}
-        for key, value in pairs:
-            if key in obj:
-                raise ParseError(f"{path}: duplicate key {key!r}")
-            obj[key] = value
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen = set()
+            for key, _ in pairs:
+                if key in seen:
+                    raise ParseError(f"{path}: duplicate key {key!r}")
+                seen.add(key)
         return obj
 
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-            document = json.loads(text, object_hook=count)
-        if text.count(":") > members:
-            document = json.loads(text, object_pairs_hook=unique)
-        return document
+            return json.loads(handle.read(), object_pairs_hook=unique)
     except OSError as exc:  # missing, a directory, unreadable
         raise ParseError(f"{path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+    except RecursionError:  # arrays or objects nested past the interpreter's limit
+        raise ParseError(f"{path}: invalid JSON (nested too deeply)") from None

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .model import AtomTree
-from .numeric import Scalar
+from .numeric import Scalar, sum_in_order
 from .policy import EquilibriumResult, PolicyError, StoppingPolicy, _checked_tables
 from .policy import _best_bit, _equilibrium_tables, _sweep
 
@@ -124,7 +124,7 @@ def classical_snell(tree: AtomTree, process: Mapping[str, Scalar]) -> dict[str, 
             if not kids:
                 envelope[atom.id] = own
             else:
-                cont = sum(child.branch_prob * envelope[child.id] for child in kids)
+                cont = sum_in_order(child.branch_prob * envelope[child.id] for child in kids)
                 envelope[atom.id] = own if own >= cont else cont
     return envelope
 

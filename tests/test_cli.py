@@ -1,7 +1,11 @@
 """End-to-end drives of the command-line interface."""
 
+import builtins
+import hashlib
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -539,6 +543,49 @@ class TestErrorChannels:
         assert run(capsys, *argv)[0] == 0
         assert run(capsys, *argv, "--eps", "1e-20") == (3, "", FLOAT_ROW_ERROR)
 
+    def test_float_checks_ignore_a_compensated_sum(self, capsys, tmp_path, monkeypatch):
+        # Python 3.12's sum() compensates float rounding and totals the cell's
+        # (0.3 + 0.6) + 0.1 to 1.0; the checks add left to right on every version.
+        plain_sum = builtins.sum
+
+        def compensated_sum(values, start=0):
+            values = list(values)
+            if values and all(type(v) is float for v in values):
+                return math.fsum([start, *values])
+            return plain_sum(values, start)
+
+        assert compensated_sum([0.3, 0.6, 0.1]) == 1.0
+        model = float_row_chain(tmp_path, horizon=3)
+        (tmp_path / "unbounded").mkdir()
+        unbounded = float_row_chain(tmp_path / "unbounded")
+        with monkeypatch.context() as patched:
+            patched.setattr(builtins, "sum", compensated_sum)
+            for argv in (
+                ["solve", "--model", model],
+                ["precommit", "--model", model],
+                ["truncate", "--model", unbounded, "--max-horizon", "5", "--window", "2"],
+            ):
+                outcome = run(capsys, *argv, "--float", "--eps", "1e-20")
+                assert outcome == (3, "", FLOAT_ROW_ERROR)
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["truncate", "--max-horizon", "5"], "truncate sweeps the horizons 1..--max-horizon"),
+            (["enumerate", "--period", "2"], "--period works on the infinite-horizon chain"),
+            (["phi", "--period", "1"], "--period works on the infinite-horizon chain"),
+        ],
+    )
+    def test_a_horizon_the_command_ignores_is_refused(self, capsys, tmp_path, argv, reason):
+        policy = tmp_path / "policy.json"
+        policy.write_text(json.dumps({"period": 1, "regions": {"0": [0, 2]}}))
+        argv = [*argv, "--model", "two-state"]
+        if argv[0] == "phi":
+            argv += ["--policy", str(policy)]
+        message = f"error: {reason}; --horizon 3 does not apply\n"
+        assert run(capsys, *argv, "--horizon", "3") == (3, "", message)
+        assert run(capsys, *argv)[0] == 0
+
     def test_truncate_on_a_finite_chain_is_a_model_error(self, capsys, tmp_path):
         # As for `enumerate --period`: a model error, not unparsable input.
         model = float_row_chain(tmp_path, horizon=3)
@@ -669,3 +716,25 @@ class TestJsonDeterminism:
         doc1, doc2 = json.loads(out1), json.loads(out2)
         doc1.pop("timing_seconds"), doc2.pop("timing_seconds")
         assert json.dumps(doc1, sort_keys=True) == json.dumps(doc2, sort_keys=True)
+
+
+class TestPinnedReports:
+    """sha256 of `solve --json` with the timing zeroed: any change to the
+    report's bytes, its numbers or its key order shows here."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("--model", "two-state", "--horizon", "8"),
+             "8147c6f80439ac56a58ed01d1e3f16cd140e67bb0cd6abd79e089ad74348fb69"),
+            (("--model", "two-state", "--horizon", "8", "--float"),
+             "aa41170af3244070a5d7c437333600e40facdbc2668ca6d707ef09f3ce4e4e75"),
+            (("--model", "binomial"),
+             "153e3c9c626bc261dd6d6282a64e68cf86c5523ea872304b94765b85de8b8ff6"),
+        ],
+    )
+    def test_solve_report_bytes(self, capsys, argv, digest):
+        code, out, _ = run(capsys, "solve", *argv, "--json")
+        assert code == 0
+        out = re.sub(r'"timing_seconds": [0-9.e-]+', '"timing_seconds": 0', out)
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

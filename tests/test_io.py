@@ -6,6 +6,8 @@ from fractions import Fraction
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condstop import modelio, numeric
 from condstop import (
@@ -390,3 +392,114 @@ class TestReadJson:
         path.write_text(text)
         with pytest.raises(ParseError, match=re.escape(f"{path}: duplicate key '{key}'")):
             read_json(str(path))
+
+    @pytest.mark.parametrize("opener, closer", [("[", "]"), ('{"a": ', "}")])
+    def test_deep_nesting_is_a_parse_error(self, tmp_path, opener, closer):
+        path = tmp_path / "doc.json"
+        path.write_text(opener * 100_000 + "1" + closer * 100_000)
+        message = f"{path}: invalid JSON (nested too deeply)"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            read_json(str(path))
+
+
+def two_step_read_json(path: str):
+    """The reader `read_json` replaces, kept as its oracle: one plain parse
+    counting the members of each object, and a second parse pair by pair
+    when the text has more ':' than members (a repeated key, or a colon
+    inside a string)."""
+    members = 0
+
+    def count(obj: dict) -> dict:
+        nonlocal members
+        members += len(obj)
+        return obj
+
+    def unique(pairs: list) -> dict:
+        obj: dict = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ParseError(f"{path}: duplicate key {key!r}")
+            obj[key] = value
+        return obj
+
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+            document = json.loads(text, object_hook=count)
+        if text.count(":") > members:
+            document = json.loads(text, object_pairs_hook=unique)
+        return document
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+
+
+KEYS = st.sampled_from(["a", "b", "a:b", ":", "k:", "", '"x":1'])
+SCALARS = st.one_of(
+    st.integers(-3, 3),
+    st.booleans(),
+    st.none(),
+    st.text(alphabet=":ab{}[],\" ", max_size=6),
+)
+
+
+def json_texts():
+    """JSON texts whose objects may repeat keys at any depth, with colons in
+    keys and strings, written member by member with varied spacing."""
+
+    def objects(children):
+        return st.lists(st.tuples(KEYS, children), max_size=4)
+
+    return st.recursive(
+        SCALARS.map(json.dumps),
+        lambda children: st.one_of(
+            st.lists(children, max_size=3).map(lambda items: "[" + ", ".join(items) + "]"),
+            st.tuples(objects(children), st.sampled_from([":", " : ", ":  "])).map(
+                lambda spec: "{" + ", ".join(
+                    json.dumps(key) + spec[1] + value for key, value in spec[0]
+                ) + "}"
+            ),
+        ),
+        max_leaves=12,
+    )
+
+
+class TestReadJsonAgainstTwoStepReader:
+    """`read_json`'s one parse against `two_step_read_json`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(json_texts())
+    def test_same_value_or_same_message(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("doc") / "doc.json"
+        path.write_text(text, encoding="utf-8")
+        outcomes = []
+        for reader in (read_json, two_step_read_json):
+            try:
+                outcomes.append(("value", reader(str(path))))
+            except ParseError as exc:
+                outcomes.append(("error", str(exc)))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize(
+        "text", ['{"a": 1}', '{"a:": "b:c", "d": [{"e": ":"}]}', '{"a": 1, "a": 2}', "[1, 2]"]
+    )
+    def test_one_parse_per_file(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        calls = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda *a, **k: calls.append(1) or loads(*a, **k))
+        try:
+            read_json(str(path))
+        except ParseError:
+            pass
+        assert len(calls) == 1
+
+    def test_a_repeated_key_before_a_syntax_error_is_named(self, tmp_path):
+        # The object closes, and is checked, before the parser reaches the
+        # error; the two-step reader reported "invalid JSON" here.
+        path = tmp_path / "doc.json"
+        path.write_text('[{"a": 1, "a": 2}, ')
+        with pytest.raises(ParseError, match=re.escape(f"{path}: duplicate key 'a'")):
+            read_json(str(path))
+        with pytest.raises(ParseError, match="invalid JSON"):
+            two_step_read_json(str(path))

@@ -14,7 +14,20 @@ from condstop.numeric import (
     parse_rational,
     solve_exact,
     solve_linear,
+    sum_in_order,
 )
+
+
+class TestSumInOrder:
+    def test_adds_floats_left_to_right(self):
+        # A compensated total (3.12's sum, math.fsum) gives 1.0 here.
+        assert sum_in_order([0.3, 0.6, 0.1], 0.0) == (0.3 + 0.6) + 0.1 == 0.9999999999999999
+        assert sum_in_order([0.3, 0.1, 0.6]) == 1.0
+
+    def test_start_and_exact_values(self):
+        empty = sum_in_order([], Fraction(0))
+        assert empty == 0 and type(empty) is Fraction
+        assert sum_in_order(iter([Fraction(1, 3)] * 3)) == 1
 
 
 class TestParseRational:
