@@ -97,9 +97,15 @@ def _size_guard() -> Optional[int]:
 
 
 def _mode(args):
+    """The float mode at --eps (default 1e-9) with --float, else exact mode,
+    which has no tolerance and refuses an --eps it would ignore."""
+    if args.eps is None:
+        return float_mode() if args.float else EXACT
     if not (math.isfinite(args.eps) and args.eps > 0):
         raise ParseError(f"--eps must be finite and positive, got {args.eps!r}")
-    return float_mode(args.eps) if args.float else EXACT
+    if not args.float:
+        raise ModelError(f"exact mode compares without tolerance; --eps {args.eps} does not apply")
+    return float_mode(args.eps)
 
 
 def _load_any_model(args):
@@ -614,7 +620,8 @@ def build_parser() -> argparse.ArgumentParser:
             )
         p.add_argument("--horizon", type=int, default=None)
         p.add_argument("--float", action="store_true", help="use float arithmetic")
-        p.add_argument("--eps", type=float, default=1e-9, help="float-mode tolerance")
+        p.add_argument("--eps", type=float, default=None,
+                       help="float-mode tolerance (default 1e-9); needs --float")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
 
     p = sub.add_parser("solve", help="backward recursion for the early-stopping equilibrium")

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Union
+from typing import Any, Optional, Union
 
 from .infinite import PeriodicMarkovPolicy
 from .model import Atom, AtomTree, MarkovModel, State, _Cells
@@ -65,6 +66,39 @@ def _scalar(value: Any, mode: NumericMode, context: str) -> Scalar:
         return float(number)
     except OverflowError:
         raise ParseError(f"{context}: {value!r} is out of range for a float") from None
+
+
+class _Literals:
+    """The numbers of one document, parsed from their literals.
+
+    `number` is `_scalar` with each distinct string literal parsed once.
+    Entries of any other type are parsed one by one, so `1`, `true` and `1.0`
+    never share a parse with each other or with `"1"`.  A bad literal raises
+    ParseError at its first entry, whose context `context.format(*names)` is
+    built only for a parse.
+    """
+
+    def __init__(self, mode: NumericMode):
+        self.mode = mode
+        self.parsed: dict[str, Scalar] = {}
+
+    def number(self, value: Any, context: str, *names: Any) -> Scalar:
+        if type(value) is not str:
+            return _scalar(value, self.mode, context.format(*names))
+        parsed = self.parsed
+        if value not in parsed:
+            parsed[value] = _scalar(value, self.mode, context.format(*names))
+        return parsed[value]
+
+    def table(self, entries: Mapping[str, Any], context: str) -> dict[str, Scalar]:
+        """`number` of each entry, keyed as `entries`, in context
+        `context.format(key)`; a literal seen before costs no call."""
+        parsed = self.parsed
+        return {
+            key: parsed[entry] if type(entry) is str and entry in parsed
+            else self.number(entry, context, key)
+            for key, entry in entries.items()
+        }
 
 
 def _state_token(value: Any, context: str) -> State:
@@ -137,6 +171,7 @@ def _load_tree(document: Mapping[str, Any], mode: NumericMode) -> AtomTree:
             levels[node_id] = level_of(parent, trail + (node_id,)) + 1
         return levels[node_id]
 
+    numbers = _Literals(mode)
     atoms = []
     for node_id, node in raw.items():
         level = level_of(node_id)
@@ -145,14 +180,14 @@ def _load_tree(document: Mapping[str, Any], mode: NumericMode) -> AtomTree:
             raise ParseError(f"node {node_id!r}: 'in_domain' must be true or false")
         payoff = node.get("payoff")
         if payoff is not None:
-            payoff = _scalar(payoff, mode, f"node {node_id!r} payoff")
+            payoff = numbers.number(payoff, "node {!r} payoff", node_id)
         atoms.append(
             Atom(
                 id=node_id,
                 level=level,
                 parent=node.get("parent"),
-                branch_prob=_scalar(_require(node, "prob", f"node {node_id!r}"), mode,
-                                    f"node {node_id!r} prob"),
+                branch_prob=numbers.number(_require(node, "prob", f"node {node_id!r}"),
+                                           "node {!r} prob", node_id),
                 in_domain=in_domain,
                 payoff=payoff,
             )
@@ -173,6 +208,7 @@ def _load_markov(document: Mapping[str, Any], mode: NumericMode) -> MarkovModel:
     states = tuple(_state_token(s, "markov model states") for s in states)
     lookup = _state_lookup(states)
 
+    numbers = _Literals(mode)
     transitions_doc = _require(document, "transitions", "markov model")
     if not isinstance(transitions_doc, Mapping):
         raise ParseError("markov model: 'transitions' must be an object")
@@ -182,8 +218,8 @@ def _load_markov(document: Mapping[str, Any], mode: NumericMode) -> MarkovModel:
         if not isinstance(row, Mapping):
             raise ParseError(f"transitions[{key!r}] must be an object")
         transitions[state] = {
-            _resolve(y, lookup, f"transitions[{key!r}]"): _scalar(
-                p, mode, f"transitions[{key!r}][{y!r}]"
+            _resolve(y, lookup, f"transitions[{key!r}]"): numbers.number(
+                p, "transitions[{!r}][{!r}]", key, y
             )
             for y, p in row.items()
         }
@@ -192,7 +228,7 @@ def _load_markov(document: Mapping[str, Any], mode: NumericMode) -> MarkovModel:
     if not isinstance(payoff_doc, Mapping):
         raise ParseError("markov model: 'payoff' must be an object")
     payoff = {
-        _resolve(key, lookup, "payoff"): _scalar(value, mode, f"payoff[{key!r}]")
+        _resolve(key, lookup, "payoff"): numbers.number(value, "payoff[{!r}]", key)
         for key, value in payoff_doc.items()
     }
 
@@ -214,7 +250,7 @@ def _load_markov(document: Mapping[str, Any], mode: NumericMode) -> MarkovModel:
         transitions=transitions,
         domain=frozenset(_resolve(s, lookup, "domain") for s in domain),
         payoff=payoff,
-        discount=_scalar(_require(document, "discount", "markov model"), mode, "discount"),
+        discount=numbers.number(_require(document, "discount", "markov model"), "discount"),
         horizon=horizon,
         forced_stop=frozenset(_resolve(s, lookup, "forced_stop") for s in forced),
         mode=mode,
@@ -254,9 +290,12 @@ def dump_model(model: Model) -> dict:
     return document
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def model_digest(model: Model) -> str:
     """Stable content hash of a model's canonical wire form."""
-    canonical = json.dumps(dump_model(model), sort_keys=True, separators=(",", ":"))
+    canonical = _CANONICAL.encode(dump_model(model))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -331,11 +370,10 @@ def dump_policy(policy: PolicyDocument) -> dict:
 def load_pair(document: Mapping[str, Any], mode: NumericMode = EXACT) -> SnellPair:
     """A value/survival pair from its wire form, keyed as the document keys it.
 
-    Each distinct string literal is parsed once per document, since a pair on
-    an unrolled chain repeats each cell's entries at every atom of the cell.
-    Entries of any other type are parsed one by one, so `1`, `true` and `1.0`
-    never share a parse with each other or with `"1"`.  The first bad entry,
-    `V` before `S` and in document order, raises ParseError.
+    Each distinct string literal is parsed once per document (`_Literals`),
+    since a pair on an unrolled chain repeats each cell's entries at every
+    atom of the cell.  The first bad entry, `V` before `S` and in document
+    order, raises ParseError.
     """
     if not isinstance(document, Mapping):
         raise ParseError("pair document must be a JSON object")
@@ -343,20 +381,8 @@ def load_pair(document: Mapping[str, Any], mode: NumericMode = EXACT) -> SnellPa
     survival_doc = _require(document, "S", "pair")
     if not isinstance(values_doc, Mapping) or not isinstance(survival_doc, Mapping):
         raise ParseError("pair: 'V' and 'S' must be objects keyed by atom id")
-    parsed: dict[str, Scalar] = {}
-
-    def table(entries: Mapping[str, Any], name: str) -> dict[str, Scalar]:
-        numbers = {}
-        for aid, entry in entries.items():
-            if type(entry) is not str:
-                numbers[aid] = _scalar(entry, mode, f"{name}[{aid!r}]")
-            elif entry in parsed:
-                numbers[aid] = parsed[entry]
-            else:
-                numbers[aid] = parsed[entry] = _scalar(entry, mode, f"{name}[{aid!r}]")
-        return numbers
-
-    return SnellPair(table(values_doc, "V"), table(survival_doc, "S"))
+    numbers = _Literals(mode)
+    return SnellPair(numbers.table(values_doc, "V[{!r}]"), numbers.table(survival_doc, "S[{!r}]"))
 
 
 def dump_pair(pair: SnellPair) -> dict:

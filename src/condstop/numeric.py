@@ -18,6 +18,10 @@ from typing import Iterable, Sequence, Union
 
 Scalar = Union[Fraction, float]
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+_RATIONAL = frozenset({int, Fraction})
+
 
 class NumericError(ValueError):
     """Malformed numeric input, such as a bad rational literal."""
@@ -33,15 +37,27 @@ def parse_rational(value: Union[str, int, Fraction]) -> Fraction:
     Decimal strings are read exactly: ``"0.4"`` becomes ``2/5``.  Floats are
     rejected so that inexact values cannot slip into exact computations.
     """
+    if isinstance(value, str):
+        text = value.strip()
+        try:
+            # ASCII `-?[0-9]+` and `-?[0-9]+/[0-9]+` are built from their
+            # integers.  Fraction's parse makes the same ints, so the values
+            # and errors (a zero denominator, int()'s digit limit) are its own.
+            # Every other literal goes to Fraction.
+            num, slash, den = text.partition("/")
+            digits = num[1:] if num[:1] == "-" else num
+            if digits.isascii() and digits.isdigit():
+                if not slash:
+                    return Fraction(int(num))
+                if den.isascii() and den.isdigit():
+                    return Fraction(int(num), int(den))
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise NumericError(f"bad rational literal {value!r}: {exc}") from None
     if isinstance(value, bool):
         raise NumericError(f"not a number: {value!r}")
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise NumericError(f"bad rational literal {value!r}: {exc}") from None
     raise NumericError(f"expected a rational string, got {type(value).__name__}")
 
 
@@ -60,6 +76,8 @@ def sum_in_order(values: Iterable[Scalar], start: Scalar = 0) -> Scalar:
 
 def format_scalar(value: Scalar) -> str:
     """Render a scalar as a rational string (``"2/5"``) or float repr."""
+    if type(value) is Fraction:
+        return str(value)
     if isinstance(value, (Fraction, int)) and not isinstance(value, bool):
         return str(Fraction(value))
     return repr(float(value))
@@ -95,11 +113,11 @@ class NumericMode:
 
     @property
     def zero(self) -> Scalar:
-        return Fraction(0) if self.exact else 0.0
+        return _ZERO if self.exact else 0.0
 
     @property
     def one(self) -> Scalar:
-        return Fraction(1) if self.exact else 1.0
+        return _ONE if self.exact else 1.0
 
     def tolerance(self, scale: Scalar = 1) -> float:
         if self.exact:
@@ -109,6 +127,10 @@ class NumericMode:
     def compare(self, a: Scalar, b: Scalar, scale: Scalar = 1) -> int:
         """Return -1, 0 or +1 for a < b, a == b, a > b under this mode."""
         if self.exact:
+            # ints and Fractions by one cross-multiplication, not two Fraction comparisons
+            if type(a) in _RATIONAL and type(b) in _RATIONAL:
+                diff = a.numerator * b.denominator - b.numerator * a.denominator
+                return (diff > 0) - (diff < 0)
             if a < b:
                 return -1
             return 1 if a > b else 0

@@ -17,6 +17,7 @@ from condstop import backward_solve, binomial_tree, cli, dump_model, dump_pair, 
 from condstop import policy as policy_module
 from condstop.cli import main
 from condstop.model import Atom, AtomTree, MarkovModel
+from condstop.numeric import EXACT, float_mode
 
 
 def run(capsys, *argv):
@@ -518,6 +519,29 @@ class TestErrorChannels:
         assert code == 2
         assert err.startswith("error: --eps") and "Traceback" not in err
         assert out == ""
+        # a bad value is unparsable input with or without --float
+        assert run(capsys, "solve", "--model", "binomial", "--eps", eps)[0] == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--model", "binomial"],
+            ["enumerate", "--model", "minnie-donald", "--period", "2"],
+            ["example", "binomial"],
+        ],
+    )
+    def test_eps_without_float_is_refused(self, capsys, argv):
+        message = "error: exact mode compares without tolerance; --eps 0.5 does not apply\n"
+        assert run(capsys, *argv, "--eps", "0.5") == (3, "", message)
+        assert run(capsys, *argv, "--float", "--eps", "0.5", "--json")[0] == 0
+        assert run(capsys, *argv)[0] == 0
+
+    def test_float_alone_keeps_the_default_eps(self):
+        parser = cli.build_parser()
+        assert cli._mode(parser.parse_args(["solve", "--model", "binomial", "--float"])) == (
+            float_mode(1e-9)
+        )
+        assert cli._mode(parser.parse_args(["solve", "--model", "binomial"])) is EXACT
 
     def test_argparse_rejections_exit_two(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -74,6 +74,37 @@ class TestModelRoundTrip:
         assert rebuilt.payoff == model.payoff
 
 
+# Model files written with literals other than the canonical `format_scalar`
+# forms: a decimal, an unreduced ratio, padding, a negative zero, an exponent.
+NONCANONICAL_TREE = {
+    "type": "tree",
+    "nodes": [
+        {"id": "r", "prob": " 1 ", "in_domain": True, "payoff": " 3 "},
+        {"id": "u", "parent": "r", "prob": "0.5", "in_domain": True, "payoff": "-0"},
+        {"id": "d", "parent": "r", "prob": "2/4", "in_domain": True, "payoff": "1e-1"},
+    ],
+}
+NONCANONICAL_CHAIN = {
+    "type": "markov",
+    "states": [1, "b"],
+    "initial": 1,
+    "transitions": {"1": {"1": "0.5", "b": "2/4"}, "b": {"1": "1e-1", "b": "0.9"}},
+    "payoff": {"1": " 3 ", "b": "-0"},
+    "discount": "9/10",
+    "domain": [1, "b"],
+    "horizon": 3,
+}
+
+
+def count_parses(monkeypatch) -> list:
+    """Record every literal `parse_rational` is handed from now on."""
+    parsed = []
+    parse = numeric.parse_rational
+    for module in (numeric, modelio):
+        monkeypatch.setattr(module, "parse_rational", lambda v: parsed.append(v) or parse(v))
+    return parsed
+
+
 class TestModelDigest:
     def test_stable_across_round_trips(self):
         model = two_state_model()
@@ -90,6 +121,34 @@ class TestModelDigest:
         base = model_digest(two_state_model())
         assert model_digest(two_state_model(a=F(13, 10))) != base
         assert model_digest(binomial_tree()) != base
+
+    @pytest.mark.parametrize(
+        "model, digest",
+        [
+            (binomial_tree, "f262cea5c044023e0f5aab388d65926ea2ff7a430e46d7fe393c53c6c8bb698a"),
+            (two_state_model, "60ff7fc41a733165115305a7cbb6141a90aa9ec36bf2504fe806c80225f3a92e"),
+            (minnie_donald_model,
+             "52ecf8e9096b3cc8420c4e7bebe3ae1b49aac2cc2e83aee6f842a025472f9827"),
+        ],
+        ids=["binomial", "two-state", "minnie-donald"],
+    )
+    def test_pinned_builtins(self, model, digest):
+        assert model_digest(model()) == digest
+
+    @pytest.mark.parametrize(
+        "document, digest",
+        [
+            (NONCANONICAL_TREE, "ca284fee5d12e8ab5cffa3c4ce4f6addb119d2fcea7ac8445fcf5c36a00dcd60"),
+            (NONCANONICAL_CHAIN,
+             "73ebcb86d893da75ad98dcd7b49d8c0c38d2096ccb327aa95b23c0cc773953df"),
+        ],
+        ids=["tree", "chain"],
+    )
+    def test_pinned_files_with_noncanonical_literals(self, tmp_path, document, digest):
+        # The digest hashes the parsed numbers: "0.5" and "2/4" both as "1/2".
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(document))
+        assert model_digest(load_model(read_json(str(path)))) == digest
 
 
 BAD_TREE_DOCS = [
@@ -333,10 +392,7 @@ class TestPairDocuments:
         # at most one: each distinct string literal is parsed once per document
         pair, _ = backward_solve(binomial_tree())
         doc = dump_pair(pair)
-        parsed = []
-        parse = numeric.parse_rational
-        for module in (numeric, modelio):
-            monkeypatch.setattr(module, "parse_rational", lambda v: parsed.append(v) or parse(v))
+        parsed = count_parses(monkeypatch)
         rebuilt = load_pair(doc, mode=mode)
         literals = set(doc["V"].values()) | set(doc["S"].values())
         assert len(literals) < len(doc["V"]) + len(doc["S"])
@@ -344,6 +400,75 @@ class TestPairDocuments:
         number = Fraction if mode.exact else float
         assert rebuilt.values == {aid: number(v) for aid, v in pair.values.items()}
         assert all(type(s) is number for s in rebuilt.survival.values())
+
+
+class TestModelLiterals:
+    @staticmethod
+    def literals(document) -> list:
+        """Every number entry of a model document, in document order."""
+        if document["type"] == "tree":
+            return [
+                entry
+                for node in document["nodes"]
+                for entry in (node["payoff"], node["prob"])
+                if entry is not None
+            ]
+        rows = document["transitions"].values()
+        return [
+            *(p for row in rows for p in row.values()),
+            *document["payoff"].values(),
+            document["discount"],
+        ]
+
+    @pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
+    @pytest.mark.parametrize(
+        "model",
+        [unroll(two_state_model(), 4), minnie_donald_model()],
+        ids=["tree", "chain"],
+    )
+    def test_one_parse_per_entry(self, monkeypatch, mode, model):
+        # at most one: each distinct string literal is parsed once per document
+        doc = reload(dump_model(model))
+        literals = self.literals(doc)
+        assert len(set(literals)) < len(literals)
+        parsed = count_parses(monkeypatch)
+        rebuilt = load_model(doc, mode=mode)
+        assert sorted(parsed) == sorted(set(literals))
+        number = Fraction if mode.exact else float
+        expected = [numeric.format_scalar(number(Fraction(v))) for v in literals]
+        assert self.literals(dump_model(rebuilt)) == expected
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            (
+                {**NONCANONICAL_CHAIN, "payoff": {"1": "1", "b": True}},
+                "payoff['b']: not a number: True",
+            ),
+            (
+                {**NONCANONICAL_CHAIN, "payoff": {"1": 1, "b": 1.0}},
+                "payoff['b']: expected a rational string, got float",
+            ),
+            (
+                {**NONCANONICAL_CHAIN, "payoff": {"1": "x", "b": "x"}},
+                "payoff['1']: bad rational literal 'x': Invalid literal for Fraction: 'x'",
+            ),
+            (
+                {"type": "tree", "nodes": [
+                    {"id": "r", "prob": "1", "in_domain": True, "payoff": "1/0"},
+                    {"id": "u", "parent": "r", "prob": "1/0", "in_domain": True,
+                     "payoff": "1"},
+                ]},
+                "node 'r' payoff: bad rational literal '1/0': Fraction(1, 0)",
+            ),
+        ],
+        ids=["true-after-string-1", "1.0-after-1", "chain-first-bad", "tree-first-bad"],
+    )
+    @pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
+    def test_first_bad_entry_raises_with_its_context(self, mode, document, message):
+        with pytest.raises(ParseError) as err:
+            load_model(reload(document), mode=mode)
+        assert str(err.value) == message
 
 
 class TestReadJson:

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -63,6 +64,51 @@ def test_decimal_render():
     assert decimal_render(Fraction(1, 3), digits=4) == "0.3333"
 
 
+def fraction_oracle(text: str) -> Fraction:
+    """`parse_rational` on a string as `Fraction` alone reads it."""
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise NumericError(f"bad rational literal {text!r}: {exc}") from None
+
+
+def outcome(parse, text: str) -> tuple:
+    try:
+        value = parse(text)
+    except NumericError as exc:
+        return ("error", str(exc))
+    return ("value", value, type(value))
+
+
+# Digit runs at and past int()'s 4,300-digit limit on string conversion.
+LONG_RUNS = st.builds(lambda digit, n: digit * n, st.sampled_from("0123456789"),
+                      st.integers(4295, 4310))
+# Fraction computes 10**exponent, so exponents keep to three digits.
+LITERALS = st.lists(
+    st.one_of(st.sampled_from(list("0123456789-+/._eE ٣²")), st.text("0123456789", min_size=1),
+              LONG_RUNS),
+    max_size=8,
+).map("".join).filter(lambda text: not re.search(r"[eE][-+]?[0-9_٣²]{4}", text))
+
+
+class TestParseRationalAgainstFraction:
+    """`parse_rational`'s integer-ratio fast path against `Fraction(text)`."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(LITERALS)
+    def test_same_value_or_same_message(self, text):
+        assert outcome(parse_rational, text) == outcome(fraction_oracle, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["7", "-0", " 007/010 ", "-3/6", "1/0", "-1/00", "1/-2", "+1", "--1", "1_0", "٣/4",
+         "3/٤", "²", "1/²", "0.5", "1e-1", "", "-", "/", "1/", "/2", "1/2/3", "1" * 4301,
+         "-" + "2" * 4300, "1/" + "3" * 4301, "5" * 4300],
+    )
+    def test_edges(self, text):
+        assert outcome(parse_rational, text) == outcome(fraction_oracle, text)
+
+
 class TestNumericMode:
     def test_exact_compare(self):
         assert EXACT.compare(Fraction(1, 3), Fraction(1, 3)) == 0
@@ -70,6 +116,23 @@ class TestNumericMode:
         assert EXACT.ge(Fraction(2, 3), Fraction(1, 3))
         # Exact mode distinguishes arbitrarily close rationals.
         assert not EXACT.eq(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**30))
+
+    @given(st.one_of(st.integers(), st.fractions()), st.one_of(st.integers(), st.fractions()))
+    def test_exact_compare_against_rich_comparison(self, a, b):
+        assert EXACT.compare(a, b) == (a > b) - (a < b)
+
+    @pytest.mark.parametrize(
+        "a, b, expected",
+        [(0.5, Fraction(1, 2), 0), (Fraction(1, 3), 0.3, 1), (1, 1.5, -1), (0.25, 0.25, 0)],
+    )
+    def test_exact_compare_of_a_float(self, a, b, expected):
+        assert EXACT.compare(a, b) == expected
+        assert EXACT.compare(b, a) == -expected
+
+    def test_zero_and_one_are_shared(self):
+        assert EXACT.zero is EXACT.zero == 0 and type(EXACT.zero) is Fraction
+        assert EXACT.one is EXACT.one == 1 and type(EXACT.one) is Fraction
+        assert float_mode().zero == 0.0 and type(float_mode().one) is float
 
     def test_exact_coerce_normalizes(self):
         assert EXACT.coerce(3) == Fraction(3)
