@@ -44,7 +44,6 @@ from .model import AtomTree, MarkovModel, ModelError, _Cells, _checked_cells, un
 from .modelio import (
     ParseError,
     PolicyDocument,
-    TimedRegions,
     cell_pair,
     dump_cell_pair,
     dump_pair,
@@ -144,12 +143,19 @@ def _no_horizon(args, reason: str) -> None:
         raise ModelError(f"{reason}; --horizon {args.horizon} does not apply")
 
 
-def _tree_policy(doc_policy, tree: AtomTree) -> StoppingPolicy:
-    if isinstance(doc_policy, StoppingPolicy):
+def _periodic_chain(args, model) -> None:
+    """Refuse --period off a chain, or with a --horizon it would ignore."""
+    if not isinstance(model, MarkovModel):
+        raise ModelError("--period applies to chain models only")
+    _no_horizon(args, "--period works on the infinite-horizon chain")
+
+
+def _tree_policy(doc_policy, tree: AtomTree) -> Optional[StoppingPolicy]:
+    """A region document projected onto the tree or cells; a `decisions`
+    policy, or no policy, as it is."""
+    if doc_policy is None or isinstance(doc_policy, StoppingPolicy):
         return doc_policy
-    if isinstance(doc_policy, (TimedRegions, PeriodicMarkovPolicy)):
-        return doc_policy.on_tree(tree)
-    raise ParseError(f"unsupported policy document {doc_policy!r}")
+    return doc_policy.on_tree(tree)
 
 
 def _policy_document(tree: AtomTree, policy: StoppingPolicy) -> dict:
@@ -221,9 +227,7 @@ def cmd_phi(args):
     model = _load_any_model(args)
     doc = _read_policy(args, model)
     if args.period is not None:
-        if not isinstance(model, MarkovModel):
-            raise ModelError("--period applies to chain models only")
-        _no_horizon(args, "--period works on the infinite-horizon chain")
+        _periodic_chain(args, model)
         if not isinstance(doc, PeriodicMarkovPolicy):
             raise ParseError("--period needs a policy document with a 'period' field")
         if doc.period != args.period:
@@ -262,9 +266,7 @@ def cmd_enumerate(args):
     model = _load_any_model(args)
     preference = args.preference or "all"
     if args.period is not None:
-        if not isinstance(model, MarkovModel):
-            raise ModelError("--period applies to chain models only")
-        _no_horizon(args, "--period works on the infinite-horizon chain")
+        _periodic_chain(args, model)
         found = enumerate_periodic_equilibria(
             model, args.period, preference=preference, size_guard=_size_guard()
         )
@@ -317,47 +319,30 @@ def _read_policy(args, model) -> Optional[PolicyDocument]:
     return load_policy(read_json(args.policy), model if isinstance(model, MarkovModel) else None)
 
 
-def _verify(tree, pair: Optional[SnellPair], policy: Optional[StoppingPolicy]) -> tuple:
-    """(pair report, equilibrium check, survival identities), None where not asked."""
+def _conditions(report) -> dict:
+    return {
+        c.name: {"passed": c.passed, "failures": [list(f) for f in c.failures]}
+        for c in report.conditions
+    }
+
+
+def _verify_report(
+    tree, pair: Optional[SnellPair], policy: Optional[StoppingPolicy]
+) -> tuple[dict, list[str], int]:
+    """The verification document, report lines and exit code of the battery
+    for what is given: the pair, the policy, or both together."""
+    report = check = identities = None
     if pair is not None and policy is not None:
-        return verify_pair_and_policy(tree, pair, policy)
-    if pair is not None:
-        return verify_snell_pair(tree, pair), None, None
-    return None, is_equilibrium(tree, policy), None
-
-
-def _verify_on_cells(cells: _Cells, pair, doc_policy) -> Optional[tuple]:
-    """`_verify` on a chain's cells when every check passes there, else None.
-
-    A `decisions` document is per atom and is not tried.  Each cell's checks
-    are those of each of its atoms, so a pass here is the tree's pass; a
-    failure must be reported per atom, on the tree.
-    """
-    if isinstance(doc_policy, StoppingPolicy):
-        return None
-    try:
-        policy = None if doc_policy is None else _tree_policy(doc_policy, cells)
-        report, check, identities = outcome = _verify(cells, pair, policy)
-    except PolicyError:
-        return None
-    passed = (
-        (report is None or report.passed)
-        and (check is None or bool(check))
-        and (identities is None or identities.passed)
-    )
-    return outcome if passed else None
-
-
-def _verify_report(report, check, identities) -> tuple[dict, list[str], int]:
-    """The verification document, report lines and exit code of `_verify`'s outcome."""
+        report, check, identities = verify_pair_and_policy(tree, pair, policy)
+    elif pair is not None:
+        report = verify_snell_pair(tree, pair)
+    else:
+        check = is_equilibrium(tree, policy)
     verification: dict = {}
     lines: list[str] = []
     failed = False
     if report is not None:
-        verification["snell_pair"] = {
-            c.name: {"passed": c.passed, "failures": [list(f) for f in c.failures]}
-            for c in report.conditions
-        }
+        verification["snell_pair"] = _conditions(report)
         failed |= not report.passed
         lines.append("value/survival pair conditions:")
         for c in report.conditions:
@@ -377,10 +362,7 @@ def _verify_report(report, check, identities) -> tuple[dict, list[str], int]:
             for atom in check.deviations[:5]:
                 lines.append(f"  deviation at {atom}")
     if identities is not None:
-        verification["survival_identities"] = {
-            c.name: {"passed": c.passed, "failures": [list(f) for f in c.failures]}
-            for c in identities.conditions
-        }
+        verification["survival_identities"] = _conditions(identities)
         failed |= not identities.passed
         lines.append("survival identities:")
         for c in identities.conditions:
@@ -394,10 +376,12 @@ def cmd_verify(args):
     Each document is read and parsed once, before any unroll, so a malformed
     one exits 2 on the cells as on the tree.  A chain is checked on its
     (time, state) cells when the parsed pair is constant on each cell
-    (`cell_pair`), the policy is a region document, and every check passes
-    there.  Otherwise, to report a failure or to check a pair or policy that
-    is not Markov, the chain is unrolled and the same pair and policy are
-    checked per atom, which is also the only path for a tree model.
+    (`cell_pair`) and the policy is a region document.  Each cell's checks
+    are those of each of its atoms, so a pass there is the tree's pass, and a
+    region document that names no region for some time is refused there as on
+    the tree.  Otherwise, to report a failure per atom or to check a pair or
+    policy that is not Markov, the chain is unrolled and the same pair and
+    policy are checked on the tree, the only path for a tree model.
     """
     if args.pair is None and args.policy is None:
         raise ParseError("verify requires --pair and/or --policy")
@@ -405,15 +389,14 @@ def cmd_verify(args):
     cells = _as_cells(model, args.horizon)
     pair = None if args.pair is None else load_pair(read_json(args.pair), mode=_mode(args))
     doc_policy = _read_policy(args, model)
-    if isinstance(cells, _Cells):
+    if isinstance(cells, _Cells) and not isinstance(doc_policy, StoppingPolicy):
         on_cells = None if pair is None else cell_pair(cells, pair)
         if pair is None or on_cells is not None:
-            outcome = _verify_on_cells(cells, on_cells, doc_policy)
-            if outcome is not None:
-                return model, {}, *_verify_report(*outcome)
+            report = _verify_report(cells, on_cells, _tree_policy(doc_policy, cells))
+            if report[2] == EXIT_OK:
+                return model, {}, *report
     tree = _as_tree(model, args.horizon)
-    policy = None if doc_policy is None else _tree_policy(doc_policy, tree)
-    return model, {}, *_verify_report(*_verify(tree, pair, policy))
+    return model, {}, *_verify_report(tree, pair, _tree_policy(doc_policy, tree))
 
 
 def cmd_truncate(args):
@@ -579,17 +562,15 @@ def _example_minnie_donald(args):
     return model, results, verification, lines
 
 
+EXAMPLES = {
+    "binomial": _example_binomial,
+    "two-state": _example_two_state,
+    "minnie-donald": _example_minnie_donald,
+}
+
+
 def cmd_example(args):
-    name = args.name
-    if name == "binomial":
-        model, results, verification, lines = _example_binomial(args)
-    elif name == "two-state":
-        model, results, verification, lines = _example_two_state(args)
-    elif name == "minnie-donald":
-        model, results, verification, lines = _example_minnie_donald(args)
-    else:
-        raise ParseError(f"unknown example {name!r}; available: {sorted(BUILTIN_MODELS)}")
-    return model, results, verification, lines, EXIT_OK
+    return (*EXAMPLES[args.name](args), EXIT_OK)
 
 
 COMMANDS = {
@@ -645,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-horizon", type=int, required=True, dest="max_horizon")
     p.add_argument("--window", type=int, default=3)
     p = sub.add_parser("example", help="full battery on a builtin model")
-    p.add_argument("name", choices=sorted(BUILTIN_MODELS))
+    p.add_argument("name", choices=sorted(EXAMPLES))
     common(p, model_required=False)
     return parser
 

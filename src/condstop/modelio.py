@@ -118,9 +118,7 @@ def _state_lookup(states: tuple) -> dict[str, State]:
 
 
 def _resolve(token: Any, lookup: Mapping[str, State], context: str) -> State:
-    if isinstance(token, bool):
-        raise ParseError(f"{context}: {token!r} is not a state")
-    if not isinstance(token, (int, str)):
+    if isinstance(token, bool) or not isinstance(token, (int, str)):
         raise ParseError(f"{context}: {token!r} is not a state")
     key = str(token)
     if key not in lookup:

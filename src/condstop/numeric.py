@@ -11,6 +11,7 @@ classification through a configurable tolerance.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -31,11 +32,18 @@ class SingularSystemError(ArithmeticError):
     """A linear system required by a solver has no unique solution."""
 
 
+# Fraction computes 10**exponent: "1e10000000" takes 12 s.  The bound is
+# int()'s limit of 4300 digits on a literal.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\Z")  # Fraction's exponent form
+
+
 def parse_rational(value: Union[str, int, Fraction]) -> Fraction:
     """Parse a rational literal such as ``"1/3"``, ``"0.4"`` or ``"-2"``.
 
-    Decimal strings are read exactly: ``"0.4"`` becomes ``2/5``.  Floats are
-    rejected so that inexact values cannot slip into exact computations.
+    Decimal strings are read exactly: ``"0.4"`` becomes ``2/5``.  An exponent
+    beyond `MAX_EXPONENT` in magnitude is refused.  Floats are rejected so
+    that inexact values cannot slip into exact computations.
     """
     if isinstance(value, str):
         text = value.strip()
@@ -43,7 +51,7 @@ def parse_rational(value: Union[str, int, Fraction]) -> Fraction:
             # ASCII `-?[0-9]+` and `-?[0-9]+/[0-9]+` are built from their
             # integers.  Fraction's parse makes the same ints, so the values
             # and errors (a zero denominator, int()'s digit limit) are its own.
-            # Every other literal goes to Fraction.
+            # Every other literal goes to Fraction once its exponent is bounded.
             num, slash, den = text.partition("/")
             digits = num[1:] if num[:1] == "-" else num
             if digits.isascii() and digits.isdigit():
@@ -51,6 +59,9 @@ def parse_rational(value: Union[str, int, Fraction]) -> Fraction:
                     return Fraction(int(num))
                 if den.isascii() and den.isdigit():
                     return Fraction(int(num), int(den))
+            exponent = _EXPONENT.search(text)
+            if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
+                raise ValueError(f"exponent beyond {MAX_EXPONENT} in magnitude")
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise NumericError(f"bad rational literal {value!r}: {exc}") from None

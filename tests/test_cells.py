@@ -194,7 +194,7 @@ def verify_output(argv):
 
 def tree_path_output(monkeypatch, argv):
     with monkeypatch.context() as patched:
-        patched.setattr(cli, "_verify_on_cells", lambda *args: None)
+        patched.setattr(cli, "_as_cells", cli._as_tree)
         return verify_output(argv)
 
 
@@ -320,9 +320,9 @@ def assert_verifies_like_the_tree_path(monkeypatch, tmp_path, model_arg, horizon
         reported = verify_output(argv)
     assert reported == tree_path_output(monkeypatch, argv), (variant, horizon)
     code = reported[0]
-    if code in (1, 3):  # a failed check or an invalid policy is reported on the tree
+    if code == 1 or (code == 3 and variant == "decisions"):  # reported per atom, on the tree
         assert len(unrolls) == 1
-    elif code == 2:  # the documents are parsed before anything is unrolled
+    elif code in (2, 3):  # documents are parsed, and a region document applied, before any unroll
         assert not unrolls
     elif variant in PER_CELL:
         assert not unrolls

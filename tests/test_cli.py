@@ -659,6 +659,77 @@ class TestErrorChannels:
         assert stderr == ""  # no BrokenPipeError traceback
 
 
+def chain_with(**changes):
+    """The two-state chain document with some top-level entries replaced."""
+    return {**dump_model(two_state_model()), **changes}
+
+
+def chain_with_row(key, row):
+    doc = dump_model(two_state_model())
+    doc["transitions"][key] = row
+    return doc
+
+
+class TestRefusals:
+    """Refusals of the exit-code contract: each pins the code, the whole
+    `error:` line and an empty stdout."""
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (chain_with(transitions=[]), "markov model: 'transitions' must be an object"),
+            (chain_with_row("1", ["1"]), "transitions['1'] must be an object"),
+            (chain_with(payoff=["1"]), "markov model: 'payoff' must be an object"),
+            (chain_with(domain={"1": 1}), "markov model: 'domain' must be a list"),
+            (chain_with(forced_stop="2"), "markov model: 'forced_stop' must be a list"),
+            (chain_with(states=[]), "markov model: 'states' must be a non-empty list"),
+            (chain_with(domain=[1, True]), "domain: True is not a state"),
+            (chain_with(domain=[1.5, 2]), "domain: 1.5 is not a state"),
+            ({"type": "tree", "nodes": [["root"]]}, "tree model: node 0 must be an object"),
+            (chain_with(payoff={"1": "1e10000000", "2": "1"}),
+             "payoff['1']: bad rational literal '1e10000000': exponent beyond 4300 in magnitude"),
+        ],
+    )
+    def test_malformed_model_files_exit_two(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        argv = ["solve", "--model", str(path), "--horizon", "2"]
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "flag, doc, message",
+        [
+            ("--pair", [1], "pair document must be a JSON object"),
+            ("--policy", {"regions": ["0"]}, "policy: 'regions' must be an object"),
+            ("--policy", {"regions": {"0": 1}}, "policy: region '0' must be a list of states"),
+        ],
+    )
+    def test_malformed_pair_and_policy_files_exit_two(self, capsys, tmp_path, flag, doc, message):
+        path = tmp_path / "document.json"
+        path.write_text(json.dumps(doc))
+        argv = ["verify", "--model", "two-state", "--horizon", "2", flag, str(path)]
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    def test_period_on_a_tree_is_a_model_error(self, capsys, tmp_path):
+        _, policy = backward_solve(binomial_tree())
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps({"decisions": dict(policy.decisions)}))
+        argv = ["phi", "--model", "binomial", "--policy", str(path), "--period", "1"]
+        assert run(capsys, *argv) == (3, "", "error: --period applies to chain models only\n")
+
+    def test_period_needs_a_periodic_policy(self, capsys, tmp_path):
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps({"regions": {"0": [0, 2]}}))
+        argv = ["phi", "--model", "two-state", "--policy", str(path), "--period", "1"]
+        assert run(capsys, *argv) == (
+            2, "", "error: --period needs a policy document with a 'period' field\n"
+        )
+
+    def test_truncate_on_a_tree_is_a_model_error(self, capsys):
+        argv = ["truncate", "--model", "binomial", "--max-horizon", "4"]
+        assert run(capsys, *argv) == (3, "", "error: truncate applies to chain models only\n")
+
+
 FLOAT_ROW_ERROR = (
     "error: children of '0' have probabilities summing to 0.9999999999999999, not 1\n"
 )

@@ -1,4 +1,5 @@
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,20 @@ class TestParseRational:
     @given(st.fractions())
     def test_round_trip(self, q):
         assert parse_rational(format_scalar(q)) == q
+
+    @pytest.mark.parametrize(
+        "text", ["1e4301", "1E-99999999", "1e10000000", "-2.5e+4_301", "1e٤٣٠١", " 3e-04301 "]
+    )
+    def test_exponent_beyond_the_bound_is_refused_at_once(self, text):
+        # Fraction would compute 10**exponent: 12 s for "1e10000000".
+        start = time.perf_counter()
+        with pytest.raises(NumericError, match=r"exponent beyond 4300 in magnitude$"):
+            parse_rational(text)
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("text", ["1e4300", "-2.5e-4300", "7e٤٣٠٠", "1e-0004300"])
+    def test_exponent_at_the_bound_is_read(self, text):
+        assert parse_rational(text) == Fraction(text)
 
 
 def test_format_scalar():
@@ -103,7 +118,9 @@ class TestParseRationalAgainstFraction:
         "text",
         ["7", "-0", " 007/010 ", "-3/6", "1/0", "-1/00", "1/-2", "+1", "--1", "1_0", "٣/4",
          "3/٤", "²", "1/²", "0.5", "1e-1", "", "-", "/", "1/", "/2", "1/2/3", "1" * 4301,
-         "-" + "2" * 4300, "1/" + "3" * 4301, "5" * 4300],
+         "-" + "2" * 4300, "1/" + "3" * 4301, "5" * 4300,
+         # exponents the bound leaves to Fraction: not its form, or past int()'s limit
+         "1e 99999", "1e-+99999", "1e" + "9" * 4301],
     )
     def test_edges(self, text):
         assert outcome(parse_rational, text) == outcome(fraction_oracle, text)
