@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -44,6 +43,7 @@ from .model import AtomTree, MarkovModel, ModelError, _Cells, _checked_cells, un
 from .modelio import (
     ParseError,
     PolicyDocument,
+    _indented,
     cell_pair,
     dump_cell_pair,
     dump_pair,
@@ -642,6 +642,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     start = time.perf_counter()
     try:
         model, results, verification, lines, code = COMMANDS[args.command](args)
+        elapsed = time.perf_counter() - start
+        digest = model_digest(model)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
@@ -651,8 +653,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _INVALID as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_MODEL
-    elapsed = time.perf_counter() - start
-    digest = model_digest(model)
     try:
         if args.json:
             report = {
@@ -662,7 +662,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 "verification": verification,
                 "timing_seconds": round(elapsed, 6),
             }
-            print(json.dumps(report, sort_keys=True, indent=2))
+            print("".join(_indented(report)))
         else:
             print(f"model digest: {digest[:16]}")
             for line in lines:

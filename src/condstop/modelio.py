@@ -11,6 +11,7 @@ invariant raises the model layer's own errors.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from collections.abc import Mapping
@@ -295,6 +296,45 @@ def model_digest(model: Model) -> str:
     """Stable content hash of a model's canonical wire form."""
     canonical = _CANONICAL.encode(dump_model(model))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+@functools.cache  # one encoder per nesting depth
+def _flat(depth: int) -> json.JSONEncoder:
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * (depth + 1), ": "))
+
+
+def _indented(obj: Any, depth: int = 0, out: Optional[list] = None) -> list:
+    """The chunks of `json.dumps(obj, sort_keys=True, indent=2)` at nesting
+    `depth`, appended to `out`.  That call runs `json`'s pure-Python encoder;
+    here each non-empty container of exact scalars is one C-encoder call, whose
+    item separator carries the newline and indent."""
+    out = [] if out is None else out
+    is_dict = isinstance(obj, dict)
+    if not (is_dict or isinstance(obj, (list, tuple))) or not obj:
+        out.append(_CANONICAL.encode(obj))  # a scalar, {} or []
+        return out
+    inner = "\n" + "  " * (depth + 1)
+    if set(map(type, obj.values() if is_dict else obj)) <= _SCALARS:
+        text = _flat(depth).encode(obj)
+        out += (text[0], inner, text[1:-1], inner[:-2], text[-1])
+        return out
+    out.append("{" if is_dict else "[")
+    for i, item in enumerate(sorted(obj.items()) if is_dict else obj):
+        out.append("," + inner if i else inner)
+        if is_dict:
+            key, item = item
+            if not isinstance(key, str):
+                if not (key is None or isinstance(key, (int, float))):
+                    raise TypeError("keys must be str, int, float, bool or None, "
+                                    f"not {key.__class__.__name__}")
+                key = _CANONICAL.encode(key)  # the key's JSON text: 1, 2.5, true, null, NaN
+            out += (_CANONICAL.encode(key), ": ")
+        _indented(item, depth + 1, out)
+    out += (inner[:-2], "}" if is_dict else "]")
+    return out
 
 
 def load_policy(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -86,11 +87,20 @@ def sum_in_order(values: Iterable[Scalar], start: Scalar = 0) -> Scalar:
 
 
 def format_scalar(value: Scalar) -> str:
-    """Render a scalar as a rational string (``"2/5"``) or float repr."""
-    if type(value) is Fraction:
-        return str(value)
-    if isinstance(value, (Fraction, int)) and not isinstance(value, bool):
-        return str(Fraction(value))
+    """Render a scalar as a rational string (``"2/5"``) or float repr.
+
+    A rational whose numerator or denominator has more digits than `str()`
+    of an int allows (4300 by default) raises NumericError.
+    """
+    try:
+        if type(value) is Fraction:
+            return str(value)
+        if isinstance(value, (Fraction, int)) and not isinstance(value, bool):
+            return str(Fraction(value))
+    except ValueError:
+        raise NumericError(
+            f"cannot write a number of more than {sys.get_int_max_str_digits()} digits"
+        ) from None
     return repr(float(value))
 
 

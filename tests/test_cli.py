@@ -729,6 +729,22 @@ class TestRefusals:
         argv = ["truncate", "--model", "binomial", "--max-horizon", "4"]
         assert run(capsys, *argv) == (3, "", "error: truncate applies to chain models only\n")
 
+    @pytest.mark.parametrize("report", [(), ("--json",)], ids=["human", "json"])
+    @pytest.mark.parametrize(
+        "payoff",
+        [
+            "1e4300",  # 4,301 digits: the model digest cannot write it
+            "1e4299",  # the digest can, but a value computed from it has more digits
+        ],
+    )
+    def test_numbers_past_the_digit_limit_exit_three(self, capsys, tmp_path, payoff, report):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(chain_with(payoff={"1": "1", "2": payoff})))
+        argv = ["solve", "--model", str(path), "--horizon", "2", *report]
+        assert run(capsys, *argv) == (
+            3, "", "error: cannot write a number of more than 4300 digits\n"
+        )
+
 
 FLOAT_ROW_ERROR = (
     "error: children of '0' have probabilities summing to 0.9999999999999999, not 1\n"
@@ -833,3 +849,43 @@ class TestPinnedReports:
         assert code == 0
         out = re.sub(r'"timing_seconds": [0-9.e-]+', '"timing_seconds": 0', out)
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+class TestJsonReportsRoundTrip:
+    """Every subcommand's `--json` report is exactly the text that
+    `json.dumps(..., sort_keys=True, indent=2)` writes for it."""
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (("solve", "--model", "binomial"), 0),
+            (("solve", "--model", "binomial", "--float"), 0),
+            (("solve", "--model", "two-state", "--horizon", "8"), 0),
+            (("solve", "--model", "two-state", "--horizon", "8", "--float"), 0),
+            (("verify", "--model", "binomial", "--pair", "{pair}", "--policy", "{policy}"), 0),
+            (("verify", "--model", "binomial", "--pair", "{tampered}", "--policy", "{policy}"), 1),
+            (("precommit", "--model", "binomial"), 0),
+            (("phi", "--model", "binomial", "--policy", "{policy}"), 0),
+            (("enumerate", "--model", "binomial"), 0),
+            (("enumerate", "--model", "minnie-donald", "--period", "4"), 0),
+            (("truncate", "--model", "two-state", "--max-horizon", "10", "--window", "3"), 0),
+            (("example", "binomial"), 0),
+            (("example", "two-state"), 0),
+            (("example", "minnie-donald"), 0),
+        ],
+    )
+    def test_report_is_its_own_indented_dump(self, capsys, tmp_path, argv, expected):
+        pair, policy = backward_solve(binomial_tree())
+        tampered = dump_pair(pair)
+        tampered["V"]["root"] = "7"
+        documents = {
+            "pair": dump_pair(pair),
+            "tampered": tampered,
+            "policy": {"decisions": dict(policy.decisions)},
+        }
+        paths = {name: str(tmp_path / f"{name}.json") for name in documents}
+        for name, document in documents.items():
+            Path(paths[name]).write_text(json.dumps(document))
+        code, out, _ = run(capsys, *(arg.format(**paths) for arg in argv), "--json")
+        assert code == expected
+        assert json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n" == out

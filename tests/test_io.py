@@ -628,3 +628,95 @@ class TestReadJsonAgainstTwoStepReader:
             read_json(str(path))
         with pytest.raises(ParseError, match="invalid JSON"):
             two_step_read_json(str(path))
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+WRITER_KEYS = st.one_of(
+    st.text(max_size=4),
+    st.integers(),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.just((1, 2)),
+)
+WRITER_SCALARS = st.one_of(
+    st.text(max_size=6),  # non-ASCII included
+    st.integers(),
+    st.sampled_from([4299, 4300]).map(lambda digits: -(10**digits)),  # 4,300 and 4,301 digits
+    st.sampled_from([_Int(7), _Str("é"), object(), b"x"]),
+    st.floats(),  # ±inf and NaN included
+    st.booleans(),
+    st.none(),
+)
+
+
+def writer_documents():
+    """Nested dicts, lists and tuples, empty or not, with dict and list
+    subclasses, keys of every JSON key type plus one that is not, and values
+    json writes, or refuses to write."""
+    return st.recursive(
+        WRITER_SCALARS,
+        lambda children: st.one_of(
+            st.dictionaries(WRITER_KEYS, children, max_size=4),
+            st.dictionaries(st.text(max_size=3), children, max_size=4).map(_Dict),
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            st.lists(children, max_size=4).map(_List),
+        ),
+        max_leaves=16,
+    )
+
+
+def written(write, document):
+    try:
+        return "text", write(document)
+    except (TypeError, ValueError) as exc:
+        return "error", type(exc), str(exc)
+
+
+class TestIndentedWriterAgainstJsonDumps:
+    """`modelio._indented`, which writes the `--json` reports, against its
+    oracle `json.dumps(obj, sort_keys=True, indent=2)`."""
+
+    @staticmethod
+    def check(document):
+        assert written(lambda d: "".join(modelio._indented(d)), document) == written(
+            lambda d: json.dumps(d, sort_keys=True, indent=2), document
+        )
+
+    @settings(max_examples=400, deadline=None)
+    @given(writer_documents())
+    def test_same_text_or_same_error(self, document):
+        self.check(document)
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"b": {}, "a": [], "c": ()},
+            {"z": {"y": [1, "2", None]}, "x": _Dict(b=1.5, a=_List([True]))},
+            [{}, [[]], _Dict(), _List()],
+            {2: [1], 1.5: {"k": "é"}, True: None, float("inf"): 0},
+            {None: [float("nan"), float("-inf")]},
+            {"a": [1], 2: [2]},  # keys of mixed types
+            {(1, 2): [1]},  # a key json refuses
+            {"a": [object()]},  # a value json refuses
+            {"a": {"b": 10**4300}},  # an int past str()'s digit limit
+        ],
+    )
+    def test_examples(self, document):
+        self.check(document)
