@@ -116,8 +116,8 @@ def reachable_pairs(model: MarkovModel, period: int) -> frozenset:
     while frontier:
         phase, x = frontier.pop()
         nxt = (phase + 1) % period
-        for y, prob in model.transitions[x].items():
-            if prob > 0 and y in model.domain and (nxt, y) not in seen:
+        for y, _ in model._split[x][0]:
+            if (nxt, y) not in seen:
                 seen.add((nxt, y))
                 frontier.append((nxt, y))
     return frozenset(seen)
@@ -151,37 +151,23 @@ def _domain_pairs(model: MarkovModel, period: int) -> list[Pair]:
     ]
 
 
-def _rows(model: MarkovModel) -> dict:
-    """Per domain state: its in-domain successors with positive probability,
-    in row order, each as (y, p, discount * p, discount * p * payoff(y)), and
-    its one-step exit mass."""
-    rows = {}
-    delta = model.discount
-    for x in model.domain:
-        row = model.transitions[x].items()
-        rows[x] = (
-            [
-                (y, p, delta * p, delta * p * model.payoff[y])
-                for y, p in row
-                if p > 0 and y in model.domain
-            ],
-            sum_in_order((p for y, p in row if y not in model.domain), model.mode.zero),
-        )
-    return rows
-
-
-def _steps(rows: dict, pairs: list, period: int) -> dict:
-    """Per (phase, x) of `pairs`: row x of `_rows`, each successor y replaced
-    by the product-chain pair (phase + 1 mod period, y)."""
+def _steps(model: MarkovModel, pairs: list, period: int) -> dict:
+    """Per (phase, x) of `pairs`: the in-domain successors y of x in
+    `model._split`, each as ((phase + 1 mod period, y), p, discount * p,
+    discount * p * payoff(y)), and the exit mass of x."""
+    delta, payoff = model.discount, model.payoff
     steps = {}
     for phase, x in pairs:
-        successors, exit_mass = rows[x]
+        successors, exit_mass = model._split[x]
         nxt = (phase + 1) % period
-        steps[phase, x] = ([((nxt, y), *rest) for y, *rest in successors], exit_mass)
+        steps[phase, x] = (
+            [((nxt, y), p, delta * p, delta * p * payoff[y]) for y, p in successors],
+            exit_mass,
+        )
     return steps
 
 
-def _dominant(model: MarkovModel, rows: dict, free: list) -> set:
+def _dominant(model: MarkovModel, free: list) -> set:
     """Free states whose payoff beats every continuation value they can have.
 
     J at a pair in state x is a conditional mean of discount**t * payoff(y),
@@ -196,7 +182,7 @@ def _dominant(model: MarkovModel, rows: dict, free: list) -> set:
     for x in free:
         seen, frontier = set(), [x]
         while frontier:
-            for y, *_ in rows[frontier.pop()][0]:
+            for y, _ in model._split[frontier.pop()][0]:
                 if y not in seen:
                     seen.add(y)
                     frontier.append(y)
@@ -287,7 +273,7 @@ def _evaluate(
     for pair in pairs:
         if pair in cont:
             h_val, q_val = h_cont[pair], q_cont[pair]
-        else:  # one step, then the continuation or a stop, in row order
+        else:  # one step, then the continuation or a stop, in state order
             row, q_val = steps[pair]
             h_val = mode.zero
             for succ, prob, discounted, gain in row:
@@ -322,7 +308,7 @@ def evaluate(model: MarkovModel, policy: PeriodicMarkovPolicy) -> PolicyEvaluati
     _require_infinite(model)
     _validate_regions(model, policy)
     pairs = _domain_pairs(model, policy.period)
-    steps = _steps(_rows(model), pairs, policy.period)
+    steps = _steps(model, pairs, policy.period)
     return _evaluate(model, steps, policy, pairs, reachable_pairs(model, policy.period))
 
 
@@ -442,8 +428,8 @@ def enumerate_periodic_equilibria(
     slots[0] last, bit 0 before bit 1, so survivors come in the order of
     their bits read as a binary number (bit i for slots[i]).  A node stops at the slots
     it has not assigned and is evaluated on the reachable pairs, which are
-    closed under in-domain transitions; the transition rows and the
-    reachable pairs are built once.  Two rules prune every completion below
+    closed under in-domain transitions; the step table and the reachable
+    pairs are built once.  Two rules prune every completion below
     a node.  If its evaluation fails, so does each completion: continuing at
     more slots only lowers p and, at discount 1, only grows the pairs that
     reach no stop.  And a pair's J is final once no unassigned slot can be
@@ -462,8 +448,7 @@ def enumerate_periodic_equilibria(
     guard = DEFAULT_POLICY_GUARD if size_guard is None else size_guard
     free = [x for x in model.states if x in model.domain and x not in model.forced_stop]
     reachable = reachable_pairs(model, period)
-    rows = _rows(model)
-    dominant = _dominant(model, rows, free)
+    dominant = _dominant(model, free)
     slots = [
         (phase, x)
         for phase in range(period)
@@ -481,12 +466,13 @@ def enumerate_periodic_equilibria(
     pinned = model.exit_states | model.forced_stop
     traps: set = set()
     if model.mode.eq(model.discount, 1):
+        split = model._split
         ends = {
             x
             for x in free
-            if rows[x][1] > 0 or any(y in model.forced_stop for y, *_ in rows[x][0])
+            if split[x][1] > 0 or any(y in model.forced_stop for y, _ in split[x][0])
         }
-        traps = set(free) - _closure(free, ends, lambda x: (y for y, *_ in rows[x][0]))
+        traps = set(free) - _closure(free, ends, lambda x: (y for y, _ in split[x][0]))
     base = [
         pinned
         | {x for x in traps if (phase, x) not in reachable}
@@ -494,7 +480,7 @@ def enumerate_periodic_equilibria(
         for phase in range(period)
     ]
 
-    steps = _steps(rows, pairs, period)
+    steps = _steps(model, pairs, period)
 
     def successors(pair: Pair):
         return (step[0] for step in steps[pair][0])

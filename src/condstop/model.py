@@ -245,7 +245,7 @@ class MarkovModel:
             raise ModelError("discount must lie in (0, 1]")
         if self.horizon is not None and (not isinstance(self.horizon, int) or self.horizon <= 0):
             raise ModelError("horizon must be a positive integer or None")
-        mode = self.mode
+        mode, split = self.mode, {}
         for state in self.states:
             row = self.transitions.get(state)
             if row is None:
@@ -256,6 +256,15 @@ class MarkovModel:
                 raise ModelError(f"row of {state!r} has a negative probability")
             if not mode.eq(sum_in_order(row.values(), mode.zero), mode.one):
                 raise ModelError(f"row of {state!r} does not sum to 1")
+            # Per state: its in-domain successors with positive probability,
+            # as (y, p), and its exit mass, both read in state order.  Every
+            # chain reader walks `_split`, so no result depends on key order.
+            moves = [(y, row[y]) for y in self.states if row.get(y, 0) > 0]
+            split[state] = (
+                tuple((y, p) for y, p in moves if y in self.domain),
+                sum_in_order((p for y, p in moves if y not in self.domain), mode.zero),
+            )
+        object.__setattr__(self, "_split", split)
 
     @property
     def exit_states(self) -> frozenset[State]:
@@ -267,10 +276,7 @@ class MarkovModel:
 
     def domain_successor_mass(self, state: State) -> Scalar:
         """One-step probability of remaining in the domain from `state`."""
-        return sum_in_order(
-            (p for y, p in self.transitions[state].items() if y in self.domain),
-            self.mode.zero,
-        )
+        return sum_in_order((p for _, p in self._split[state][0]), self.mode.zero)
 
 
 def _state_segment(state: State) -> str:
@@ -309,12 +315,8 @@ class _Cells:
         mode = self.mode = model.mode
         branches = {None: [(None, mode.one)]}
         for x in model.domain:
-            row = model.transitions[x]
-            moves = [(y, row[y]) for y in model.states if row.get(y, 0) > 0]
-            branches[x] = [(y, p) for y, p in moves if y in model.domain]
-            exit_mass = sum_in_order((p for y, p in moves if y not in model.domain), mode.zero)
-            if exit_mass > 0:
-                branches[x].append((None, exit_mass))
+            successors, exit_mass = model._split[x]
+            branches[x] = [*successors, (None, exit_mass)] if exit_mass > 0 else successors
 
         def cell(t: int, y: Optional[State]) -> Atom:
             gain = None if y is None else model.gain(t, y)

@@ -156,19 +156,27 @@ def _load_tree(document: Mapping[str, Any], mode: NumericMode) -> AtomTree:
 
     levels: dict[str, int] = {}
 
-    def level_of(node_id: str, trail: tuple[str, ...] = ()) -> int:
-        if node_id in levels:
-            return levels[node_id]
-        if node_id in trail:
-            raise ParseError(f"node {node_id!r}: parent chain forms a cycle")
-        parent = raw[node_id].get("parent")
-        if parent is None:
-            levels[node_id] = 0
-        else:
+    def level_of(node_id: str) -> int:
+        """Walk up to a node of known level or the root, then number the
+        walked nodes down from there: a loop, so deep trees cannot exhaust
+        the interpreter's recursion limit."""
+        trail: dict[str, None] = {}
+        while node_id not in levels:
+            if node_id in trail:
+                raise ParseError(f"node {node_id!r}: parent chain forms a cycle")
+            parent = raw[node_id].get("parent")
+            if parent is None:
+                levels[node_id] = 0
+                break
             if not isinstance(parent, str) or parent not in raw:
                 raise ParseError(f"node {node_id!r}: unknown parent {parent!r}")
-            levels[node_id] = level_of(parent, trail + (node_id,)) + 1
-        return levels[node_id]
+            trail[node_id] = None
+            node_id = parent
+        level = levels[node_id]
+        for walked in reversed(trail):
+            level += 1
+            levels[walked] = level
+        return level
 
     numbers = _Literals(mode)
     atoms = []

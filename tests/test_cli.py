@@ -829,6 +829,57 @@ class TestJsonDeterminism:
         assert json.dumps(doc1, sort_keys=True) == json.dumps(doc2, sort_keys=True)
 
 
+def reports_of(capsys, path, documents, *argv):
+    """The `--json` report, timing removed, of each document written in turn
+    to the same `path` (so the reports name the same file)."""
+    reports = []
+    for document in documents:
+        path.write_text(json.dumps(document))
+        code, out, err = run(capsys, *argv, "--model", str(path), "--json")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        report.pop("timing_seconds")
+        reports.append(report)
+    return reports
+
+
+class TestInputOrder:
+    def test_row_key_order_cannot_change_a_float_census(self, capsys, tmp_path):
+        row = {"1": "5/11", "2": "4/11", "0": "2/11"}
+        chain = {
+            "type": "markov",
+            "states": [0, 1, 2],
+            "initial": 1,
+            "transitions": {"0": row, "1": {"0": "1/6", "1": "5/12", "2": "5/12"}, "2": {"0": "1"}},
+            "domain": [0, 1, 2],
+            "payoff": {"0": "19/3", "1": "13", "2": "-1"},
+            "discount": "18/25",
+            "horizon": "infinite",
+        }
+        twin = {**chain, "transitions": {
+            x: dict(reversed(list(r.items()))) for x, r in chain["transitions"].items()
+        }}
+        ordered, reversed_rows = reports_of(
+            capsys, tmp_path / "chain.json", [chain, twin], "enumerate", "--period", "2", "--float"
+        )
+        assert ordered["results"]["count"] > 0
+        assert ordered == reversed_rows
+
+    def test_a_deep_path_solves_in_either_node_order(self, capsys, tmp_path):
+        nodes = [{"id": "n0", "prob": "1", "in_domain": True, "payoff": "1"}]
+        nodes += [
+            {"id": f"n{i}", "parent": f"n{i - 1}", "prob": "1", "in_domain": True,
+             "payoff": str(i % 7)}
+            for i in range(1, 3000)
+        ]
+        root_first, deepest_first = reports_of(
+            capsys, tmp_path / "path.json",
+            [{"type": "tree", "nodes": nodes}, {"type": "tree", "nodes": nodes[::-1]}],
+            "solve",
+        )
+        assert root_first == deepest_first
+
+
 class TestPinnedReports:
     """sha256 of `solve --json` with the timing zeroed: any change to the
     report's bytes, its numbers or its key order shows here."""

@@ -29,8 +29,8 @@ from condstop.infinite import (
     reachable_pairs,
     truncation_limit,
 )
-from condstop.model import MarkovModel, ModelError, unroll
-from condstop.modelio import dump_model, load_model
+from condstop.model import MarkovModel, ModelError, _Cells, unroll
+from condstop.modelio import dump_model, load_model, model_digest
 from condstop.numeric import NumericError, float_mode
 from condstop.policy import (
     InadmissiblePolicyError,
@@ -705,13 +705,13 @@ class TestCensusCore:
         model, period = minnie_donald_model(), 4
         domain = len(infinite._domain_pairs(model, period))
         reachable = len(reachable_pairs(model, period))
-        rows = _recorded(monkeypatch, "_rows")
+        steps = _recorded(monkeypatch, "_steps")
         reach = _recorded(monkeypatch, "reachable_pairs")
         cores = _recorded(monkeypatch, "_evaluate")
         found = infinite.enumerate_periodic_equilibria(model, period)
         sizes = [len(args[3]) for args in cores]
         assert len(found) == 2 and reachable < domain
-        assert len(rows) == len(reach) == 1
+        assert len(steps) == len(reach) == 1
         assert sizes.count(domain) == len(found)
         # The pruned search evaluates 9 of the 2**4 candidates' policies.
         assert sizes.count(reachable) == len(sizes) - len(found) == 9 < 2**4
@@ -740,7 +740,7 @@ class TestCensusCore:
             policy = random_periodic_policy(rng, model, period)
         reachable = reachable_pairs(model, period)
         pairs = [pair for pair in infinite._domain_pairs(model, period) if pair in reachable]
-        steps = infinite._steps(infinite._rows(model), pairs, period)
+        steps = infinite._steps(model, pairs, period)
         part, part_error = _outcome(infinite._evaluate, model, steps, policy, pairs, reachable)
         full, full_error = _outcome(evaluate, model, policy)
         assert part_error == full_error
@@ -915,7 +915,7 @@ class TestDominantStates:
         if floats:
             model = _float_chain(model)
         dominant = dominant_states(model)
-        assert infinite._dominant(model, infinite._rows(model), free) == dominant
+        assert infinite._dominant(model, free) == dominant
         if rich and not discount_one:
             assert x in dominant
         oracle = exhaustive_periodic_equilibria(model, period, preference)
@@ -933,7 +933,7 @@ class TestDominantStates:
         # State 2 pays 6/5, above 9/10 * 6/5, so only the slots of state 1
         # stay open; with state 2's slots open too it took 366 and 1,095.
         model = two_state_model()
-        assert infinite._dominant(model, infinite._rows(model), [1, 2]) == {2}
+        assert infinite._dominant(model, [1, 2]) == {2}
         cores = _recorded(monkeypatch, "_evaluate")
         found = enumerate_periodic_equilibria(model, period)
         assert len(found) == 2 and len(cores) == calls
@@ -958,7 +958,7 @@ class TestDominantStates:
             payoff={1: F(-1), 2: F(-5)},
             discount=F(1, 2),
         )
-        assert infinite._dominant(model, infinite._rows(model), [1, 2]) == set()
+        assert infinite._dominant(model, [1, 2]) == set()
         (only,) = enumerate_periodic_equilibria(model, 1)
         assert only.policy.regions == (frozenset(),)
         assert only.evaluation.J == {(0, 1): 0, (0, 2): 0}
@@ -1108,6 +1108,54 @@ class TestMarkovBitsAgainstUnrollOracle:
         if floats:
             model = _float_chain(model)
         assert _markov_bits(model, horizon) == markov_bits_by_unroll(model, horizon)
+
+
+def with_shuffled_rows(rng, model):
+    """The same model with the keys of every transition row in a random order."""
+    rows = {x: dict(rng.sample(list(row.items()), len(row))) for x, row in model.transitions.items()}
+    return dataclasses.replace(model, transitions=rows)
+
+
+class TestRowOrder:
+    """A result depends on the model, not on the key order of its rows."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        n_states=st.integers(2, 5),
+        period=st.integers(1, 2),
+        forced=st.booleans(),
+        floats=st.booleans(),
+        discount_one=st.booleans(),
+    )
+    def test_permuted_rows_give_equal_results(
+        self, seed, n_states, period, forced, floats, discount_one
+    ):
+        rng = random.Random(seed)
+        model = random_markov_model(rng, n_states=n_states)
+        if forced:
+            model = with_random_forced_stops(rng, model)
+        if discount_one:
+            model = dataclasses.replace(model, discount=F(1))
+        twin = with_shuffled_rows(rng, model)
+        if floats:
+            model, twin = _float_chain(model), _float_chain(twin)
+        policy = (census_policy if discount_one else random_periodic_policy)(rng, model, period)
+        preferences = (None, "early", "late")
+
+        def results(m):
+            cells = _Cells(m, 4)
+            return (
+                model_digest(m),
+                _outcome(evaluate, m, policy),
+                _outcome(phi_markov, m, policy),
+                [is_periodic_equilibrium(m, policy, preference) for preference in preferences],
+                [enumerate_periodic_equilibria(m, period, preference) for preference in preferences],
+                truncation_limit(m, 6, 2),
+                [(cell, cells.children(cell.id)) for level in cells.levels for cell in level],
+            )
+
+        assert results(model) == results(twin)
 
 
 class TestParameterConditions:
