@@ -13,16 +13,19 @@ reachable (time, state) cells: on the first step that leaves the domain the
 continuation is collapsed into a single absorbing out-of-domain chain (state
 None), since nothing after the exit can affect any conditional value.  The
 tree kernels run on the cells unchanged, so a chain is solved per cell at
-cost O(T·|S|²) for horizon T.  `_Cells.expand` walks the cells top-down into
-the atoms of the unrolled tree, whose ids join the state names along a path
+cost O(T·|S|²) for horizon T.  `_Cells.columns` walks the cells top-down
+into the atoms of the unrolled tree, a level at a time as a column of atom ids
+beside a column of cell indices.  The ids join the state names along a path
 with `/`, each escaped by `_state_segment`, and `EXIT_SEGMENT` for every step
-of the out-of-domain chain; `unroll` builds the `AtomTree` from that walk.
+of the out-of-domain chain.  `unroll` builds the `AtomTree` from that walk, and
+the pair documents of `modelio` are read and written along it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain, islice
 from typing import Hashable, Iterable, Iterator, Mapping, Optional
 
 from .numeric import EXACT, NumericMode, Scalar, sum_in_order
@@ -110,9 +113,25 @@ class AtomTree:
             elif kids:
                 raise ModelError(f"atom {atom.id!r} at the horizon has children")
 
-        self._levels: tuple[tuple[Atom, ...], ...] = tuple(
-            tuple(by_level[t]) for t in range(horizon + 1)
-        )
+        self._set_up([by_level[t] for t in range(horizon + 1)], by_id, children)
+
+    @classmethod
+    def _trusted(cls, levels: list[list[Atom]], mode: NumericMode) -> AtomTree:
+        """The tree of `levels`, atoms listed level by level that are known to
+        pass every check of `__init__`, built without making those checks."""
+        tree = cls.__new__(cls)
+        tree.mode = mode
+        by_id = {atom.id: atom for level in levels for atom in level}
+        children: dict[str, list[Atom]] = {aid: [] for aid in by_id}
+        for level in levels[1:]:
+            for atom in level:
+                children[atom.parent].append(atom)
+        tree._set_up(levels, by_id, children)
+        return tree
+
+    def _set_up(self, levels: list[list[Atom]], by_id: dict[str, Atom],
+                children: dict[str, list[Atom]]) -> None:
+        self._levels: tuple[tuple[Atom, ...], ...] = tuple(map(tuple, levels))
         self._by_id = by_id
         self._children = {aid: tuple(kids) for aid, kids in children.items()}
         self._effective_flags: Optional[dict[str, bool]] = None
@@ -342,20 +361,27 @@ class _Cells:
     def children(self, cell_id: tuple[int, Optional[State]]) -> tuple[Atom, ...]:
         return self._children[cell_id]
 
-    def expand(self) -> Iterator[list[tuple[str, Optional[str], Atom]]]:
-        """The levels of the unrolled tree, top-down, each a list of (atom id,
-        parent id, cell) in the tree's order: the cell carries the atom's
-        level, branch probability, domain flag, payoff and state."""
+    def columns(self) -> Iterator[tuple[list[str], list[int]]]:
+        """The levels of the unrolled tree, top-down, each as two parallel
+        lists in the tree's order: the atom ids, and the index of each atom's
+        cell in `levels[t]`.  An atom's children are its cell's children, so
+        the next level is read off per-cell tuples of child suffixes
+        (`"/" + segment`) and of child indices."""
         segment, children = self._segment, self._children
-        level = [(segment[self.root.state], None, self.root)]
-        yield level
-        for _ in range(self.horizon):
-            level = [
-                (f"{atom_id}/{segment[child.state]}", atom_id, child)
-                for atom_id, _, cell in level
-                for child in children[cell.id]
-            ]
-            yield level
+        ids, cidx = [segment[self.root.state]], [0]
+        yield ids, cidx
+        for level, below in zip(self._levels, self._levels[1:]):
+            index = {cell.id: k for k, cell in enumerate(below)}
+            kids = [children[cell.id] for cell in level]
+            suffixes = [tuple("/" + segment[c.state] for c in cs) for cs in kids]
+            ids = [aid + suffix for aid, k in zip(ids, cidx) for suffix in suffixes[k]]
+            cidx = list(_flat([tuple(index[c.id] for c in cs) for cs in kids], cidx))
+            yield ids, cidx
+
+
+def _flat(per_cell: list[tuple], cidx: list[int]) -> Iterator:
+    """The tuples `per_cell[k]` of the cells k in `cidx`, concatenated."""
+    return chain.from_iterable(map(per_cell.__getitem__, cidx))
 
 
 def _checked_cells(model: MarkovModel, horizon: Optional[int]) -> _Cells:
@@ -374,13 +400,12 @@ def _checked_cells(model: MarkovModel, horizon: Optional[int]) -> _Cells:
         raise ModelError("horizon must be a positive integer")
     mode = model.mode
     cells = _Cells(model, horizon)
-    for level in cells.levels[:-1]:
-        for cell in level:
+    for t, level in enumerate(cells.levels[:-1]):
+        for k, cell in enumerate(level):
             total = sum_in_order(child.branch_prob for child in cells.children(cell.id))
             if not mode.eq(total, mode.one):
-                atom_id = next(
-                    aid for atoms in cells.expand() for aid, _, c in atoms if c.id == cell.id
-                )
+                ids, cidx = next(islice(cells.columns(), t, None))
+                atom_id = ids[cidx.index(k)]
                 raise ModelError(
                     f"children of {atom_id!r} have probabilities summing to {total}, not 1"
                 )
@@ -388,16 +413,26 @@ def _checked_cells(model: MarkovModel, horizon: Optional[int]) -> _Cells:
 
 
 def unroll(model: MarkovModel, horizon: Optional[int] = None) -> AtomTree:
-    """Expand a chain into an atom tree of the given depth: `_Cells` expanded
-    top-down into paths.  Each in-domain atom branches according to the
+    """Expand a chain into an atom tree of the given depth: the columns of
+    `_Cells`, top-down.  Each in-domain atom branches according to the
     positive-probability transitions of its state; all mass leaving the domain
     is merged into one out-of-domain child, which then continues as a single
     absorbing chain down to the horizon.  Zero-probability transitions produce
-    no atoms.
+    no atoms.  The probabilities are checked once per cell, by `_checked_cells`,
+    and every other check of `AtomTree` holds by construction, so the tree is
+    built without them.
     """
-    atoms = [
-        Atom(atom_id, c.level, parent_id, c.branch_prob, c.in_domain, c.payoff, c.state)
-        for level in _checked_cells(model, horizon).expand()
-        for atom_id, parent_id, c in level
-    ]
-    return AtomTree(atoms, mode=model.mode)
+    cells = _checked_cells(model, horizon)
+    walk = cells.columns()
+    above, above_cidx = next(walk)
+    root = cells.root
+    levels = [[Atom(above[0], 0, None, root.branch_prob, True, root.payoff, root.state)]]
+    for t, (ids, cidx) in enumerate(walk, 1):
+        kids = [cells.children(cell.id) for cell in cells.levels[t - 1]]
+        parents = [aid for aid, k in zip(above, above_cidx) for _ in kids[k]]
+        levels.append([
+            Atom(atom_id, t, parent, c.branch_prob, c.in_domain, c.payoff, c.state)
+            for atom_id, parent, c in zip(ids, parents, _flat(kids, above_cidx))
+        ])
+        above, above_cidx = ids, cidx
+    return AtomTree._trusted(levels, model.mode)

@@ -16,6 +16,7 @@ import hashlib
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import compress, repeat
 from typing import Any, Optional, Union
 
 from .infinite import PeriodicMarkovPolicy
@@ -442,42 +443,49 @@ def dump_pair(pair: SnellPair) -> dict:
 
 def dump_cell_pair(cells: _Cells, pair: SnellPair) -> dict:
     """`dump_pair` of the pair on the unrolled tree, from a pair on the cells,
-    in one `cells.expand()` walk: each cell's entries are formatted once and
-    shared by the cell's atoms.  The tables are in tree order; the JSON
-    writer sorts the keys."""
-    values = {cell: format_scalar(v) for cell, v in pair.values.items()}
-    survival = {cell: format_scalar(s) for cell, s in pair.survival.items()}
-    per_atom_values, per_atom_survival = {}, {}
-    for level in cells.expand():
-        for atom_id, _, cell in level:
-            if cell.id in values:
-                per_atom_values[atom_id] = values[cell.id]
-            per_atom_survival[atom_id] = survival[cell.id]
-    return {"V": per_atom_values, "S": per_atom_survival}
+    level by level along `cells.columns()`: each cell's entries are formatted
+    once, and each atom gets its cell's text by C-level `zip` and `map`; `V`
+    skips the atoms of cells without a value.  The tables are in tree order;
+    the JSON writer sorts the keys."""
+    values, survival = pair.values, pair.survival
+    values_doc, survival_doc = {}, {}
+    for level, (ids, cidx) in zip(cells.levels, cells.columns()):
+        valued = [cell.id in values for cell in level]
+        text = [format_scalar(values[c.id]) if v else None for c, v in zip(level, valued)]
+        values_doc.update(compress(zip(ids, map(text.__getitem__, cidx)),
+                                   map(valued.__getitem__, cidx)))
+        text = [format_scalar(survival[cell.id]) for cell in level]
+        survival_doc.update(zip(ids, map(text.__getitem__, cidx)))
+    return {"V": values_doc, "S": survival_doc}
 
 
 def cell_pair(cells: _Cells, pair: SnellPair) -> Optional[SnellPair]:
     """The pair on the unrolled tree keyed by cell id instead, or None when
     it is not constant on each cell.
 
-    The walk is `cells.expand()`, the one `dump_cell_pair` makes.  Every atom
-    of a cell must carry equal `V` entries and equal `S` entries; the tuple
-    comparison tries identity before `==`, and `load_pair` shares one object
-    per literal.  An entry missing at every atom of a cell stays missing.
-    Keys that name no atom are ignored, as the checks on the tree ignore them.
+    The walk is `cells.columns()`, the one `dump_cell_pair` makes.  Level by
+    level, each table's column of per-atom entries must equal the column of
+    the entries at each cell's first atom; list equality tries identity
+    before `==`, and `load_pair` shares one object per literal.  An entry
+    missing at every atom of a cell stays missing; one missing at only some
+    of them gives None.  Keys that name no atom are ignored, as the checks on
+    the tree ignore them.
     """
     missing = object()
-    values, survival = pair.values, pair.survival
-    first: dict[Any, tuple[Any, Any]] = {}
-    for level in cells.expand():
-        for atom_id, _, cell in level:
-            entries = (values.get(atom_id, missing), survival.get(atom_id, missing))
-            if first.setdefault(cell.id, entries) != entries:
+    tables, projected = (pair.values, pair.survival), ({}, {})
+    for level, (ids, cidx) in zip(cells.levels, cells.columns()):
+        first = [0]  # each cell's first atom; a level lists its cells in walk order
+        for k in range(1, len(level)):
+            first.append(cidx.index(k, first[-1]))
+        for table, cell_table in zip(tables, projected):
+            column = list(map(table.get, ids, repeat(missing, len(ids))))
+            entries = list(map(column.__getitem__, first))
+            if list(map(entries.__getitem__, cidx)) != column:
                 return None
-    return SnellPair(
-        {cell_id: v for cell_id, (v, _) in first.items() if v is not missing},
-        {cell_id: s for cell_id, (_, s) in first.items() if s is not missing},
-    )
+            cell_table.update(
+                (cell.id, entry) for cell, entry in zip(level, entries) if entry is not missing
+            )
+    return SnellPair(*projected)
 
 
 def read_json(path: str) -> Any:

@@ -7,21 +7,25 @@ with the cell projection forced off, which unrolls the chain and runs the
 verifiers on the tree with the same parsed pair.
 """
 
+import collections
 import contextlib
+import hashlib
 import io
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cell_oracles import atom_to_cell, cell_pair_by_atoms, dump_cell_pair_by_atoms, expand
 from condstop import cli, model as model_module, policy as policy_module, recursion
 from condstop.catalog import builtin_model
-from condstop.model import _checked_cells, unroll
+from condstop.model import MarkovModel, _checked_cells, unroll
 from condstop.modelio import (
-    cell_pair, dump_cell_pair, dump_model, dump_pair, load_model, load_pair,
+    _indented, cell_pair, dump_cell_pair, dump_model, dump_pair, load_model, load_pair,
 )
 from condstop.numeric import EXACT, float_mode, format_scalar
 from condstop.policy import StoppingPolicy, admissible, is_equilibrium
@@ -206,8 +210,7 @@ def solved_documents(model, horizon):
     """The pair and policy documents of `solve`, and each atom's cell."""
     cells = _checked_cells(model, horizon)
     pair, policy = backward_solve(cells)
-    cell_of_atom = {aid: cell for level in cells.expand() for aid, _, cell in level}
-    return dump_cell_pair(cells, pair), cli._policy_document(cells, policy), cell_of_atom
+    return dump_cell_pair(cells, pair), cli._policy_document(cells, policy), atom_to_cell(cells)
 
 
 def _deepest_in_domain(pair, cell_of_atom):
@@ -445,9 +448,7 @@ class TestCellPair:
         self.cells = _checked_cells(builtin_model("two-state"), 4)
         self.pair, _ = backward_solve(self.cells)
         self.document = dump_cell_pair(self.cells, self.pair)
-        self.cell_of_atom = {
-            aid: cell for level in self.cells.expand() for aid, _, cell in level
-        }
+        self.cell_of_atom = atom_to_cell(self.cells)
 
     def project(self, document):
         return cell_pair(self.cells, load_pair(json.loads(json.dumps(document))))
@@ -495,3 +496,121 @@ class TestCellPair:
         projected = self.project(self.document)
         assert projected.values == dict(self.pair.values)
         assert projected.survival == dict(self.pair.survival)
+
+
+# The columnar walk and the pair readers and writers on it, against the
+# atom-by-atom oracles in `cell_oracles`, on random chains whose state names
+# need escaping (`%`, `/`, `!`) or are prefixes of one another.
+
+NAMES = ("1", "10", "1.5", "!", "%", "%2F", "a/b", "a", "x!")
+
+
+def renamed(model, names):
+    name = dict(zip(model.states, names))
+    return MarkovModel(
+        states=tuple(name[x] for x in model.states),
+        initial=name[model.initial],
+        transitions={name[x]: {name[y]: p for y, p in row.items()}
+                     for x, row in model.transitions.items()},
+        domain=frozenset(name[x] for x in model.domain),
+        payoff={name[x]: g for x, g in model.payoff.items()},
+        discount=model.discount,
+        mode=model.mode,
+    )
+
+
+def perturbed_documents(document, cells, rng):
+    """(name, pair document) for each perturbation `cell_pair` must judge as
+    the oracle does."""
+    cell_of = atom_to_cell(cells)
+    variants = [("solved", document)]
+
+    def variant(name, change):
+        changed = json.loads(json.dumps(document))
+        change(changed)
+        variants.append((name, changed))
+
+    table = rng.choice(["V", "S"]) if document["V"] else "S"
+    size = collections.Counter(cell.id for cell in cell_of.values())
+    keyed = sorted(document[table])
+    atom = rng.choice([aid for aid in keyed if size[cell_of[aid].id] > 1] or keyed)
+    members = [aid for aid, c in cell_of.items() if c.id == cell_of[atom].id]
+    literal = Fraction(document[table][atom])
+    variant("one-atom-changed", lambda d: d[table].update({atom: str(literal + 1)}))
+    apart = f"{2 * literal.numerator}/{2 * literal.denominator}"
+    variant("written-apart", lambda d: d[table].update({atom: apart}))
+    variant("dropped-at-one-atom", lambda d: d[table].pop(atom))
+    variant("dropped-at-every-atom", lambda d: [d[table].pop(aid) for aid in members])
+    variant("unknown-key", lambda d: d[table].update({"no/such/atom": "7"}))
+    return variants
+
+
+def entries(pair):
+    return None if pair is None else (list(pair.values.items()), list(pair.survival.items()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_states=st.integers(2, 5),
+    horizon=st.integers(1, 6),
+    floats=st.booleans(),
+    names=st.permutations(NAMES),
+)
+def test_columns_and_pair_documents_against_the_atom_oracles(
+    seed, n_states, horizon, floats, names
+):
+    rng = random.Random(seed)
+    model = in_mode(renamed(random_markov_model(rng, n_states=n_states), names), floats)
+    cells = _checked_cells(model, horizon)
+    tree = unroll(model, horizon)
+    for t, ((ids, cidx), triples) in enumerate(zip(cells.columns(), expand(cells))):
+        assert ids == [aid for aid, _, _ in triples]
+        assert [cells.levels[t][k].id for k in cidx] == [cell.id for _, _, cell in triples]
+        assert [(a.id, a.parent) for a in tree.levels[t]] == [(a, p) for a, p, _ in triples]
+
+    pair, _ = backward_solve(cells)
+    document = dump_cell_pair(cells, pair)
+    assert "".join(_indented(document)) == "".join(
+        _indented(dump_cell_pair_by_atoms(cells, pair))
+    )
+    for name, changed in perturbed_documents(document, cells, rng):
+        loaded = load_pair(changed, mode=model.mode)
+        assert entries(cell_pair(cells, loaded)) == entries(cell_pair_by_atoms(cells, loaded)), name
+
+
+# The byte-stable `--json` contract at full size: the chain-deep reports of
+# the benchmark (two-state at horizon 13), pinned by sha256 without their
+# timing line.
+
+TIMING_LINE = re.compile(r'^  "timing_seconds": [^\n]*\n', re.MULTILINE)
+
+CHAIN_DEEP_SHA256 = {
+    ("exact", "solve"): "9858f457b4f62a7ffcf91224d50f3a9f9f5e55e192d45509f3cbd9dcbb3404ac",
+    ("exact", "verify"): "3bbb7d7e1adc6f95ea7b2a96922e0eeb84bf039ac12fea2fbfba1e31d120c008",
+    ("float", "solve"): "de97409457825d0872b6cfdf2c04d3b1dd7f80bcb1ceb8a6acc5de6ab7d26836",
+    ("float", "verify"): "27b7ee6d09061e9cad1f1c6faa5c10581fec411e17872df5b48d5fff2b83ea24",
+}
+
+
+def report_sha256(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    text, timings = TIMING_LINE.subn("", out.getvalue())
+    assert timings == 1
+    return hashlib.sha256(text.encode("utf-8")).hexdigest(), text
+
+
+@pytest.mark.parametrize("floats", [False, True], ids=["exact", "float"])
+def test_chain_deep_reports_are_pinned(monkeypatch, tmp_path, floats):
+    monkeypatch.chdir(tmp_path)
+    mode = ["--float", "--eps", "1e-9"] if floats else []
+    base = ["--model", "two-state", "--horizon", "13", *mode, "--json"]
+    digest, text = report_sha256(["solve", *base])
+    results = json.loads(text)["results"]
+    for name in ("pair", "policy"):
+        (tmp_path / f"{name}.json").write_text(json.dumps(results[name]))
+    verified, _ = report_sha256(["verify", *base, "--pair", "pair.json", "--policy", "policy.json"])
+    key = "float" if floats else "exact"
+    assert (digest, verified) == (CHAIN_DEEP_SHA256[key, "solve"], CHAIN_DEEP_SHA256[key, "verify"])
