@@ -113,25 +113,9 @@ class AtomTree:
             elif kids:
                 raise ModelError(f"atom {atom.id!r} at the horizon has children")
 
-        self._set_up([by_level[t] for t in range(horizon + 1)], by_id, children)
-
-    @classmethod
-    def _trusted(cls, levels: list[list[Atom]], mode: NumericMode) -> AtomTree:
-        """The tree of `levels`, atoms listed level by level that are known to
-        pass every check of `__init__`, built without making those checks."""
-        tree = cls.__new__(cls)
-        tree.mode = mode
-        by_id = {atom.id: atom for level in levels for atom in level}
-        children: dict[str, list[Atom]] = {aid: [] for aid in by_id}
-        for level in levels[1:]:
-            for atom in level:
-                children[atom.parent].append(atom)
-        tree._set_up(levels, by_id, children)
-        return tree
-
-    def _set_up(self, levels: list[list[Atom]], by_id: dict[str, Atom],
-                children: dict[str, list[Atom]]) -> None:
-        self._levels: tuple[tuple[Atom, ...], ...] = tuple(map(tuple, levels))
+        self._levels: tuple[tuple[Atom, ...], ...] = tuple(
+            tuple(by_level[t]) for t in range(horizon + 1)
+        )
         self._by_id = by_id
         self._children = {aid: tuple(kids) for aid, kids in children.items()}
         self._effective_flags: Optional[dict[str, bool]] = None
@@ -361,27 +345,26 @@ class _Cells:
     def children(self, cell_id: tuple[int, Optional[State]]) -> tuple[Atom, ...]:
         return self._children[cell_id]
 
-    def columns(self) -> Iterator[tuple[list[str], list[int]]]:
-        """The levels of the unrolled tree, top-down, each as two parallel
-        lists in the tree's order: the atom ids, and the index of each atom's
-        cell in `levels[t]`.  An atom's children are its cell's children, so
-        the next level is read off per-cell tuples of child suffixes
+    def columns(self) -> Iterator[tuple[list[str], list[int], Iterable[Atom]]]:
+        """The levels of the unrolled tree, top-down, each as three parallel
+        columns in the tree's order: the atom ids, the index of each atom's
+        cell in `levels[t]`, and, lazily, the child of its parent's cell that
+        each atom is, which carries its level, branch probability, domain
+        flag, payoff and state.  An atom's children are its cell's children,
+        so the next level is read off per-cell tuples of child suffixes
         (`"/" + segment`) and of child indices."""
         segment, children = self._segment, self._children
         ids, cidx = [segment[self.root.state]], [0]
-        yield ids, cidx
+        yield ids, cidx, (self.root,)
         for level, below in zip(self._levels, self._levels[1:]):
             index = {cell.id: k for k, cell in enumerate(below)}
             kids = [children[cell.id] for cell in level]
             suffixes = [tuple("/" + segment[c.state] for c in cs) for cs in kids]
+            child_cidx = [tuple(index[c.id] for c in cs) for cs in kids]
+            atoms = chain.from_iterable(map(kids.__getitem__, cidx))
             ids = [aid + suffix for aid, k in zip(ids, cidx) for suffix in suffixes[k]]
-            cidx = list(_flat([tuple(index[c.id] for c in cs) for cs in kids], cidx))
-            yield ids, cidx
-
-
-def _flat(per_cell: list[tuple], cidx: list[int]) -> Iterator:
-    """The tuples `per_cell[k]` of the cells k in `cidx`, concatenated."""
-    return chain.from_iterable(map(per_cell.__getitem__, cidx))
+            cidx = list(chain.from_iterable(map(child_cidx.__getitem__, cidx)))
+            yield ids, cidx, atoms
 
 
 def _checked_cells(model: MarkovModel, horizon: Optional[int]) -> _Cells:
@@ -404,7 +387,7 @@ def _checked_cells(model: MarkovModel, horizon: Optional[int]) -> _Cells:
         for k, cell in enumerate(level):
             total = sum_in_order(child.branch_prob for child in cells.children(cell.id))
             if not mode.eq(total, mode.one):
-                ids, cidx = next(islice(cells.columns(), t, None))
+                ids, cidx, _ = next(islice(cells.columns(), t, None))
                 atom_id = ids[cidx.index(k)]
                 raise ModelError(
                     f"children of {atom_id!r} have probabilities summing to {total}, not 1"
@@ -418,21 +401,13 @@ def unroll(model: MarkovModel, horizon: Optional[int] = None) -> AtomTree:
     positive-probability transitions of its state; all mass leaving the domain
     is merged into one out-of-domain child, which then continues as a single
     absorbing chain down to the horizon.  Zero-probability transitions produce
-    no atoms.  The probabilities are checked once per cell, by `_checked_cells`,
-    and every other check of `AtomTree` holds by construction, so the tree is
-    built without them.
+    no atoms.  An atom's parent is its id up to the last `/`, since no segment
+    contains one.
     """
-    cells = _checked_cells(model, horizon)
-    walk = cells.columns()
-    above, above_cidx = next(walk)
-    root = cells.root
-    levels = [[Atom(above[0], 0, None, root.branch_prob, True, root.payoff, root.state)]]
-    for t, (ids, cidx) in enumerate(walk, 1):
-        kids = [cells.children(cell.id) for cell in cells.levels[t - 1]]
-        parents = [aid for aid, k in zip(above, above_cidx) for _ in kids[k]]
-        levels.append([
-            Atom(atom_id, t, parent, c.branch_prob, c.in_domain, c.payoff, c.state)
-            for atom_id, parent, c in zip(ids, parents, _flat(kids, above_cidx))
-        ])
-        above, above_cidx = ids, cidx
-    return AtomTree._trusted(levels, model.mode)
+    atoms = [
+        Atom(atom_id, c.level, atom_id.rpartition("/")[0] if c.level else None,
+             c.branch_prob, c.in_domain, c.payoff, c.state)
+        for ids, _, nodes in _checked_cells(model, horizon).columns()
+        for atom_id, c in zip(ids, nodes)
+    ]
+    return AtomTree(atoms, mode=model.mode)

@@ -449,7 +449,7 @@ def dump_cell_pair(cells: _Cells, pair: SnellPair) -> dict:
     the JSON writer sorts the keys."""
     values, survival = pair.values, pair.survival
     values_doc, survival_doc = {}, {}
-    for level, (ids, cidx) in zip(cells.levels, cells.columns()):
+    for level, (ids, cidx, _) in zip(cells.levels, cells.columns()):
         valued = [cell.id in values for cell in level]
         text = [format_scalar(values[c.id]) if v else None for c, v in zip(level, valued)]
         values_doc.update(compress(zip(ids, map(text.__getitem__, cidx)),
@@ -473,7 +473,7 @@ def cell_pair(cells: _Cells, pair: SnellPair) -> Optional[SnellPair]:
     """
     missing = object()
     tables, projected = (pair.values, pair.survival), ({}, {})
-    for level, (ids, cidx) in zip(cells.levels, cells.columns()):
+    for level, (ids, cidx, _) in zip(cells.levels, cells.columns()):
         first = [0]  # each cell's first atom; a level lists its cells in walk order
         for k in range(1, len(level)):
             first.append(cidx.index(k, first[-1]))

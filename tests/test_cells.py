@@ -564,9 +564,10 @@ def test_columns_and_pair_documents_against_the_atom_oracles(
     model = in_mode(renamed(random_markov_model(rng, n_states=n_states), names), floats)
     cells = _checked_cells(model, horizon)
     tree = unroll(model, horizon)
-    for t, ((ids, cidx), triples) in enumerate(zip(cells.columns(), expand(cells))):
+    for t, ((ids, cidx, atoms), triples) in enumerate(zip(cells.columns(), expand(cells))):
         assert ids == [aid for aid, _, _ in triples]
         assert [cells.levels[t][k].id for k in cidx] == [cell.id for _, _, cell in triples]
+        assert list(atoms) == [cell for _, _, cell in triples]
         assert [(a.id, a.parent) for a in tree.levels[t]] == [(a, p) for a, p, _ in triples]
 
     pair, _ = backward_solve(cells)
