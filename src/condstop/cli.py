@@ -39,7 +39,7 @@ from .infinite import (
     phi_markov,
     truncation_limit,
 )
-from .model import AtomTree, MarkovModel, ModelError, _Cells, _checked_cells, unroll
+from .model import AtomTree, MarkovModel, ModelError, _Cells, unroll
 from .modelio import (
     ParseError,
     PolicyDocument,
@@ -130,11 +130,11 @@ def _as_tree(model, horizon: Optional[int]) -> AtomTree:
 
 
 def _as_cells(model, horizon: Optional[int]) -> Union[AtomTree, _Cells]:
-    """`_as_tree` without unrolling: a chain's (time, state) cells, after the
-    checks `unroll` makes; a tree model as `_as_tree` returns it."""
+    """`_as_tree` without unrolling: a chain's (time, state) cells; a tree
+    model as `_as_tree` returns it."""
     if isinstance(model, AtomTree):
         return _as_tree(model, horizon)
-    return _checked_cells(model, _chain_horizon(model, horizon))
+    return _Cells(model, _chain_horizon(model, horizon))
 
 
 def _no_horizon(args, reason: str) -> None:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .model import AtomTree, MarkovModel, ModelError, State, _checked_cells
+from .model import AtomTree, MarkovModel, ModelError, State, _Cells
 from .numeric import NumericError, Scalar, solve_exact, solve_linear, sum_in_order
 from .policy import (
     DEFAULT_POLICY_GUARD,
@@ -111,8 +111,12 @@ def reachable_pairs(model: MarkovModel, period: int) -> frozenset:
     an observer whose bit matters.
     """
     start = (0, model.initial)
-    seen = {start}
-    frontier = [start]
+    return frozenset({start, *_reached(model, start, period)})
+
+
+def _reached(model: MarkovModel, start: Pair, period: int) -> set:
+    """The (phase mod `period`, state) pairs `start` reaches in one or more in-domain steps."""
+    seen, frontier = set(), [start]
     while frontier:
         phase, x = frontier.pop()
         nxt = (phase + 1) % period
@@ -120,7 +124,7 @@ def reachable_pairs(model: MarkovModel, period: int) -> frozenset:
             if (nxt, y) not in seen:
                 seen.add((nxt, y))
                 frontier.append((nxt, y))
-    return frozenset(seen)
+    return seen
 
 
 def _require_infinite(model: MarkovModel) -> None:
@@ -180,13 +184,8 @@ def _dominant(model: MarkovModel, free: list) -> set:
     mode = model.mode
     dominant = set()
     for x in free:
-        seen, frontier = set(), [x]
-        while frontier:
-            for y, _ in model._split[frontier.pop()][0]:
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        bound = max([mode.zero] + [model.discount * model.payoff[y] for y in seen])
+        seen = _reached(model, (0, x), 1)
+        bound = max([mode.zero] + [model.discount * model.payoff[y] for _, y in seen])
         if mode.compare(model.payoff[x], bound) > 0:
             dominant.add(x)
     return dominant
@@ -578,8 +577,8 @@ class TruncationReport:
 
 def _markov_bits(model: MarkovModel, horizon: int) -> dict[tuple[int, State], int]:
     """Per-(time, state) stop bits of the finite-horizon solution, by one sweep of
-    the cells, after the checks `unroll` makes."""
-    cells = _checked_cells(model, horizon)
+    the cells."""
+    cells = _Cells(model, horizon)
     bits = _sweep(cells, _best_bit(cells, lambda _: 1))[0]
     return {cell: bit for cell, bit in bits.items() if cell[1] is not None}
 

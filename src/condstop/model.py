@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import chain, islice
+from itertools import chain
 from typing import Hashable, Iterable, Iterator, Mapping, Optional
 
 from .numeric import EXACT, NumericMode, Scalar, sum_in_order
@@ -257,16 +257,17 @@ class MarkovModel:
                 raise ModelError(f"row of {state!r} references unknown states")
             if any(p < 0 for p in row.values()):
                 raise ModelError(f"row of {state!r} has a negative probability")
-            if not mode.eq(sum_in_order(row.values(), mode.zero), mode.one):
-                raise ModelError(f"row of {state!r} does not sum to 1")
             # Per state: its in-domain successors with positive probability,
             # as (y, p), and its exit mass, both read in state order.  Every
             # chain reader walks `_split`, so no result depends on key order.
             moves = [(y, row[y]) for y in self.states if row.get(y, 0) > 0]
-            split[state] = (
-                tuple((y, p) for y, p in moves if y in self.domain),
-                sum_in_order((p for y, p in moves if y not in self.domain), mode.zero),
-            )
+            successors = tuple((y, p) for y, p in moves if y in self.domain)
+            exit_mass = sum_in_order((p for y, p in moves if y not in self.domain), mode.zero)
+            # Added as a cell adds its children: the successors, then the exit
+            # mass (adding a zero exit mass changes no total).
+            if not mode.eq(sum_in_order(p for _, p in successors) + exit_mass, mode.one):
+                raise ModelError(f"row of {state!r} does not sum to 1")
+            split[state] = (successors, exit_mass)
         object.__setattr__(self, "_split", split)
 
     @property
@@ -304,6 +305,9 @@ class _Cells:
     is the next exit cell; a final-level cell has none.  Every atom of a cell
     has the cell's children, so `_sweep`, `_best_bit`, the policy checks and
     the pair verifiers run here, on the members borrowed from `AtomTree`.
+    The horizon defaults to the model's own and must be a positive integer.
+    The children of a cell need no check of their own: `MarkovModel` has
+    already added each row in the same order, to one.
     """
 
     levels = AtomTree.levels
@@ -314,7 +318,13 @@ class _Cells:
     effective_flags = AtomTree.effective_flags
     tie_scale = AtomTree.tie_scale
 
-    def __init__(self, model: MarkovModel, horizon: int):
+    def __init__(self, model: MarkovModel, horizon: Optional[int] = None):
+        if horizon is None:
+            horizon = model.horizon
+        if horizon is None:
+            raise ModelError("an explicit horizon is required for an infinite-horizon model")
+        if not isinstance(horizon, int) or horizon <= 0:
+            raise ModelError("horizon must be a positive integer")
         mode = self.mode = model.mode
         branches = {None: [(None, mode.one)]}
         for x in model.domain:
@@ -367,34 +377,6 @@ class _Cells:
             yield ids, cidx, atoms
 
 
-def _checked_cells(model: MarkovModel, horizon: Optional[int]) -> _Cells:
-    """The cells of `unroll(model, horizon)`, with the checks `unroll` makes.
-
-    The horizon defaults to the model's own and must be a positive integer.
-    Each cell's children must sum to one, as `AtomTree` requires of every
-    atom's; the error names the first atom, in level order, of the first cell
-    that fails.
-    """
-    if horizon is None:
-        horizon = model.horizon
-    if horizon is None:
-        raise ModelError("an explicit horizon is required for an infinite-horizon model")
-    if not isinstance(horizon, int) or horizon <= 0:
-        raise ModelError("horizon must be a positive integer")
-    mode = model.mode
-    cells = _Cells(model, horizon)
-    for t, level in enumerate(cells.levels[:-1]):
-        for k, cell in enumerate(level):
-            total = sum_in_order(child.branch_prob for child in cells.children(cell.id))
-            if not mode.eq(total, mode.one):
-                ids, cidx, _ = next(islice(cells.columns(), t, None))
-                atom_id = ids[cidx.index(k)]
-                raise ModelError(
-                    f"children of {atom_id!r} have probabilities summing to {total}, not 1"
-                )
-    return cells
-
-
 def unroll(model: MarkovModel, horizon: Optional[int] = None) -> AtomTree:
     """Expand a chain into an atom tree of the given depth: the columns of
     `_Cells`, top-down.  Each in-domain atom branches according to the
@@ -402,12 +384,13 @@ def unroll(model: MarkovModel, horizon: Optional[int] = None) -> AtomTree:
     is merged into one out-of-domain child, which then continues as a single
     absorbing chain down to the horizon.  Zero-probability transitions produce
     no atoms.  An atom's parent is its id up to the last `/`, since no segment
-    contains one.
+    contains one.  The result is a checked `AtomTree`, which adds each atom's
+    children in the order `MarkovModel` added its row, so every model unrolls.
     """
     atoms = [
         Atom(atom_id, c.level, atom_id.rpartition("/")[0] if c.level else None,
              c.branch_prob, c.in_domain, c.payoff, c.state)
-        for ids, _, nodes in _checked_cells(model, horizon).columns()
+        for ids, _, nodes in _Cells(model, horizon).columns()
         for atom_id, c in zip(ids, nodes)
     ]
     return AtomTree(atoms, mode=model.mode)

@@ -486,17 +486,26 @@ def _equilibria(
     flags = tree.effective_flags()
     free = [atom.id for atom in tree.atoms() if not flags[atom.id]]
     pref = _resolve_preference(tree, preference)
+    needs = "needs at least {} sweeps"
+    if guard < 1:
+        raise SizeGuardError(1, guard, needs)
     found: list[tuple] = []
-    branches = [{aid: int(bit) for aid, bit in (pref.prefer_stop if pref else {}).items()}]
-    while branches:
-        if len(found) + len(branches) > guard:
-            raise SizeGuardError(len(found) + len(branches), guard, "needs at least {} sweeps")
-        pins = branches.pop()
+    # a pending branch (ties, k) pins ties[:k] as its parent sweep met them, and ties[k] to stop
+    branches: list[tuple[list, int]] = []
+    pins = {aid: int(bit) for aid, bit in (pref.prefer_stop if pref else {}).items()}
+    while True:
         decided = len(pins)
         # a pinned tie takes its bit; an undecided one continues and joins the pins
         found.append(_sweep(tree, _best_bit(tree, lambda atom_id: pins.setdefault(atom_id, 0))))
         ties = list(pins.items())
-        branches.extend({**dict(ties[:k]), ties[k][0]: 1} for k in range(decided, len(ties)))
+        needed = len(found) + len(branches) + len(ties) - decided
+        if needed > guard:
+            raise SizeGuardError(needed, guard, needs)
+        branches.extend((ties, k) for k in range(decided, len(ties)))
+        if not branches:
+            break
+        ties, k = branches.pop()
+        pins = {**dict(ties[:k]), ties[k][0]: 1}
     return sorted(found, key=lambda sweep: sum(sweep[0][aid] << i for i, aid in enumerate(free)))
 
 
@@ -514,6 +523,7 @@ def enumerate_equilibria(
     that pins T_1..T_(k-1) to continue and T_k to stop: one sweep per
     equilibrium, and one in all with "early" or "late".  Results are in mask
     order (bit i for the i-th free atom in `tree.atoms()` order).  The size
-    guard counts sweeps, made and pending, and raises once they exceed it.
+    guard counts sweeps, made and pending, and raises once they exceed it,
+    before a sweep's branches are queued.
     """
     return [StoppingPolicy(bits) for bits, _, _ in _equilibria(tree, preference, size_guard)]

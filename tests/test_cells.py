@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from cell_oracles import atom_to_cell, cell_pair_by_atoms, dump_cell_pair_by_atoms, expand
 from condstop import cli, model as model_module, policy as policy_module, recursion
 from condstop.catalog import builtin_model
-from condstop.model import MarkovModel, _checked_cells, unroll
+from condstop.model import MarkovModel, _Cells, unroll
 from condstop.modelio import (
     _indented, cell_pair, dump_cell_pair, dump_model, dump_pair, load_model, load_pair,
 )
@@ -115,7 +115,7 @@ def cell_of(tree, atom_id):
 
 
 def assert_same_verdict(model, horizon, rule):
-    tree, cells = unroll(model, horizon), _checked_cells(model, horizon)
+    tree, cells = unroll(model, horizon), _Cells(model, horizon)
     on_tree = StoppingPolicy.from_state_rule(tree, rule)
     on_cells = StoppingPolicy.from_state_rule(cells, rule)
     tree_check, cells_check = is_equilibrium(tree, on_tree), is_equilibrium(cells, on_cells)
@@ -139,7 +139,7 @@ class TestEquilibriumCheckOnTheCells:
             horizon = rng.randint(1, 5)
             bits = {(t, x): rng.random() < 0.5 for t in range(horizon + 1) for x in model.states}
             random_verdicts.append(assert_same_verdict(model, horizon, lambda t, x: bits[(t, x)]))
-            solved = backward_solve(_checked_cells(model, horizon))[1]
+            solved = backward_solve(_Cells(model, horizon))[1]
             assert assert_same_verdict(model, horizon, lambda t, x: solved.bit((t, x)))
         assert not all(random_verdicts)
 
@@ -166,7 +166,7 @@ def test_chain_solve_sweeps_the_cells_without_unrolling(capsys, monkeypatch):
 
 def test_final_level_cells_have_no_children():
     model = builtin_model("two-state")
-    cells, tree = _checked_cells(model, 3), unroll(model, 3)
+    cells, tree = _Cells(model, 3), unroll(model, 3)
     assert all(cells.children(cell.id) == () for cell in cells.levels[-1])
     indicator = {atom.id: atom.in_domain for atom in tree.atoms()}
     on_tree = recursion.classical_snell(tree, indicator)
@@ -208,7 +208,7 @@ def bump(entry):
 
 def solved_documents(model, horizon):
     """The pair and policy documents of `solve`, and each atom's cell."""
-    cells = _checked_cells(model, horizon)
+    cells = _Cells(model, horizon)
     pair, policy = backward_solve(cells)
     return dump_cell_pair(cells, pair), cli._policy_document(cells, policy), atom_to_cell(cells)
 
@@ -445,7 +445,7 @@ class TestCellPair:
     """`cell_pair` against the pair document `dump_cell_pair` writes."""
 
     def setup_method(self):
-        self.cells = _checked_cells(builtin_model("two-state"), 4)
+        self.cells = _Cells(builtin_model("two-state"), 4)
         self.pair, _ = backward_solve(self.cells)
         self.document = dump_cell_pair(self.cells, self.pair)
         self.cell_of_atom = atom_to_cell(self.cells)
@@ -562,7 +562,7 @@ def test_columns_and_pair_documents_against_the_atom_oracles(
 ):
     rng = random.Random(seed)
     model = in_mode(renamed(random_markov_model(rng, n_states=n_states), names), floats)
-    cells = _checked_cells(model, horizon)
+    cells = _Cells(model, horizon)
     tree = unroll(model, horizon)
     for t, ((ids, cidx, atoms), triples) in enumerate(zip(cells.columns(), expand(cells))):
         assert ids == [aid for aid, _, _ in triples]

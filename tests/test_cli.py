@@ -17,6 +17,7 @@ from condstop import backward_solve, binomial_tree, cli, dump_model, dump_pair, 
 from condstop import policy as policy_module
 from condstop.cli import main
 from condstop.model import Atom, AtomTree, MarkovModel
+from condstop.modelio import load_model, model_digest
 from condstop.numeric import EXACT, float_mode
 
 
@@ -552,14 +553,27 @@ class TestErrorChannels:
         assert excinfo.value.code == 2
 
     def test_float_row_that_sums_to_one_only_in_file_order(self, capsys, tmp_path):
-        # 0.3 + 0.1 + 0.6 is 1.0, but a cell adds its exit mass last:
-        # (0.3 + 0.6) + 0.1 is 0.9999999999999999, outside eps 1e-20.
+        # 0.3 + 0.1 + 0.6 is 1.0, but a row adds its exit mass last:
+        # (0.3 + 0.6) + 0.1 is 0.9999999999999999, outside eps 1e-20.  Every
+        # command refuses the row, the infinite-horizon ones too.
         model, policy = float_row_chain(tmp_path, horizon=3), tmp_path / "policy.json"
         policy.write_text(json.dumps({"regions": {"0": [0]}}))
-        assert run(capsys, "solve", "--model", model, "--float")[0] == 0
-        for command in (["solve"], ["verify", "--policy", str(policy)], ["precommit"]):
-            argv = [*command, "--model", model, "--float", "--eps", "1e-20"]
-            assert run(capsys, *argv) == (3, "", FLOAT_ROW_ERROR)
+        (tmp_path / "unbounded").mkdir()
+        unbounded = float_row_chain(tmp_path / "unbounded")
+        periodic = tmp_path / "periodic.json"
+        periodic.write_text(json.dumps({"period": 1, "regions": {"0": [0, 1, 2]}}))
+        census = ["enumerate", "--model", unbounded, "--period", "1"]
+        phi = ["phi", "--model", unbounded, "--period", "1", "--policy", str(periodic)]
+        for command in (["solve", "--model", model], census, phi):
+            assert run(capsys, *command, "--float")[0] == 0
+        for command in (
+            ["solve", "--model", model],
+            ["verify", "--model", model, "--policy", str(policy)],
+            ["precommit", "--model", model],
+            census,
+            phi,
+        ):
+            assert run(capsys, *command, "--float", "--eps", "1e-20") == (3, "", FLOAT_ROW_ERROR)
 
     def test_truncate_checks_the_float_row_too(self, capsys, tmp_path):
         model = float_row_chain(tmp_path)
@@ -568,8 +582,8 @@ class TestErrorChannels:
         assert run(capsys, *argv, "--eps", "1e-20") == (3, "", FLOAT_ROW_ERROR)
 
     def test_float_checks_ignore_a_compensated_sum(self, capsys, tmp_path, monkeypatch):
-        # Python 3.12's sum() compensates float rounding and totals the cell's
-        # (0.3 + 0.6) + 0.1 to 1.0; the checks add left to right on every version.
+        # Python 3.12's sum() compensates float rounding and totals the row's
+        # (0.3 + 0.6) + 0.1 to 1.0; the check adds left to right on every version.
         plain_sum = builtins.sum
 
         def compensated_sum(values, start=0):
@@ -746,9 +760,7 @@ class TestRefusals:
         )
 
 
-FLOAT_ROW_ERROR = (
-    "error: children of '0' have probabilities summing to 0.9999999999999999, not 1\n"
-)
+FLOAT_ROW_ERROR = "error: row of 0 does not sum to 1\n"
 
 
 def float_row_chain(tmp_path, **horizon):
@@ -864,6 +876,38 @@ class TestInputOrder:
         )
         assert ordered["results"]["count"] > 0
         assert ordered == reversed_rows
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--horizon", "3"],
+            ["enumerate", "--period", "1"],
+            ["phi", "--period", "1", "--policy", "POLICY"],
+            ["truncate", "--max-horizon", "5", "--window", "2"],
+        ],
+        ids=["solve", "enumerate", "phi", "truncate"],
+    )
+    def test_row_key_order_cannot_change_the_row_check(self, capsys, tmp_path, argv):
+        # Row 1 adds to 1.0 in its key order 0.1 + 0.2 + 0.7, to
+        # 0.9999999999999999 reversed, and so with its exit mass 0.1 last.
+        chain = {
+            "type": "markov", "states": [0, 1, 2], "initial": 1, "domain": [1, 2],
+            "transitions": {"0": {"0": "1"}, "1": {"0": "0.1", "1": "0.2", "2": "0.7"},
+                            "2": {"1": "0.5", "2": "0.5"}},
+            "payoff": {"1": "1", "2": "2"}, "discount": "9/10", "horizon": "infinite",
+        }
+        twin = {**chain, "transitions": {
+            x: dict(reversed(list(r.items()))) for x, r in chain["transitions"].items()
+        }}
+        assert model_digest(load_model(chain)) == model_digest(load_model(twin))
+        policy = tmp_path / "policy.json"
+        policy.write_text(json.dumps({"period": 1, "regions": {"0": [0, 1, 2]}}))
+        argv = [str(policy) if arg == "POLICY" else arg for arg in argv]
+        path, outcomes = tmp_path / "chain.json", []
+        for document in (chain, twin):
+            path.write_text(json.dumps(document))
+            outcomes.append(run(capsys, *argv, "--model", str(path), "--float", "--eps", "1e-17"))
+        assert outcomes[0] == outcomes[1] == (3, "", "error: row of 1 does not sum to 1\n")
 
     def test_a_deep_path_solves_in_either_node_order(self, capsys, tmp_path):
         nodes = [{"id": "n0", "prob": "1", "in_domain": True, "payoff": "1"}]

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -190,10 +191,9 @@ def unroll_by_paths(model, horizon):
     return AtomTree(atoms, mode=mode)
 
 
-def tenths_chain(rng):
-    """A float chain at eps 1e-20, rows of tenths in a random order, that its
-    unrolled tree rejects; None when the tree is valid or a row fails its own
-    sum."""
+def tenths_rows(rng):
+    """States, a domain and float rows of tenths, each row's keys in a random
+    order: (states, domain, transitions)."""
     n = rng.randint(3, 5)
     states = tuple(range(n))
     domain = sorted(rng.sample(states, rng.randint(2, n)))
@@ -203,19 +203,35 @@ def tenths_chain(rng):
         cuts = sorted(rng.sample(range(1, 10), len(support) - 1))
         parts = [b - a for a, b in zip([0, *cuts], [*cuts, 10])]
         transitions[x] = {y: part / 10 for y, part in zip(support, parts)}
+    return states, domain, transitions
+
+
+def tenths_verdict(states, domain, transitions):
+    """The chain at eps 1e-20, or the message `MarkovModel` refuses it with."""
     try:
-        model = MarkovModel(
+        return MarkovModel(
             states=states, initial=domain[0], transitions=transitions,
             domain=frozenset(domain), payoff={x: 1.0 for x in domain}, discount=0.9,
             mode=float_mode(1e-20),
         )
-    except ModelError:  # a row fails its own sum
-        return None
-    try:
-        unroll_by_paths(model, 4)
-    except ModelError:
-        return model
-    return None
+    except ModelError as exc:
+        return str(exc)
+
+
+def left_to_right(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def cell_order_total(row, states, domain):
+    """A row added as a cell adds its children: the in-domain successors in
+    state order, then the exit mass if there is any."""
+    moves = [y for y in states if y in row]
+    total = left_to_right(row[y] for y in moves if y in domain)
+    exit_mass = left_to_right(row[y] for y in moves if y not in domain)
+    return total + exit_mass if exit_mass > 0 else total
 
 
 def assert_unrolls_like_the_oracle(model, horizon):
@@ -249,22 +265,45 @@ class TestUnroll:
             model = load_model(dump_model(model), mode=float_mode())
         assert_unrolls_like_the_oracle(model, horizon)
 
-    def test_probability_check_names_the_atom_the_tree_names(self):
-        # Float rows of tenths, listed in a random order: some sum to one only
-        # in that order, and their cells fail at various depths.
+    def test_a_row_is_added_as_its_cells_add_it(self):
+        # Float rows of tenths in a random key order, at eps 1e-20.  A row is
+        # accepted when its in-domain successors, in state order, then its exit
+        # mass add to one, as an unrolled atom's children do; the first row in
+        # state order that does not is named.  Key order and that order
+        # disagree both ways on some chains.
         rng = random.Random(7)
-        failed_at = set()
+        seen = set()
         for _ in range(300):
-            model = tenths_chain(rng)
-            if model is None:
-                continue
-            with pytest.raises(ModelError) as cells_error:
-                unroll(model, 4)
-            with pytest.raises(ModelError) as tree_error:
-                unroll_by_paths(model, 4)
-            assert str(cells_error.value) == str(tree_error.value)
-            failed_at.add(str(tree_error.value).split("'")[1].count("/"))
-        assert failed_at == {0, 1, 2}
+            states, domain, transitions = tenths_rows(rng)
+            failing = [x for x in states if cell_order_total(transitions[x], states, domain) != 1.0]
+            verdict = tenths_verdict(states, domain, transitions)
+            if failing:
+                assert verdict == f"row of {failing[0]!r} does not sum to 1"
+            else:
+                assert_unrolls_like_the_oracle(verdict, 4)
+            in_key_order = all(left_to_right(row.values()) == 1.0 for row in transitions.values())
+            seen.add((in_key_order, not failing))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_no_verdict_depends_on_row_key_order(self):
+        # Every permutation of each row's keys, one row at a time, on float
+        # chains of tenths at eps 1e-20; an accepted chain unrolls as the
+        # path oracle does at horizons 1 to 5.
+        rng = random.Random(20)
+        accepted = 0
+        for _ in range(200):
+            states, domain, transitions = tenths_rows(rng)
+            verdict = tenths_verdict(states, domain, transitions)
+            refusal = verdict if isinstance(verdict, str) else None
+            for x, row in transitions.items():
+                for keys in itertools.permutations(row):
+                    twin = tenths_verdict(states, domain, {**transitions, x: {y: row[y] for y in keys}})
+                    assert (twin if isinstance(twin, str) else None) == refusal
+            if refusal is None:
+                accepted += 1
+                for horizon in range(1, 6):
+                    assert_unrolls_like_the_oracle(verdict, horizon)
+        assert 0 < accepted < 200
 
     def test_two_state_structure(self):
         model = two_state_model()

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -368,6 +369,28 @@ class TestEnumerate:
         assert sum(1 for flag in path.effective_flags().values() if not flag) == 22
         assert len(enumerate_equilibria(path)) == 1
         assert len(enumerate_equilibria(path, size_guard=1)) == 1
+
+    def test_guard_refuses_before_queuing_a_sweeps_branches(self):
+        # Every atom of a 3,000-level path pays 1, so the first sweep ties at
+        # each of its 2,999 free atoms.  The guard counts those pending sweeps
+        # before it keeps them, and refuses within 8 MB of traced memory; a
+        # pin dict per pending sweep used to take over 100 MB.
+        tree = AtomTree(
+            Atom(f"a{t}", t, f"a{t - 1}" if t else None, F(1), True, F(1)) for t in range(3000)
+        )
+        tree.effective_flags(), tree.tie_scale()  # the tree's own caches, outside the trace
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeGuardError, match="needs at least 3000 sweeps") as err:
+                enumerate_equilibria(tree, size_guard=100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (err.value.required, err.value.guard) == (3000, 100)
+        assert peak < 8 * 2**20
+        with pytest.raises(SizeGuardError) as err:
+            enumerate_equilibria(tie_tree(), size_guard=0)
+        assert (err.value.required, err.value.guard) == (1, 0)
 
     def test_unknown_preference(self):
         with pytest.raises(ValueError):
