@@ -54,7 +54,14 @@ from .modelio import (
     model_digest,
     read_json,
 )
-from .numeric import EXACT, NumericError, decimal_render, float_mode, format_scalar
+from .numeric import (
+    EXACT,
+    NumericError,
+    SingularSystemError,
+    decimal_render,
+    float_mode,
+    format_scalar,
+)
 from .policy import (
     PolicyError,
     SizeGuardError,
@@ -652,6 +659,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_SIZE_GUARD
     except _INVALID as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID_MODEL
+    except SingularSystemError as exc:  # only float rounding makes a census system singular
+        print(
+            f"error: float arithmetic made a linear system singular ({exc}); "
+            "run without --float to solve it exactly",
+            file=sys.stderr,
+        )
         return EXIT_INVALID_MODEL
     try:
         if args.json:

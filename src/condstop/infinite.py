@@ -2,7 +2,9 @@
 
 Periodic Markov policies (stop iff the state lies in the region for the
 current time modulo a period) are evaluated exactly on the product chain of
-(state, phase).  Two linear systems over rationals do all the work:
+(state, phase).  Two linear systems do all the work; in exact mode each row
+is scaled to integers and the systems are solved over the integers, so a
+rational is made only for the final table entries:
 
   * the conditional payoff numerator h(x, phase) of the first stop strictly
     after the present, with one row per continuing product-chain pair —
@@ -26,11 +28,14 @@ A truncation diagnostic reports which finite-horizon decisions stabilize.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import truediv
 from typing import Mapping, Optional
 
 from .model import AtomTree, MarkovModel, ModelError, State, _Cells
-from .numeric import NumericError, Scalar, solve_exact, solve_linear, sum_in_order
+from .numeric import NumericError, Scalar, solve_integer, solve_linear, sum_in_order
 from .policy import (
     DEFAULT_POLICY_GUARD,
     AdmissibilityResult,
@@ -156,18 +161,27 @@ def _domain_pairs(model: MarkovModel, period: int) -> list[Pair]:
 
 
 def _steps(model: MarkovModel, pairs: list, period: int) -> dict:
-    """Per (phase, x) of `pairs`: the in-domain successors y of x in
-    `model._split`, each as ((phase + 1 mod period, y), p, discount * p,
-    discount * p * payoff(y)), and the exit mass of x."""
-    delta, payoff = model.discount, model.payoff
-    steps = {}
+    """Per (phase, x) of `pairs`, the row of x scaled by s: each in-domain
+    successor y of x in `model._split` as ((phase + 1 mod period, y), s * p,
+    s * discount * p, s * discount * p * payoff(y)), then s * the exit mass
+    of x, then s.  In exact mode s is the least positive integer that makes
+    every entry an integer; in float mode s = 1 and the entries are floats."""
+    delta, payoff, exact = model.discount, model.payoff, model.mode.exact
+    rows, steps = {}, {}
     for phase, x in pairs:
-        successors, exit_mass = model._split[x]
+        if x not in rows:
+            successors, exit_mass = model._split[x]
+            row = [(y, p, delta * p, delta * p * payoff[y]) for y, p in successors]
+            scale = 1
+            if exact:
+                entries = [exit_mass, *(v for _, *vs in row for v in vs)]
+                scale = math.lcm(*(v.denominator for v in entries))
+                row = [(y, *(v.numerator * scale // v.denominator for v in vs)) for y, *vs in row]
+                exit_mass = exit_mass.numerator * scale // exit_mass.denominator
+            rows[x] = row, exit_mass, scale
+        row, exit_mass, scale = rows[x]
         nxt = (phase + 1) % period
-        steps[phase, x] = (
-            [((nxt, y), p, delta * p, delta * p * payoff[y]) for y, p in successors],
-            exit_mass,
-        )
+        steps[phase, x] = [((nxt, y), *coefficients) for y, *coefficients in row], exit_mass, scale
     return steps
 
 
@@ -206,23 +220,32 @@ def _closure(pairs: list, seeds: set, successors) -> set:
     return hit
 
 
-def _solve_on(mode, steps: dict, unknowns: list, column: int, constant) -> dict:
-    """Solve u = constant + sum(coefficient * u(next)) on `unknowns`, where the
-    coefficient is entry `column` of a successor in `_steps` (1: prob, 2:
-    discount * prob) and a successor outside `unknowns` adds nothing.  Exact
-    mode solves with `solve_exact`, float mode with `solve_linear`."""
+def _solve_on(mode, steps: dict, unknowns: list, column: int, constant) -> tuple[dict, int]:
+    """Solve s * u = constant + sum(coefficient * u(next)) on `unknowns`, where
+    s is the row scale of `_steps`, the coefficient is entry `column` of a
+    successor there (1: prob, 2: discount * prob, both times s) and a
+    successor outside `unknowns` adds nothing.  Returns the numerators of u
+    and their common denominator: exact mode solves over the integers with
+    `solve_integer`, float mode with `solve_linear` over denominator 1."""
     if not unknowns:
-        return {}
+        return {}, 1
     index = {pair: i for i, pair in enumerate(unknowns)}
-    matrix = [[mode.zero] * len(unknowns) for _ in unknowns]
+    matrix = []
     for i, pair in enumerate(unknowns):
-        matrix[i][i] = mode.one
-        for step in steps[pair][0]:
+        row_steps, _, scale = steps[pair]
+        row = [0] * len(unknowns)
+        row[i] = scale
+        for step in row_steps:
             j = index.get(step[0])
             if j is not None:  # a successor pair occurs once per row
-                matrix[i][j] = mode.one - step[column] if j == i else -step[column]
-    solve = solve_exact if mode.exact else solve_linear
-    return dict(zip(unknowns, solve(matrix, [constant(pair) for pair in unknowns])))
+                row[j] = scale - step[column] if j == i else -step[column]
+        matrix.append(row)
+    rhs = [constant(pair) for pair in unknowns]
+    if mode.exact:
+        numerators, denominator = solve_integer(matrix, rhs)
+    else:
+        numerators, denominator = solve_linear(matrix, rhs), 1
+    return dict(zip(unknowns, numerators)), denominator
 
 
 def _evaluate(
@@ -232,7 +255,10 @@ def _evaluate(
 
     No continuation leaves a closed set, so the tables on `pairs` are those
     of `evaluate`.  `steps` is `_steps` on at least `pairs` for the policy's
-    period.  Admissibility is checked on the pairs in `reachable`.
+    period.  Admissibility is checked on the pairs in `reachable`.  Both
+    systems are solved for numerators over a common denominator, and each
+    table entry is accumulated from them in row order and converted once:
+    `Fraction(n, d)` in exact mode, `n / d` in float mode.
     """
     mode, delta = model.mode, model.discount
     continuing = [pair for pair in pairs if not policy.stops(*pair)]
@@ -254,37 +280,41 @@ def _evaluate(
 
     # Conditional payoff numerator: one unknown per continuing pair.
     def stop_gain(pair: Pair) -> Scalar:
-        gains = (step[3] for step in steps[pair][0] if step[0] not in cont)
-        return sum_in_order(gains, mode.zero)
+        return sum_in_order((step[3] for step in steps[pair][0] if step[0] not in cont), 0)
 
-    h_cont = _solve_on(mode, steps, continuing, 2, stop_gain)
+    h_cont, h_den = _solve_on(mode, steps, continuing, 2, stop_gain)
     # Exit-hitting probability: minimal nonnegative solution, i.e. zero on
     # pairs from which the exit is unreachable, then a nonsingular system on
     # the rest.
     can_exit = _closure(continuing, exiting, successors)
     qpairs = [pair for pair in continuing if pair in can_exit]
-    q_cont = dict.fromkeys(continuing, mode.zero)
-    q_cont.update(_solve_on(mode, steps, qpairs, 1, lambda pair: steps[pair][1]))
+    q_solved, q_den = _solve_on(mode, steps, qpairs, 1, lambda pair: steps[pair][1])
+    q_cont = dict.fromkeys(continuing, 0) | q_solved
 
+    ratio = Fraction if mode.exact else truediv
+    # p > floor is mode.gt(p / qd, 0): qd > 0, and qd = 1 in float mode.
+    floor = mode.tolerance()
     h_table: dict[Pair, Scalar] = {}
     p_table: dict[Pair, Scalar] = {}
     j_table: dict[Pair, Scalar] = {}
     for pair in pairs:
         if pair in cont:
-            h_val, q_val = h_cont[pair], q_cont[pair]
+            h, q, scale = h_cont[pair], q_cont[pair], 1
         else:  # one step, then the continuation or a stop, in state order
-            row, q_val = steps[pair]
-            h_val = mode.zero
+            row, exit_mass, scale = steps[pair]
+            h, q = 0, exit_mass * q_den
             for succ, prob, discounted, gain in row:
                 if succ in cont:
-                    h_val += discounted * h_cont[succ]
-                    q_val += prob * q_cont[succ]
+                    h += discounted * h_cont[succ]
+                    q += prob * q_cont[succ]
                 else:
-                    h_val += gain
-        h_table[pair] = h_val
-        p_table[pair] = p_val = mode.one - q_val
-        if mode.gt(p_val, 0):
-            j_table[pair] = h_val / p_val
+                    h += gain * h_den
+        hd, qd = scale * h_den, scale * q_den
+        p = qd - q
+        h_table[pair] = ratio(h, hd)
+        p_table[pair] = ratio(p, qd)
+        if p > floor:
+            j_table[pair] = ratio(h * qd, p * hd)
         elif pair in cont and pair in reachable:
             phase, x = pair
             if not mode.gt(model.domain_successor_mass(x), 0):

@@ -190,7 +190,7 @@ def solve_linear(matrix: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> l
     """Solve a small dense linear system by Gaussian elimination with pivoting.
 
     Works over Fractions (exactly) and floats alike; float mode solves with
-    it, and it is the reference `solve_exact` is tested against.  Raises
+    it, and it is the reference `solve_integer` is tested against.  Raises
     SingularSystemError when no unique solution exists.
     """
     n = len(rhs)
@@ -216,24 +216,20 @@ def solve_linear(matrix: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> l
     return [rows[i][n] / rows[i][i] for i in range(n)]
 
 
-def solve_exact(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
-    """`solve_linear` on rationals, by fraction-free elimination over integers.
+def solve_integer(matrix: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[list[int], int]:
+    """Solve a square integer system by fraction-free Gauss-Jordan elimination.
 
-    Each row is scaled to integers by the lcm of its denominators.
-    Gauss-Jordan elimination then updates a row by cross-multiplication with
-    the pivot row and divides it by the gcd of its entries, so no
-    intermediate rational is normalized; one Fraction is made per unknown.
-    The solution is the unique one `solve_linear` returns, and
-    SingularSystemError is raised exactly when it raises, at the same column.
+    A row is updated by cross-multiplication with the pivot row and divided
+    by the gcd of its entries, so every intermediate is an integer and no
+    rational is made.  The solution comes back as numerators over one common
+    positive denominator, the lcm of the final pivots.  It is the solution
+    `solve_linear` returns, and SingularSystemError is raised exactly when it
+    raises, at the same column.
     """
     n = len(rhs)
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise ValueError("matrix shape does not match right-hand side")
-    rows = []
-    for row, b in zip(matrix, rhs):
-        entries = [*row, b]
-        scale = math.lcm(*(a.denominator for a in entries))
-        rows.append([a.numerator * (scale // a.denominator) for a in entries])
+    rows = [[*row, b] for row, b in zip(matrix, rhs)]
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if rows[r][col]), None)
         if pivot_row is None:
@@ -248,4 +244,5 @@ def solve_exact(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -
             row = [pivot * a - factor * b for a, b in zip(rows[r], pivots)]
             divisor = math.gcd(*row)
             rows[r] = [a // divisor for a in row] if divisor > 1 else row
-    return [Fraction(row[n], row[i]) for i, row in enumerate(rows)]
+    denominator = math.lcm(*(row[i] for i, row in enumerate(rows)))
+    return [row[n] * (denominator // row[i]) for i, row in enumerate(rows)], denominator

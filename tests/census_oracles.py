@@ -1,0 +1,139 @@
+"""Rational-table oracle for the periodic census's node evaluation.
+
+`evaluate_by_fractions` is `infinite._evaluate` as it was before the node
+evaluation moved to integers: the step table holds unscaled rationals (or
+floats), the h and q systems are solved as `Fraction` matrices by
+`solve_exact` (exact mode) or `solve_linear` (float mode), and every table
+entry is built by `Fraction` (or float) arithmetic.  `infinite._evaluate`,
+which scales each row once per census, solves over the integers and makes
+one conversion per table entry, must give the same tables, bit for bit in
+float mode, and raise the same errors.
+"""
+
+import math
+from fractions import Fraction
+
+from condstop.infinite import PolicyEvaluation, _closure
+from condstop.numeric import SingularSystemError, solve_linear, sum_in_order
+from condstop.policy import AdmissibilityResult, InadmissiblePolicyError, PolicyError
+
+
+def solve_exact(matrix, rhs):
+    """`solve_linear` on rationals, by fraction-free elimination over integers:
+    each row is scaled by the lcm of its denominators, and one Fraction is
+    made per unknown."""
+    n = len(rhs)
+    if len(matrix) != n or any(len(row) != n for row in matrix):
+        raise ValueError("matrix shape does not match right-hand side")
+    rows = []
+    for row, b in zip(matrix, rhs):
+        entries = [*row, b]
+        scale = math.lcm(*(a.denominator for a in entries))
+        rows.append([a.numerator * (scale // a.denominator) for a in entries])
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if rows[r][col]), None)
+        if pivot_row is None:
+            raise SingularSystemError(f"singular at column {col}")
+        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+        pivots = rows[col]
+        pivot = pivots[col]
+        for r in range(n):
+            factor = rows[r][col]
+            if r == col or not factor:
+                continue
+            row = [pivot * a - factor * b for a, b in zip(rows[r], pivots)]
+            divisor = math.gcd(*row)
+            rows[r] = [a // divisor for a in row] if divisor > 1 else row
+    return [Fraction(row[n], row[i]) for i, row in enumerate(rows)]
+
+
+def rational_steps(model, pairs, period):
+    """Per (phase, x) of `pairs`: the in-domain successors y of x, each as
+    ((phase + 1 mod period, y), p, discount * p, discount * p * payoff(y)),
+    and the exit mass of x."""
+    delta, payoff = model.discount, model.payoff
+    steps = {}
+    for phase, x in pairs:
+        successors, exit_mass = model._split[x]
+        nxt = (phase + 1) % period
+        steps[phase, x] = (
+            [((nxt, y), p, delta * p, delta * p * payoff[y]) for y, p in successors],
+            exit_mass,
+        )
+    return steps
+
+
+def _solve_on(mode, steps, unknowns, column, constant):
+    if not unknowns:
+        return {}
+    index = {pair: i for i, pair in enumerate(unknowns)}
+    matrix = [[mode.zero] * len(unknowns) for _ in unknowns]
+    for i, pair in enumerate(unknowns):
+        matrix[i][i] = mode.one
+        for step in steps[pair][0]:
+            j = index.get(step[0])
+            if j is not None:
+                matrix[i][j] = mode.one - step[column] if j == i else -step[column]
+    solve = solve_exact if mode.exact else solve_linear
+    return dict(zip(unknowns, solve(matrix, [constant(pair) for pair in unknowns])))
+
+
+def evaluate_by_fractions(model, policy, pairs, reachable):
+    """The (h, p, J) tables of `policy` on `pairs`, domain pairs closed under
+    in-domain transitions, with admissibility checked on `reachable`."""
+    mode, delta = model.mode, model.discount
+    steps = rational_steps(model, pairs, policy.period)
+    continuing = [pair for pair in pairs if not policy.stops(*pair)]
+    cont = set(continuing)
+    exiting = {pair for pair in continuing if steps[pair][1] > 0}
+
+    def successors(pair):
+        return (step[0] for step in steps[pair][0])
+
+    if mode.eq(delta, 1):
+        ends = exiting | {p for p in continuing if any(s not in cont for s in successors(p))}
+        transient = _closure(continuing, ends, successors)
+        stuck = [pair for pair in continuing if pair not in transient]
+        if stuck:
+            raise PolicyError(
+                "discount 1 requires the continuation region to reach a stop or "
+                f"exit almost surely; pair (phase {stuck[0][0]}, state {stuck[0][1]!r}) cannot"
+            )
+
+    def stop_gain(pair):
+        gains = (step[3] for step in steps[pair][0] if step[0] not in cont)
+        return sum_in_order(gains, mode.zero)
+
+    h_cont = _solve_on(mode, steps, continuing, 2, stop_gain)
+    can_exit = _closure(continuing, exiting, successors)
+    qpairs = [pair for pair in continuing if pair in can_exit]
+    q_cont = dict.fromkeys(continuing, mode.zero)
+    q_cont.update(_solve_on(mode, steps, qpairs, 1, lambda pair: steps[pair][1]))
+
+    h_table, p_table, j_table = {}, {}, {}
+    for pair in pairs:
+        if pair in cont:
+            h_val, q_val = h_cont[pair], q_cont[pair]
+        else:
+            row, q_val = steps[pair]
+            h_val = mode.zero
+            for succ, prob, discounted, gain in row:
+                if succ in cont:
+                    h_val += discounted * h_cont[succ]
+                    q_val += prob * q_cont[succ]
+                else:
+                    h_val += gain
+        h_table[pair] = h_val
+        p_table[pair] = p_val = mode.one - q_val
+        if mode.gt(p_val, 0):
+            j_table[pair] = h_val / p_val
+        elif pair in cont and pair in reachable:
+            phase, x = pair
+            if not mode.gt(model.domain_successor_mass(x), 0):
+                reason = "must stop when every transition leaves the domain"
+            else:
+                reason = "continuation almost surely leaves the domain before stopping"
+            raise InadmissiblePolicyError(
+                AdmissibilityResult(False, f"(phase {phase}, state {x})", reason)
+            )
+    return PolicyEvaluation(policy.period, h_table, p_table, j_table, reachable)

@@ -984,3 +984,45 @@ class TestJsonReportsRoundTrip:
         code, out, _ = run(capsys, *(arg.format(**paths) for arg in argv), "--json")
         assert code == expected
         assert json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n" == out
+
+
+class TestFloatSingularSystem:
+    # 0.99999999999999999 rounds to 1.0, so in floats the exit-hitting system
+    # of state 0, (1 - 0.99999999999999999) q = 1e-17, has a zero pivot.
+    CHAIN = {
+        "type": "markov", "states": [0, 1, 2], "initial": 0, "domain": [0, 2],
+        "transitions": {"0": {"0": "0.99999999999999999", "1": "1e-17", "2": "0"},
+                        "1": {"1": "1"}, "2": {"2": "1"}},
+        "payoff": {"0": "1", "2": "5"}, "discount": "1", "horizon": "infinite",
+    }
+    COMMANDS = {
+        "enumerate": ["enumerate", "--period", "1"],
+        "phi": ["phi", "--period", "1", "--policy", "POLICY"],
+    }
+
+    def _run(self, capsys, tmp_path, command, *flags):
+        model, policy = tmp_path / "chain.json", tmp_path / "policy.json"
+        model.write_text(json.dumps(self.CHAIN))
+        policy.write_text(json.dumps({"period": 1, "regions": {"0": [1, 2]}}))
+        argv = [str(policy) if arg == "POLICY" else arg for arg in self.COMMANDS[command]]
+        return run(capsys, *argv, "--model", str(model), *flags)
+
+    @pytest.mark.parametrize("report", [[], ["--json"]], ids=["human", "json"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_exits_three_with_one_error_line(self, capsys, tmp_path, command, report):
+        assert self._run(capsys, tmp_path, command, "--float", *report) == (
+            3,
+            "",
+            "error: float arithmetic made a linear system singular (singular at column 0); "
+            "run without --float to solve it exactly\n",
+        )
+
+    def test_exact_mode_answers(self, capsys, tmp_path):
+        code, out, _ = self._run(capsys, tmp_path, "enumerate", "--json")
+        assert code == 0 and json.loads(out)["results"]["count"] == 1
+        assert self._run(capsys, tmp_path, "phi") == (
+            3,
+            "",
+            "error: inadmissible policy: continuation almost surely leaves the domain "
+            "before stopping at atom '(phase 0, state 0)'\n",
+        )

@@ -1,11 +1,14 @@
 import dataclasses
 import random
+from contextlib import suppress
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from census_oracles import evaluate_by_fractions
 from condstop import infinite
 from condstop.catalog import (
     check_minnie_donald_conditions,
@@ -31,7 +34,7 @@ from condstop.infinite import (
 )
 from condstop.model import MarkovModel, ModelError, _Cells, unroll
 from condstop.modelio import dump_model, load_model, model_digest
-from condstop.numeric import NumericError, float_mode
+from condstop.numeric import NumericError, SingularSystemError, float_mode
 from condstop.policy import (
     InadmissiblePolicyError,
     PolicyError,
@@ -683,7 +686,7 @@ def census_policy(rng, model, period):
 def _outcome(function, *args):
     try:
         return function(*args), None
-    except PolicyError as exc:
+    except (PolicyError, SingularSystemError) as exc:
         return None, (type(exc), str(exc))
 
 
@@ -720,7 +723,7 @@ class TestCensusCore:
     def test_exact_census_makes_no_solve_linear_call(self, monkeypatch, floats):
         model = minnie_donald_model(mode=float_mode()) if floats else minnie_donald_model()
         linear = _recorded(monkeypatch, "solve_linear")
-        integer = _recorded(monkeypatch, "solve_exact")
+        integer = _recorded(monkeypatch, "solve_integer")
         assert len(enumerate_periodic_equilibria(model, 4)) == 2
         assert (bool(linear), bool(integer)) == (floats, not floats)
 
@@ -751,6 +754,67 @@ class TestCensusCore:
             assert part.h[pair] == full.h[pair]
             assert part.p[pair] == full.p[pair]
             assert part.J.get(pair) == full.J.get(pair)
+
+    @pytest.mark.parametrize(
+        "period, nodes", [(1, 4), (2, 4), (3, 22), (4, 11), (5, 78), (6, 16)]
+    )
+    def test_minnie_donald_node_counts(self, monkeypatch, period, nodes):
+        # Evaluations per census, survivors' full tables included.
+        cores = _recorded(monkeypatch, "_evaluate")
+        enumerate_periodic_equilibria(minnie_donald_model(), period)
+        assert len(cores) == nodes
+
+
+def _same_scalar(a, b):
+    """Equal Fractions, or floats with the same bits (so 0.0 is not -0.0)."""
+    if type(a) is float and type(b) is float:
+        return a.hex() == b.hex()
+    return type(a) is type(b) is F and a == b
+
+
+class TestNodeEvaluationAgainstFractionOracle:
+    """At every node a random census evaluates, `_evaluate` against the
+    `Fraction`-table evaluation it replaced (`census_oracles`)."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        period=st.integers(1, 3),
+        discount_one=st.booleans(),
+        floats=st.booleans(),
+    )
+    def test_every_node_matches(self, seed, period, discount_one, floats):
+        rng = random.Random(seed)
+        model = random_markov_model(rng, n_states=rng.randint(2, 5))
+        model = with_random_forced_stops(rng, model)
+        if discount_one:
+            model = dataclasses.replace(model, discount=F(1))
+        if floats:
+            model = _float_chain(model)
+        nodes = []
+        evaluate_node = infinite._evaluate
+
+        def checked(model, steps, policy, pairs, reachable):
+            nodes.append(pairs)
+            expected, expected_error = _outcome(
+                evaluate_by_fractions, model, policy, pairs, reachable
+            )
+            try:
+                got = evaluate_node(model, steps, policy, pairs, reachable)
+            except (PolicyError, SingularSystemError) as exc:
+                assert (type(exc), str(exc)) == expected_error
+                raise
+            assert expected_error is None
+            for table in ("h", "p", "J"):
+                mine, theirs = getattr(got, table), getattr(expected, table)
+                assert list(mine) == list(theirs)
+                assert all(_same_scalar(mine[pair], theirs[pair]) for pair in mine)
+            return got
+
+        # A float system that rounding makes singular raises in both.
+        with mock.patch.object(infinite, "_evaluate", checked), suppress(SingularSystemError):
+            enumerate_periodic_equilibria(model, period)
+        assert nodes
 
 
 def tie_chain():

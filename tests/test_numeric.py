@@ -1,3 +1,4 @@
+import math
 import re
 import time
 from fractions import Fraction
@@ -14,7 +15,7 @@ from condstop.numeric import (
     float_mode,
     format_scalar,
     parse_rational,
-    solve_exact,
+    solve_integer,
     solve_linear,
     sum_in_order,
 )
@@ -222,8 +223,24 @@ def linear_systems(draw):
     return matrix, draw(row), deficient
 
 
+def _integer_system(matrix, rhs):
+    """Each rational row and its right-hand side times the lcm of their denominators."""
+    rows = []
+    for row, b in zip(matrix, rhs):
+        scale = math.lcm(*(a.denominator for a in [*row, b]))
+        rows.append([int(a * scale) for a in [*row, b]])
+    return [row[:-1] for row in rows], [row[-1] for row in rows]
+
+
+def _solved(matrix, rhs):
+    """`solve_integer` on the scaled system, as rationals; its denominator is positive."""
+    numerators, denominator = solve_integer(*_integer_system(matrix, rhs))
+    assert type(denominator) is int and denominator > 0
+    return [Fraction(n, denominator) for n in numerators]
+
+
 class TestSolveExact:
-    """`solve_exact` against its reference `solve_linear`."""
+    """`solve_integer`, the exact solver, against its reference `solve_linear`."""
 
     @settings(max_examples=300, deadline=None)
     @given(linear_systems())
@@ -233,18 +250,19 @@ class TestSolveExact:
             expected = solve_linear(matrix, rhs)
         except SingularSystemError as exc:
             with pytest.raises(SingularSystemError) as raised:
-                solve_exact(matrix, rhs)
+                _solved(matrix, rhs)
             assert str(raised.value) == str(exc)
             return
         assert not deficient
-        assert solve_exact(matrix, rhs) == expected
+        assert _solved(matrix, rhs) == expected
 
     def test_pivots_past_a_zero_diagonal(self):
         # x2 = 1/3, x1 + x2 = 1, as `solve_linear` solves it after a row swap.
         matrix = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(1)]]
         rhs = [Fraction(1, 3), Fraction(1)]
-        assert solve_exact(matrix, rhs) == solve_linear(matrix, rhs) == [Fraction(2, 3), Fraction(1, 3)]
+        assert solve_integer([[0, 3], [1, 1]], [1, 1]) == ([2, 1], 3)
+        assert _solved(matrix, rhs) == solve_linear(matrix, rhs) == [Fraction(2, 3), Fraction(1, 3)]
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            solve_exact([[Fraction(1), Fraction(2)]], [Fraction(1)])
+            solve_integer([[1, 2]], [1])
