@@ -4,7 +4,7 @@ Periodic Markov policies (stop iff the state lies in the region for the
 current time modulo a period) are evaluated exactly on the product chain of
 (state, phase).  Two linear systems do all the work; in exact mode each row
 is scaled to integers and the systems are solved over the integers, so a
-rational is made only for the final table entries:
+rational is made only for survivors and `evaluate`:
 
   * the conditional payoff numerator h(x, phase) of the first stop strictly
     after the present, with one row per continuing product-chain pair —
@@ -164,10 +164,14 @@ def _steps(model: MarkovModel, pairs: list, period: int) -> dict:
     """Per (phase, x) of `pairs`, the row of x scaled by s: each in-domain
     successor y of x in `model._split` as ((phase + 1 mod period, y), s * p,
     s * discount * p, s * discount * p * payoff(y)), then s * the exit mass
-    of x, then s.  In exact mode s is the least positive integer that makes
-    every entry an integer; in float mode s = 1 and the entries are floats."""
+    of x, then s, then the pairs of `pairs` with a step into (phase, x), the
+    predecessor lists `_closure` walks.  `pairs` must be closed under
+    in-domain steps.  In exact mode s is the least positive integer that
+    makes every entry an integer; in float mode s = 1 and the entries are
+    floats."""
     delta, payoff, exact = model.discount, model.payoff, model.mode.exact
     rows, steps = {}, {}
+    predecessors: dict = {pair: [] for pair in pairs}
     for phase, x in pairs:
         if x not in rows:
             successors, exit_mass = model._split[x]
@@ -181,7 +185,10 @@ def _steps(model: MarkovModel, pairs: list, period: int) -> dict:
             rows[x] = row, exit_mass, scale
         row, exit_mass, scale = rows[x]
         nxt = (phase + 1) % period
-        steps[phase, x] = [((nxt, y), *coefficients) for y, *coefficients in row], exit_mass, scale
+        out = [((nxt, y), *coefficients) for y, *coefficients in row]
+        steps[phase, x] = out, exit_mass, scale, predecessors[phase, x]
+        for step in out:
+            predecessors[step[0]].append((phase, x))
     return steps
 
 
@@ -205,19 +212,25 @@ def _dominant(model: MarkovModel, free: list) -> set:
     return dominant
 
 
-def _closure(pairs: list, seeds: set, successors) -> set:
-    """Members of `pairs` (product pairs or states) that reach `seeds` via `successors`."""
+def _closure(members, seeds, steps: dict) -> set:
+    """`seeds` and the pairs of `members` that reach them through `members`:
+    one breadth-first walk back along the predecessor lists of `_steps`."""
     hit = set(seeds)
-    changed = True
-    while changed:
-        changed = False
-        for pair in pairs:
-            if pair in hit:
-                continue
-            if any(s in hit for s in successors(pair)):
-                hit.add(pair)
-                changed = True
+    frontier = list(hit)
+    for pair in frontier:  # the walk appends to the list it reads
+        for pred in steps[pair][3]:
+            if pred in members and pred not in hit:
+                hit.add(pred)
+                frontier.append(pred)
     return hit
+
+
+def _settled(steps: dict, reached: frozenset, continuing: set, unassigned: set) -> frozenset:
+    """The pairs of `reached` whose J no completion of a census node changes:
+    those with no step into a pair that reaches an `unassigned` slot through
+    `continuing` pairs."""
+    unsettled = _closure(continuing, unassigned, steps)
+    return reached - {pred for pair in unsettled for pred in steps[pair][3]}
 
 
 def _solve_on(mode, steps: dict, unknowns: list, column: int, constant) -> tuple[dict, int]:
@@ -232,7 +245,7 @@ def _solve_on(mode, steps: dict, unknowns: list, column: int, constant) -> tuple
     index = {pair: i for i, pair in enumerate(unknowns)}
     matrix = []
     for i, pair in enumerate(unknowns):
-        row_steps, _, scale = steps[pair]
+        row_steps, _, scale, _ = steps[pair]
         row = [0] * len(unknowns)
         row[i] = scale
         for step in row_steps:
@@ -250,27 +263,26 @@ def _solve_on(mode, steps: dict, unknowns: list, column: int, constant) -> tuple
 
 def _evaluate(
     model: MarkovModel, steps: dict, policy: PeriodicMarkovPolicy, pairs: list, reachable: frozenset
-) -> PolicyEvaluation:
-    """`evaluate` on `pairs`, domain pairs closed under in-domain transitions.
+) -> dict:
+    """`evaluate` on `pairs`, domain pairs closed under in-domain transitions,
+    as numerators: per pair (h, p, hd, qd) with h/hd and p/qd the table
+    entries of `evaluate` and J = (h * qd) / (p * hd) where p > 0.
 
     No continuation leaves a closed set, so the tables on `pairs` are those
     of `evaluate`.  `steps` is `_steps` on at least `pairs` for the policy's
     period.  Admissibility is checked on the pairs in `reachable`.  Both
     systems are solved for numerators over a common denominator, and each
-    table entry is accumulated from them in row order and converted once:
-    `Fraction(n, d)` in exact mode, `n / d` in float mode.
+    pair's h and q numerators are accumulated from them in row order; hd and
+    qd are positive integers (1 in float mode).  `_tables` converts them and
+    `_response` compares against them.
     """
     mode, delta = model.mode, model.discount
     continuing = [pair for pair in pairs if not policy.stops(*pair)]
     cont = set(continuing)
     exiting = {pair for pair in continuing if steps[pair][1] > 0}
 
-    def successors(pair: Pair):
-        return (step[0] for step in steps[pair][0])
-
-    if mode.eq(delta, 1):
-        ends = exiting | {p for p in continuing if any(s not in cont for s in successors(p))}
-        transient = _closure(continuing, ends, successors)
+    if mode.eq(delta, 1):  # the continuing pairs that reach an exit or a stop
+        transient = _closure(cont, exiting | (set(pairs) - cont), steps)
         stuck = [pair for pair in continuing if pair not in transient]
         if stuck:
             raise PolicyError(
@@ -286,22 +298,19 @@ def _evaluate(
     # Exit-hitting probability: minimal nonnegative solution, i.e. zero on
     # pairs from which the exit is unreachable, then a nonsingular system on
     # the rest.
-    can_exit = _closure(continuing, exiting, successors)
+    can_exit = _closure(cont, exiting, steps)
     qpairs = [pair for pair in continuing if pair in can_exit]
     q_solved, q_den = _solve_on(mode, steps, qpairs, 1, lambda pair: steps[pair][1])
     q_cont = dict.fromkeys(continuing, 0) | q_solved
 
-    ratio = Fraction if mode.exact else truediv
     # p > floor is mode.gt(p / qd, 0): qd > 0, and qd = 1 in float mode.
     floor = mode.tolerance()
-    h_table: dict[Pair, Scalar] = {}
-    p_table: dict[Pair, Scalar] = {}
-    j_table: dict[Pair, Scalar] = {}
+    numerators: dict[Pair, tuple] = {}
     for pair in pairs:
         if pair in cont:
             h, q, scale = h_cont[pair], q_cont[pair], 1
         else:  # one step, then the continuation or a stop, in state order
-            row, exit_mass, scale = steps[pair]
+            row, exit_mass, scale, _ = steps[pair]
             h, q = 0, exit_mass * q_den
             for succ, prob, discounted, gain in row:
                 if succ in cont:
@@ -309,13 +318,10 @@ def _evaluate(
                     q += prob * q_cont[succ]
                 else:
                     h += gain * h_den
-        hd, qd = scale * h_den, scale * q_den
+        qd = scale * q_den
         p = qd - q
-        h_table[pair] = ratio(h, hd)
-        p_table[pair] = ratio(p, qd)
-        if p > floor:
-            j_table[pair] = ratio(h * qd, p * hd)
-        elif pair in cont and pair in reachable:
+        numerators[pair] = h, p, scale * h_den, qd
+        if not p > floor and pair in cont and pair in reachable:
             phase, x = pair
             if not mode.gt(model.domain_successor_mass(x), 0):
                 reason = "must stop when every transition leaves the domain"
@@ -324,7 +330,33 @@ def _evaluate(
             raise InadmissiblePolicyError(
                 AdmissibilityResult(False, f"(phase {phase}, state {x})", reason)
             )
-    return PolicyEvaluation(policy.period, h_table, p_table, j_table, reachable)
+    return numerators
+
+
+def _tables(
+    model: MarkovModel, period: int, numerators: dict, reachable: frozenset
+) -> PolicyEvaluation:
+    """The `PolicyEvaluation` of `_evaluate`'s numerators, one conversion per
+    entry: `Fraction(n, d)` in exact mode, `n / d` in float mode."""
+    ratio = Fraction if model.mode.exact else truediv
+    floor, entries = model.mode.tolerance(), numerators.items()
+    return PolicyEvaluation(
+        period,
+        {pair: ratio(h, hd) for pair, (h, _, hd, _) in entries},
+        {pair: ratio(p, qd) for pair, (_, p, _, qd) in entries},
+        {pair: ratio(h * qd, p * hd) for pair, (h, p, hd, qd) in entries if p > floor},
+        reachable,
+    )
+
+
+def _numerators(model: MarkovModel, policy: PeriodicMarkovPolicy) -> tuple[dict, frozenset]:
+    """`_evaluate` on every domain pair, and the reachable pairs."""
+    _require_infinite(model)
+    _validate_regions(model, policy)
+    pairs = _domain_pairs(model, policy.period)
+    steps = _steps(model, pairs, policy.period)
+    reachable = reachable_pairs(model, policy.period)
+    return _evaluate(model, steps, policy, pairs, reachable), reachable
 
 
 def evaluate(model: MarkovModel, policy: PeriodicMarkovPolicy) -> PolicyEvaluation:
@@ -334,11 +366,8 @@ def evaluate(model: MarkovModel, policy: PeriodicMarkovPolicy) -> PolicyEvaluati
     continues but whose continuation leaves the domain almost surely has no
     conditional value (the observer would condition on a null event).
     """
-    _require_infinite(model)
-    _validate_regions(model, policy)
-    pairs = _domain_pairs(model, policy.period)
-    steps = _steps(model, pairs, policy.period)
-    return _evaluate(model, steps, policy, pairs, reachable_pairs(model, policy.period))
+    numerators, reachable = _numerators(model, policy)
+    return _tables(model, policy.period, numerators, reachable)
 
 
 def _must_stop(model: MarkovModel) -> frozenset:
@@ -348,14 +377,25 @@ def _must_stop(model: MarkovModel) -> frozenset:
 
 
 def _response(
-    model: MarkovModel, evaluation: PolicyEvaluation, pair: Pair, must_stop: frozenset
+    model: MarkovModel, numerators: dict, pair: Pair, must_stop: frozenset
 ) -> Optional[int]:
     """The best response at a domain pair as a sign: +1 stop, -1 continue,
-    0 a tie, None where p = 0; always +1 on `must_stop` (`_must_stop(model)`)."""
+    0 a tie, None where p = 0; always +1 on `must_stop` (`_must_stop(model)`).
+
+    Read off `_evaluate`'s numerators.  In exact mode payoff a/b against
+    J = h * qd / (p * hd) is the sign of a * p * hd - b * h * qd, since b, p,
+    hd and qd are positive; float mode compares with the float J at scale 1.
+    """
     if pair[1] in must_stop:
         return 1
-    J = evaluation.J.get(pair)
-    return None if J is None else model.mode.compare(model.payoff[pair[1]], J)
+    h, p, hd, qd = numerators[pair]
+    mode, payoff = model.mode, model.payoff[pair[1]]
+    if not p > mode.tolerance():
+        return None
+    if mode.exact:
+        diff = payoff.numerator * p * hd - payoff.denominator * h * qd
+        return (diff > 0) - (diff < 0)
+    return mode.compare(payoff, h * qd / (p * hd))
 
 
 def phi_markov(model: MarkovModel, policy: PeriodicMarkovPolicy) -> PeriodicMarkovPolicy:
@@ -366,10 +406,10 @@ def phi_markov(model: MarkovModel, policy: PeriodicMarkovPolicy) -> PeriodicMark
     conditional value exists to compare against).  Forced-stop states, dead
     ends and exit states stop in every region.
     """
-    evaluation, must_stop = evaluate(model, policy), _must_stop(model)
+    numerators, must_stop = _numerators(model, policy)[0], _must_stop(model)
     regions = []
     for phase in range(policy.period):
-        signs = {x: _response(model, evaluation, (phase, x), must_stop) for x in model.domain}
+        signs = {x: _response(model, numerators, (phase, x), must_stop) for x in model.domain}
         stop = {x for x, sign in signs.items() if (sign > 0 if sign else policy.stops(phase, x))}
         regions.append(model.exit_states | stop)
     return PeriodicMarkovPolicy(policy.period, tuple(regions))
@@ -387,7 +427,7 @@ def _markov_preference(preference: MarkovPreference) -> MarkovPreference:
 def _equilibrium_deviations(
     model: MarkovModel,
     policy: PeriodicMarkovPolicy,
-    evaluation: PolicyEvaluation,
+    numerators: dict,
     preference: MarkovPreference,
     reached: list[Pair],
     must_stop: frozenset,
@@ -396,7 +436,7 @@ def _equilibrium_deviations(
     a tie must take the preferred bit when a preference is set."""
     deviations = []
     for phase, x in reached:
-        sign = _response(model, evaluation, (phase, x), must_stop)
+        sign = _response(model, numerators, (phase, x), must_stop)
         if sign is None or (sign == 0 and preference is None):
             continue
         stop = sign > 0 if sign else preference == "early"
@@ -416,12 +456,12 @@ def is_periodic_equilibrium(
     where a tie must take the preferred bit when a preference is set."""
     preference = _markov_preference(preference)
     try:
-        evaluation = evaluate(model, policy)
+        numerators, reachable = _numerators(model, policy)
     except PolicyError as exc:
         return EquilibriumResult(False, reason=str(exc))
-    reached = [pair for pair in _domain_pairs(model, policy.period) if pair in evaluation.reachable]
+    reached = [pair for pair in numerators if pair in reachable]
     deviations = _equilibrium_deviations(
-        model, policy, evaluation, preference, reached, _must_stop(model)
+        model, policy, numerators, preference, reached, _must_stop(model)
     )
     if deviations:
         return EquilibriumResult(False, deviations, "not a fixed point of the best response")
@@ -466,8 +506,12 @@ def enumerate_periodic_equilibria(
     pair whose final J disagrees with its bit is a deviation in every
     completion.  A bit-1 child shares its parent's policy and evaluation,
     and a slot whose J is already final takes the bits its best response
-    allows (both on a tie with no preference).  Only survivors are
-    evaluated on every domain pair, so each carries the tables `evaluate`
+    allows (both on a tie with no preference).  The pairs that reach an
+    unassigned slot come from one backward walk of the step table's
+    predecessor lists, and the final pairs are the reachable pairs outside
+    their predecessors.  A node keeps `_evaluate`'s numerators and reads
+    each best response as a sign from them; only survivors are evaluated on
+    every domain pair and converted, so each carries the tables `evaluate`
     gives.  The size guard counts the 2**slots candidates over the open
     slots, an upper bound on the nodes the search evaluates.
     """
@@ -492,27 +536,22 @@ def enumerate_periodic_equilibria(
     reached = [pair for pair in pairs if pair in reachable]
     must_stop = _must_stop(model)
 
+    steps = _steps(model, pairs, period)
     pinned = model.exit_states | model.forced_stop
     traps: set = set()
     if model.mode.eq(model.discount, 1):
-        split = model._split
-        ends = {
-            x
-            for x in free
-            if split[x][1] > 0 or any(y in model.forced_stop for y, _ in split[x][0])
-        }
-        traps = set(free) - _closure(free, ends, lambda x: (y for y, _ in split[x][0]))
+        # Through free states, x reaches an exit or a forced stop iff (0, x)
+        # reaches an exiting or forced pair through free pairs.
+        forced = {pair for pair in pairs if pair[1] in model.forced_stop}
+        ends = forced | {pair for pair in pairs if steps[pair][1] > 0}
+        escape = _closure(set(pairs) - forced, ends, steps)
+        traps = {x for x in free if (0, x) not in escape}
     base = [
         pinned
         | {x for x in traps if (phase, x) not in reachable}
         | {x for x in dominant if (phase, x) in reachable}
         for phase in range(period)
     ]
-
-    steps = _steps(model, pairs, period)
-
-    def successors(pair: Pair):
-        return (step[0] for step in steps[pair][0])
 
     # Depth first over the slots, slots[-1] first, bit 0 before bit 1, so
     # leaves come in mask order (bit i for slots[i]).  A node with slots[:k]
@@ -524,28 +563,26 @@ def enumerate_periodic_equilibria(
         stop_all[phase].add(x)
     stack = [(len(slots), PeriodicMarkovPolicy(period, tuple(stop_all)), None)]
     while stack:
-        k, policy, evaluation = stack.pop()
-        if evaluation is None:
+        k, policy, numerators = stack.pop()
+        if numerators is None:
             try:
-                evaluation = _evaluate(model, steps, policy, reached, reachable)
+                numerators = _evaluate(model, steps, policy, reached, reachable)
             except PolicyError:
                 continue  # continuing at more slots cannot repair it
         unassigned = set(slots[:k])
-        continuing = [pair for pair in reached if not policy.stops(*pair)]
-        unsettled = _closure(continuing, unassigned, successors)
-        # No completion of the node changes J at these pairs.
-        final = {pair for pair in reached if not any(s in unsettled for s in successors(pair))}
+        continuing = {pair for pair in reached if not policy.stops(*pair)}
+        final = _settled(steps, reachable, continuing, unassigned)
         assigned = [pair for pair in reached if pair in final and pair not in unassigned]
-        if _equilibrium_deviations(model, policy, evaluation, preference, assigned, must_stop):
+        if _equilibrium_deviations(model, policy, numerators, preference, assigned, must_stop):
             continue
         if not k:
-            evaluation = _evaluate(model, steps, policy, pairs, reachable)
-            found.append(PeriodicEquilibrium(policy, evaluation))
+            numerators = _evaluate(model, steps, policy, pairs, reachable)
+            found.append(PeriodicEquilibrium(policy, _tables(model, period, numerators, reachable)))
             continue
         slot = slots[k - 1]
         bits = (0, 1)
         if slot in final:
-            sign = _response(model, evaluation, slot, must_stop)
+            sign = _response(model, numerators, slot, must_stop)
             if sign is None or sign > 0:
                 bits = (1,)
             elif sign < 0:
@@ -553,7 +590,7 @@ def enumerate_periodic_equilibria(
             elif preference is not None:
                 bits = (int(preference == "early"),)
         if 1 in bits:
-            stack.append((k - 1, policy, evaluation))
+            stack.append((k - 1, policy, numerators))
         if 0 in bits:
             phase, x = slot
             regions = list(policy.regions)

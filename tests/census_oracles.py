@@ -1,19 +1,23 @@
-"""Rational-table oracle for the periodic census's node evaluation.
+"""Oracles for the periodic census's node evaluation and bookkeeping.
 
 `evaluate_by_fractions` is `infinite._evaluate` as it was before the node
 evaluation moved to integers: the step table holds unscaled rationals (or
 floats), the h and q systems are solved as `Fraction` matrices by
 `solve_exact` (exact mode) or `solve_linear` (float mode), and every table
 entry is built by `Fraction` (or float) arithmetic.  `infinite._evaluate`,
-which scales each row once per census, solves over the integers and makes
-one conversion per table entry, must give the same tables, bit for bit in
-float mode, and raise the same errors.
+which scales each row once per census and solves over the integers, must
+give numerators that `infinite._tables` converts to the same tables, bit
+for bit in float mode, and raise the same errors.
+
+`closure_by_fixpoint` is the fixed-point loop that `infinite._closure`'s
+backward walk replaced, and `response_by_tables` the best-response rule as
+it read J before `infinite._response` took signs from numerators.
 """
 
 import math
 from fractions import Fraction
 
-from condstop.infinite import PolicyEvaluation, _closure
+from condstop.infinite import PolicyEvaluation
 from condstop.numeric import SingularSystemError, solve_linear, sum_in_order
 from condstop.policy import AdmissibilityResult, InadmissiblePolicyError, PolicyError
 
@@ -45,6 +49,31 @@ def solve_exact(matrix, rhs):
             divisor = math.gcd(*row)
             rows[r] = [a // divisor for a in row] if divisor > 1 else row
     return [Fraction(row[n], row[i]) for i, row in enumerate(rows)]
+
+
+def closure_by_fixpoint(pairs, seeds, successors):
+    """Members of `pairs` (product pairs or states) that reach `seeds` via
+    `successors`, and the seeds: sweep `pairs` until nothing is added."""
+    hit = set(seeds)
+    changed = True
+    while changed:
+        changed = False
+        for pair in pairs:
+            if pair in hit:
+                continue
+            if any(s in hit for s in successors(pair)):
+                hit.add(pair)
+                changed = True
+    return hit
+
+
+def response_by_tables(model, evaluation, pair, must_stop):
+    """The best response at a domain pair from a `PolicyEvaluation`: +1 on
+    `must_stop`, None where J is missing, else `mode.compare(payoff, J)`."""
+    if pair[1] in must_stop:
+        return 1
+    J = evaluation.J.get(pair)
+    return None if J is None else model.mode.compare(model.payoff[pair[1]], J)
 
 
 def rational_steps(model, pairs, period):
@@ -92,7 +121,7 @@ def evaluate_by_fractions(model, policy, pairs, reachable):
 
     if mode.eq(delta, 1):
         ends = exiting | {p for p in continuing if any(s not in cont for s in successors(p))}
-        transient = _closure(continuing, ends, successors)
+        transient = closure_by_fixpoint(continuing, ends, successors)
         stuck = [pair for pair in continuing if pair not in transient]
         if stuck:
             raise PolicyError(
@@ -105,7 +134,7 @@ def evaluate_by_fractions(model, policy, pairs, reachable):
         return sum_in_order(gains, mode.zero)
 
     h_cont = _solve_on(mode, steps, continuing, 2, stop_gain)
-    can_exit = _closure(continuing, exiting, successors)
+    can_exit = closure_by_fixpoint(continuing, exiting, successors)
     qpairs = [pair for pair in continuing if pair in can_exit]
     q_cont = dict.fromkeys(continuing, mode.zero)
     q_cont.update(_solve_on(mode, steps, qpairs, 1, lambda pair: steps[pair][1]))

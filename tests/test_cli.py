@@ -945,6 +945,37 @@ class TestPinnedReports:
         out = re.sub(r'"timing_seconds": [0-9.e-]+', '"timing_seconds": 0', out)
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
+    # sha256 of the `enumerate --period p --json` reports, timing lines
+    # removed, of Minnie-Donald at periods 1-6 and then each chain of the
+    # `chain_pool` fixture at periods 1 and 2.
+    CENSUS_SHA256 = {
+        ("exact", "all"): "e3d3fda3b234a0455b40b9d970bbf08fb90882d11b89cdcff30709e0e8b1a454",
+        ("exact", "early"): "88fdeb689e73e8f2d155bc0a6157850f560040255a65a9dc662565f879ad79a0",
+        ("float", "all"): "f114e96172f29f0d3496c79ebf5fe4b5b74c784aa46a26e896ba68a09e730bb4",
+        ("float", "early"): "001c48d702c6b0b0c6612c1c57bdd297da4ede60504e82bf784589d5a3408aec",
+    }
+
+    @pytest.mark.parametrize("preference", ["all", "early"])
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_census_report_bytes(self, capsys, monkeypatch, tmp_path, chain_pool, mode, preference):
+        monkeypatch.chdir(tmp_path)
+        calls = [("minnie-donald", period) for period in range(1, 7)]
+        for i, chain in enumerate(chain_pool):
+            name = f"chain{i:02d}.json"
+            Path(name).write_text(json.dumps(dump_model(chain)))
+            calls += [(name, 1), (name, 2)]
+        flags = ["--float"] if mode == "float" else []
+        flags += [] if preference == "all" else ["--preference", preference]
+        digest = hashlib.sha256()
+        for model, period in calls:
+            argv = ["enumerate", "--model", model, "--period", str(period), *flags, "--json"]
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, "")
+            text, timings = re.subn(r'^  "timing_seconds": [^\n]*\n', "", out, flags=re.MULTILINE)
+            assert timings == 1
+            digest.update(text.encode("utf-8"))
+        assert digest.hexdigest() == self.CENSUS_SHA256[mode, preference]
+
 
 class TestJsonReportsRoundTrip:
     """Every subcommand's `--json` report is exactly the text that
@@ -984,6 +1015,46 @@ class TestJsonReportsRoundTrip:
         code, out, _ = run(capsys, *(arg.format(**paths) for arg in argv), "--json")
         assert code == expected
         assert json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n" == out
+
+
+class TestFloatNearTie:
+    """State 1's payoff 1 and its J, 1 + 1e-12 when it continues and
+    1 + 1e-12/3 when it stops, differ by far less than the default eps: float
+    mode classifies both as ties at scale 1, exact mode continues."""
+
+    CHAIN = {
+        "type": "markov", "states": [0, 1, 2], "initial": 1, "domain": [1, 2],
+        "forced_stop": [2],
+        "transitions": {"0": {"0": "1"}, "1": {"1": "1/2", "2": "1/4", "0": "1/4"},
+                        "2": {"2": "1"}},
+        "payoff": {"1": "1", "2": "1.000000000001"}, "discount": "1", "horizon": "infinite",
+    }
+
+    def _results(self, capsys, tmp_path, *argv):
+        model, policy = tmp_path / "chain.json", tmp_path / "policy.json"
+        model.write_text(json.dumps(self.CHAIN))
+        policy.write_text(json.dumps({"period": 1, "regions": {"0": [0, 1, 2]}}))
+        argv = [str(policy) if arg == "POLICY" else arg for arg in argv]
+        code, out, err = run(capsys, *argv, "--model", str(model), "--json")
+        assert (code, err) == (0, "")
+        return json.loads(out)["results"]
+
+    def _census(self, capsys, tmp_path, *flags):
+        results = self._results(capsys, tmp_path, "enumerate", "--period", "1", *flags)
+        return [eq["policy"]["regions"]["0"] for eq in results["equilibria"]]
+
+    def test_float_census_keeps_both_bits(self, capsys, tmp_path):
+        assert self._census(capsys, tmp_path, "--float") == [[0, 2], [0, 1, 2]]
+        assert self._census(capsys, tmp_path, "--float", "--preference", "early") == [[0, 1, 2]]
+        assert self._census(capsys, tmp_path) == [[0, 2]]
+        assert self._census(capsys, tmp_path, "--preference", "early") == [[0, 2]]
+
+    def test_phi_keeps_the_old_bit_in_float_mode(self, capsys, tmp_path):
+        argv = ("phi", "--period", "1", "--policy", "POLICY")
+        assert self._results(capsys, tmp_path, *argv, "--float")["changed"] == {}
+        assert self._results(capsys, tmp_path, *argv)["changed"] == {
+            "0": {"added": [], "removed": ["1"]}
+        }
 
 
 class TestFloatSingularSystem:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from census_oracles import evaluate_by_fractions
+from census_oracles import closure_by_fixpoint, evaluate_by_fractions, response_by_tables
 from condstop import infinite
 from condstop.catalog import (
     check_minnie_donald_conditions,
@@ -744,7 +744,12 @@ class TestCensusCore:
         reachable = reachable_pairs(model, period)
         pairs = [pair for pair in infinite._domain_pairs(model, period) if pair in reachable]
         steps = infinite._steps(model, pairs, period)
-        part, part_error = _outcome(infinite._evaluate, model, steps, policy, pairs, reachable)
+
+        def reachable_core():
+            numerators = infinite._evaluate(model, steps, policy, pairs, reachable)
+            return infinite._tables(model, period, numerators, reachable)
+
+        part, part_error = _outcome(reachable_core)
         full, full_error = _outcome(evaluate, model, policy)
         assert part_error == full_error
         if full is None:
@@ -764,6 +769,12 @@ class TestCensusCore:
         enumerate_periodic_equilibria(minnie_donald_model(), period)
         assert len(cores) == nodes
 
+    @pytest.mark.parametrize("period, survivors", [(1, 0), (3, 0), (4, 2), (8, 2)])
+    def test_rationals_only_for_survivors(self, monkeypatch, period, survivors):
+        conversions = _recorded(monkeypatch, "_tables")
+        assert len(enumerate_periodic_equilibria(minnie_donald_model(), period)) == survivors
+        assert len(conversions) == survivors
+
 
 def _same_scalar(a, b):
     """Equal Fractions, or floats with the same bits (so 0.0 is not -0.0)."""
@@ -772,9 +783,21 @@ def _same_scalar(a, b):
     return type(a) is type(b) is F and a == b
 
 
+def census_traps(model):
+    """The census's discount-1 traps as the state-level fixed point: free
+    states that reach neither a forced stop nor an exit through free states."""
+    free = [x for x in model.states if x in model.domain and x not in model.forced_stop]
+    split = model._split
+    ends = {
+        x for x in free if split[x][1] > 0 or any(y in model.forced_stop for y, _ in split[x][0])
+    }
+    return set(free) - closure_by_fixpoint(free, ends, lambda x: (y for y, _ in split[x][0]))
+
+
 class TestNodeEvaluationAgainstFractionOracle:
     """At every node a random census evaluates, `_evaluate` against the
-    `Fraction`-table evaluation it replaced (`census_oracles`)."""
+    `Fraction`-table evaluation it replaced, and the node's bookkeeping
+    against the fixed-point closure it replaced (`census_oracles`)."""
 
     @settings(max_examples=150, deadline=None, database=None)
     @given(
@@ -791,11 +814,20 @@ class TestNodeEvaluationAgainstFractionOracle:
             model = dataclasses.replace(model, discount=F(1))
         if floats:
             model = _float_chain(model)
-        nodes = []
-        evaluate_node = infinite._evaluate
+        must_stop = infinite._must_stop(model)
+        traps = census_traps(model) if model.mode.eq(model.discount, 1) else set()
+        free = model.domain - model.forced_stop
+        nodes, calls = [], []
+        evaluate_node, closure, settled = infinite._evaluate, infinite._closure, infinite._settled
+
+        def successors(steps):
+            return lambda pair: (step[0] for step in steps[pair][0])
 
         def checked(model, steps, policy, pairs, reachable):
             nodes.append(pairs)
+            for phase, x in pairs:
+                if x in free and (phase, x) not in reachable:
+                    assert policy.stops(phase, x) == (x in traps)
             expected, expected_error = _outcome(
                 evaluate_by_fractions, model, policy, pairs, reachable
             )
@@ -805,16 +837,36 @@ class TestNodeEvaluationAgainstFractionOracle:
                 assert (type(exc), str(exc)) == expected_error
                 raise
             assert expected_error is None
+            tables = infinite._tables(model, policy.period, got, reachable)
             for table in ("h", "p", "J"):
-                mine, theirs = getattr(got, table), getattr(expected, table)
+                mine, theirs = getattr(tables, table), getattr(expected, table)
                 assert list(mine) == list(theirs)
                 assert all(_same_scalar(mine[pair], theirs[pair]) for pair in mine)
+            for pair in pairs:
+                assert infinite._response(model, got, pair, must_stop) == response_by_tables(
+                    model, expected, pair, must_stop
+                )
+            return got
+
+        def checked_closure(members, seeds, steps):
+            calls.append(seeds)
+            got = closure(members, seeds, steps)
+            assert got == closure_by_fixpoint(list(members), seeds, successors(steps))
+            return got
+
+        def checked_settled(steps, reached, continuing, unassigned):
+            got = settled(steps, reached, continuing, unassigned)
+            after = successors(steps)
+            unsettled = closure_by_fixpoint(list(continuing), unassigned, after)
+            assert got == {pair for pair in reached if not any(s in unsettled for s in after(pair))}
             return got
 
         # A float system that rounding makes singular raises in both.
-        with mock.patch.object(infinite, "_evaluate", checked), suppress(SingularSystemError):
+        with mock.patch.multiple(
+            infinite, _evaluate=checked, _closure=checked_closure, _settled=checked_settled
+        ), suppress(SingularSystemError):
             enumerate_periodic_equilibria(model, period)
-        assert nodes
+        assert nodes and calls
 
 
 def tie_chain():
