@@ -511,9 +511,10 @@ def enumerate_periodic_equilibria(
     predecessor lists, and the final pairs are the reachable pairs outside
     their predecessors.  A node keeps `_evaluate`'s numerators and reads
     each best response as a sign from them; only survivors are evaluated on
-    every domain pair and converted, so each carries the tables `evaluate`
-    gives.  The size guard counts the 2**slots candidates over the open
-    slots, an upper bound on the nodes the search evaluates.
+    every domain pair (again, unless every domain pair is reachable) and
+    converted, so each carries the tables `evaluate` gives.  The size guard
+    counts the 2**slots candidates over the open slots, an upper bound on the
+    nodes the search evaluates.
     """
     _require_infinite(model)
     if period < 1:
@@ -576,7 +577,8 @@ def enumerate_periodic_equilibria(
         if _equilibrium_deviations(model, policy, numerators, preference, assigned, must_stop):
             continue
         if not k:
-            numerators = _evaluate(model, steps, policy, pairs, reachable)
+            if len(reached) < len(pairs):
+                numerators = _evaluate(model, steps, policy, pairs, reachable)
             found.append(PeriodicEquilibrium(policy, _tables(model, period, numerators, reachable)))
             continue
         slot = slots[k - 1]

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Hashable, Iterable, Iterator, Mapping, Optional
 
-from .numeric import EXACT, NumericMode, Scalar, sum_in_order
+from .numeric import _RATIONAL, EXACT, NumericMode, Scalar, sum_in_order, total_unless_one
 
 State = Hashable
 
@@ -99,14 +99,15 @@ class AtomTree:
                 raise ModelError(
                     f"atom {atom.id!r}: payoff must be present exactly on in-domain atoms"
                 )
-            if not (atom.branch_prob > 0):
+            prob = atom.branch_prob
+            if not (prob.numerator > 0 if type(prob) in _RATIONAL else prob > 0):
                 raise ModelError(f"atom {atom.id!r}: branch probability must be positive")
             kids = children[atom.id]
             if atom.level < horizon:
                 if not kids:
                     raise ModelError(f"atom {atom.id!r} at level {atom.level} has no children")
-                total = sum_in_order(k.branch_prob for k in kids)
-                if not mode.eq(total, mode.one):
+                total = total_unless_one([k.branch_prob for k in kids], mode)
+                if total is not None:
                     raise ModelError(
                         f"children of {atom.id!r} have probabilities summing to {total}, not 1"
                     )
@@ -265,7 +266,7 @@ class MarkovModel:
             exit_mass = sum_in_order((p for y, p in moves if y not in self.domain), mode.zero)
             # Added as a cell adds its children: the successors, then the exit
             # mass (adding a zero exit mass changes no total).
-            if not mode.eq(sum_in_order(p for _, p in successors) + exit_mass, mode.one):
+            if total_unless_one([*(p for _, p in successors), exit_mass], mode) is not None:
                 raise ModelError(f"row of {state!r} does not sum to 1")
             split[state] = (successors, exit_mass)
         object.__setattr__(self, "_split", split)

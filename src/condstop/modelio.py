@@ -51,46 +51,42 @@ class TimedRegions:
 PolicyDocument = Union[StoppingPolicy, TimedRegions, PeriodicMarkovPolicy]
 
 
-def _require(mapping: Mapping[str, Any], key: str, context: str) -> Any:
+def _require(mapping: Mapping[str, Any], key: str, context: str, *names: Any) -> Any:
+    """`mapping[key]`; a missing key raises ParseError in context `context.format(*names)`."""
     if key not in mapping:
-        raise ParseError(f"{context}: missing required key {key!r}")
+        raise ParseError(f"{context.format(*names)}: missing required key {key!r}")
     return mapping[key]
-
-
-def _scalar(value: Any, mode: NumericMode, context: str) -> Scalar:
-    try:
-        number = parse_rational(value)
-    except NumericError as exc:
-        raise ParseError(f"{context}: {exc}") from exc
-    if mode.exact:
-        return number
-    try:
-        return float(number)
-    except OverflowError:
-        raise ParseError(f"{context}: {value!r} is out of range for a float") from None
 
 
 class _Literals:
     """The numbers of one document, parsed from their literals.
 
-    `number` is `_scalar` with each distinct string literal parsed once.
-    Entries of any other type are parsed one by one, so `1`, `true` and `1.0`
-    never share a parse with each other or with `"1"`.  A bad literal raises
-    ParseError at its first entry, whose context `context.format(*names)` is
-    built only for a parse.
+    `number` parses a literal as a rational, or as a float in float mode,
+    each distinct string literal once.  Entries of any other type are parsed
+    one by one, so `1`, `true` and `1.0` never share a parse with each other
+    or with `"1"`.  A bad literal raises ParseError at its first entry, whose
+    context `context.format(*names)` is built only then.
     """
 
     def __init__(self, mode: NumericMode):
-        self.mode = mode
+        self.exact = mode.exact
         self.parsed: dict[str, Scalar] = {}
 
     def number(self, value: Any, context: str, *names: Any) -> Scalar:
-        if type(value) is not str:
-            return _scalar(value, self.mode, context.format(*names))
-        parsed = self.parsed
-        if value not in parsed:
-            parsed[value] = _scalar(value, self.mode, context.format(*names))
-        return parsed[value]
+        if type(value) is str and value in self.parsed:
+            return self.parsed[value]
+        try:
+            number = parse_rational(value)
+            number = number if self.exact else float(number)
+        except NumericError as exc:
+            raise ParseError(f"{context.format(*names)}: {exc}") from exc
+        except OverflowError:
+            raise ParseError(
+                f"{context.format(*names)}: {value!r} is out of range for a float"
+            ) from None
+        if type(value) is str:
+            self.parsed[value] = number
+        return number
 
     def table(self, entries: Mapping[str, Any], context: str) -> dict[str, Scalar]:
         """`number` of each entry, keyed as `entries`, in context
@@ -141,14 +137,16 @@ def load_model(document: Mapping[str, Any], mode: NumericMode = EXACT) -> Model:
 
 
 def _load_tree(document: Mapping[str, Any], mode: NumericMode) -> AtomTree:
+    """Each node is checked once: its keys and literals here, the tree's
+    invariants in `AtomTree`."""
     nodes = _require(document, "nodes", "tree model")
     if not isinstance(nodes, list) or not nodes:
         raise ParseError("tree model: 'nodes' must be a non-empty list")
     raw: dict[str, Mapping[str, Any]] = {}
     for i, node in enumerate(nodes):
-        if not isinstance(node, Mapping):
+        if type(node) is not dict and not isinstance(node, Mapping):
             raise ParseError(f"tree model: node {i} must be an object")
-        node_id = _require(node, "id", f"node {i}")
+        node_id = _require(node, "id", "node {}", i)
         if not isinstance(node_id, str) or not node_id:
             raise ParseError(f"node {i}: 'id' must be a non-empty string")
         if node_id in raw:
@@ -182,27 +180,28 @@ def _load_tree(document: Mapping[str, Any], mode: NumericMode) -> AtomTree:
     numbers = _Literals(mode)
     atoms = []
     for node_id, node in raw.items():
-        level = level_of(node_id)
+        parent = node.get("parent")
+        # A parent listed first has its level already (a list parent is no key).
+        if isinstance(parent, str) and parent in levels:
+            level = levels[node_id] = levels[parent] + 1
+        else:
+            level = level_of(node_id)
         in_domain = node.get("in_domain")
         if not isinstance(in_domain, bool):
             raise ParseError(f"node {node_id!r}: 'in_domain' must be true or false")
         payoff = node.get("payoff")
         if payoff is not None:
             payoff = numbers.number(payoff, "node {!r} payoff", node_id)
-        atoms.append(
-            Atom(
-                id=node_id,
-                level=level,
-                parent=node.get("parent"),
-                branch_prob=numbers.number(_require(node, "prob", f"node {node_id!r}"),
-                                           "node {!r} prob", node_id),
-                in_domain=in_domain,
-                payoff=payoff,
-            )
-        )
+        prob = numbers.number(_require(node, "prob", "node {!r}", node_id),
+                              "node {!r} prob", node_id)
+        atoms.append(Atom(node_id, level, parent, prob, in_domain, payoff))
     tree = AtomTree(atoms, mode=mode)
     horizon = document.get("horizon")
-    if horizon is not None and horizon != tree.horizon:
+    if horizon is None:
+        return tree
+    if isinstance(horizon, bool) or not isinstance(horizon, int):
+        raise ParseError(f"tree model: horizon must be an integer, got {horizon!r}")
+    if horizon != tree.horizon:
         raise ParseError(
             f"tree model: declared horizon {horizon!r} but nodes reach level {tree.horizon}"
         )

@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 Scalar = Union[Fraction, float]
 
@@ -84,6 +84,29 @@ def sum_in_order(values: Iterable[Scalar], start: Scalar = 0) -> Scalar:
     for value in values:
         total += value
     return total
+
+
+def total_unless_one(values: Sequence[Scalar], mode: NumericMode) -> Optional[Scalar]:
+    """None if `values` sum to one under `mode`, else their sum.
+
+    In exact mode ints and Fractions add as one integer ratio, made a Fraction
+    only for a sum that is not one.  Other values go by `sum_in_order` and
+    `mode.eq`, so float verdicts are those of a left-to-right sum.
+    """
+    if mode.exact:
+        num, den = 0, 1
+        for value in values:
+            if type(value) not in _RATIONAL:
+                break
+            n, d = value.numerator, value.denominator
+            if d == den:
+                num += n
+            else:
+                num, den = num * d + n * den, den * d
+        else:
+            return None if num == den else Fraction(num, den)
+    total = sum_in_order(values)
+    return None if mode.eq(total, mode.one) else total
 
 
 def format_scalar(value: Scalar) -> str:

@@ -492,6 +492,17 @@ class TestErrorChannels:
         code, _, err = run(capsys, "solve", "--model", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("horizon", ["true", "1.0", '"1"'])
+    def test_tree_horizon_that_is_not_an_integer_exits_two(self, capsys, tmp_path, horizon):
+        nodes = [{"id": "r", "prob": "1", "in_domain": True, "payoff": "1"},
+                 {"id": "a", "parent": "r", "prob": "1", "in_domain": True, "payoff": "2"}]
+        path = tmp_path / "tree.json"
+        path.write_text(f'{{"type": "tree", "horizon": {horizon}, "nodes": {json.dumps(nodes)}}}')
+        code, out, err = run(capsys, "solve", "--model", str(path))
+        assert (code, out) == (2, "")
+        message = f"tree model: horizon must be an integer, got {json.loads(horizon)!r}"
+        assert err == f"error: {message}\n"
+
     def test_float_overflow_in_a_model_exits_two(self, capsys, tmp_path):
         doc = dump_model(two_state_model())
         doc["payoff"]["1"] = "1e400"

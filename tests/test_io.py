@@ -211,6 +211,20 @@ class TestMalformedModels:
         with pytest.raises(ParseError):
             load_model(doc)
 
+    @pytest.mark.parametrize("horizon", [True, 1.0, "1", [1]])
+    def test_tree_bad_horizon_literal(self, horizon):
+        # A depth-1 tree: `true` and `1.0` equal its depth, and were accepted.
+        doc = {"type": "tree", "horizon": horizon, "nodes": [
+            {"id": "r", "prob": "1", "in_domain": True, "payoff": "1"},
+            {"id": "a", "parent": "r", "prob": "1", "in_domain": True, "payoff": "2"},
+        ]}
+        message = f"tree model: horizon must be an integer, got {horizon!r}"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            load_model(doc)
+        for declared in (1, None):
+            doc["horizon"] = declared
+            assert load_model(doc).horizon == 1
+
     def test_markov_missing_keys(self):
         doc = dump_model(two_state_model())
         for key in ("states", "initial", "transitions", "payoff", "domain", "discount"):

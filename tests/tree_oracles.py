@@ -1,0 +1,167 @@
+"""Oracles for the tree model's load path and probability checks.
+
+`load_tree_by_walk` is `modelio._load_tree` as it was before each node was
+checked once: every node's level comes from a walk up its parent chain,
+every key lookup and literal parse formats its error context up front, and
+the model is built by `TreeBySums`.  `TreeBySums` is `AtomTree` with the
+checks it made before they moved to integers: positivity by `p > 0`, and
+each child list added by `sum_in_order` and compared by `mode.eq`.
+`modelio.load_model` must give the same tree (levels, children order and
+digest) or raise the same error with the same message.
+"""
+
+from collections.abc import Mapping
+from typing import Optional
+
+from condstop.model import Atom, AtomTree, ModelError
+from condstop.modelio import ParseError
+from condstop.numeric import EXACT, NumericError, parse_rational, sum_in_order
+
+
+class TreeBySums(AtomTree):
+    """`AtomTree` whose probability checks add `Fraction`s (or floats)."""
+
+    def __init__(self, atoms, mode=EXACT):
+        self.mode = mode
+        by_level: dict[int, list[Atom]] = {}
+        by_id: dict[str, Atom] = {}
+        for atom in atoms:
+            if atom.id in by_id:
+                raise ModelError(f"duplicate atom id {atom.id!r}")
+            by_id[atom.id] = atom
+            by_level.setdefault(atom.level, []).append(atom)
+        if not by_id:
+            raise ModelError("tree has no atoms")
+        levels = sorted(by_level)
+        horizon = levels[-1]
+        if levels != list(range(horizon + 1)):
+            raise ModelError(f"levels must be contiguous from 0, got {levels}")
+        if horizon < 1:
+            raise ModelError("horizon must be a positive integer")
+        if len(by_level[0]) != 1:
+            raise ModelError("level 0 must hold exactly one atom")
+        root = by_level[0][0]
+        if root.parent is not None or root.branch_prob != mode.one or not root.in_domain:
+            raise ModelError("root must have no parent, probability 1 and be in-domain")
+
+        children: dict[str, list[Atom]] = {a.id: [] for a in by_id.values()}
+        for atom in by_id.values():
+            if atom.level == 0:
+                continue
+            parent = by_id.get(atom.parent) if atom.parent is not None else None
+            if parent is None or parent.level != atom.level - 1:
+                raise ModelError(f"atom {atom.id!r} has no parent on the previous level")
+            if atom.in_domain and not parent.in_domain:
+                raise ModelError(f"atom {atom.id!r} re-enters the domain below {parent.id!r}")
+            children[parent.id].append(atom)
+
+        for atom in by_id.values():
+            if (atom.payoff is not None) != atom.in_domain:
+                raise ModelError(
+                    f"atom {atom.id!r}: payoff must be present exactly on in-domain atoms"
+                )
+            if not (atom.branch_prob > 0):
+                raise ModelError(f"atom {atom.id!r}: branch probability must be positive")
+            kids = children[atom.id]
+            if atom.level < horizon:
+                if not kids:
+                    raise ModelError(f"atom {atom.id!r} at level {atom.level} has no children")
+                total = sum_in_order(k.branch_prob for k in kids)
+                if not mode.eq(total, mode.one):
+                    raise ModelError(
+                        f"children of {atom.id!r} have probabilities summing to {total}, not 1"
+                    )
+            elif kids:
+                raise ModelError(f"atom {atom.id!r} at the horizon has children")
+
+        self._levels = tuple(tuple(by_level[t]) for t in range(horizon + 1))
+        self._by_id = by_id
+        self._children = {aid: tuple(kids) for aid, kids in children.items()}
+        self._effective_flags: Optional[dict[str, bool]] = None
+        self._tie_scale = None
+
+
+def _require(mapping, key, context):
+    if key not in mapping:
+        raise ParseError(f"{context}: missing required key {key!r}")
+    return mapping[key]
+
+
+def _scalar(value, mode, context):
+    try:
+        number = parse_rational(value)
+    except NumericError as exc:
+        raise ParseError(f"{context}: {exc}") from exc
+    if mode.exact:
+        return number
+    try:
+        return float(number)
+    except OverflowError:
+        raise ParseError(f"{context}: {value!r} is out of range for a float") from None
+
+
+def load_tree_by_walk(document, mode=EXACT):
+    """A tree document's model, loaded as `modelio._load_tree` did when each
+    level came from a parent walk; `document["type"]` is not read."""
+    nodes = _require(document, "nodes", "tree model")
+    if not isinstance(nodes, list) or not nodes:
+        raise ParseError("tree model: 'nodes' must be a non-empty list")
+    raw = {}
+    for i, node in enumerate(nodes):
+        if not isinstance(node, Mapping):
+            raise ParseError(f"tree model: node {i} must be an object")
+        node_id = _require(node, "id", f"node {i}")
+        if not isinstance(node_id, str) or not node_id:
+            raise ParseError(f"node {i}: 'id' must be a non-empty string")
+        if node_id in raw:
+            raise ParseError(f"node {i}: duplicate id {node_id!r}")
+        raw[node_id] = node
+
+    levels = {}
+
+    def level_of(node_id):
+        trail = {}
+        while node_id not in levels:
+            if node_id in trail:
+                raise ParseError(f"node {node_id!r}: parent chain forms a cycle")
+            parent = raw[node_id].get("parent")
+            if parent is None:
+                levels[node_id] = 0
+                break
+            if not isinstance(parent, str) or parent not in raw:
+                raise ParseError(f"node {node_id!r}: unknown parent {parent!r}")
+            trail[node_id] = None
+            node_id = parent
+        level = levels[node_id]
+        for walked in reversed(trail):
+            level += 1
+            levels[walked] = level
+        return level
+
+    atoms = []
+    for node_id, node in raw.items():
+        level = level_of(node_id)
+        in_domain = node.get("in_domain")
+        if not isinstance(in_domain, bool):
+            raise ParseError(f"node {node_id!r}: 'in_domain' must be true or false")
+        payoff = node.get("payoff")
+        if payoff is not None:
+            payoff = _scalar(payoff, mode, f"node {node_id!r} payoff")
+        atoms.append(
+            Atom(
+                id=node_id,
+                level=level,
+                parent=node.get("parent"),
+                branch_prob=_scalar(_require(node, "prob", f"node {node_id!r}"), mode,
+                                    f"node {node_id!r} prob"),
+                in_domain=in_domain,
+                payoff=payoff,
+            )
+        )
+    tree = TreeBySums(atoms, mode=mode)
+    horizon = document.get("horizon")
+    if horizon is not None and horizon != tree.horizon:
+        raise ParseError(
+            f"tree model: declared horizon {horizon!r} but nodes reach level {tree.horizon}"
+        )
+    return tree
