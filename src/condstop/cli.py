@@ -9,8 +9,8 @@ a built-in model.  Reports are printed as tables or, with --json, as a
 deterministic JSON document whose only run-dependent field is the timing.
 
 Exit codes: 0 success, 1 a verification ran and failed, 2 unparsable input,
-3 structurally invalid model or policy, 4 the size guard of an equilibrium
-census tripped (override with the CONDSTOP_SIZE_GUARD environment variable).
+3 structurally invalid model or policy, 4 an equilibrium census counted more
+candidates than its size guard allows (set it with CONDSTOP_SIZE_GUARD).
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ def _size_guard() -> Optional[int]:
     except ValueError:
         print(f"warning: ignoring non-integer CONDSTOP_SIZE_GUARD={raw!r}", file=sys.stderr)
         return None
-    if guard < 1:  # every census makes at least one candidate or sweep
+    if guard < 1:  # every census makes at least one candidate
         print(f"warning: ignoring CONDSTOP_SIZE_GUARD={raw!r} below 1", file=sys.stderr)
         return None
     return guard
@@ -271,11 +271,10 @@ def cmd_phi(args):
 
 def cmd_enumerate(args):
     model = _load_any_model(args)
-    preference = args.preference or "all"
     if args.period is not None:
         _periodic_chain(args, model)
         found = enumerate_periodic_equilibria(
-            model, args.period, preference=preference, size_guard=_size_guard()
+            model, args.period, preference=args.preference, size_guard=_size_guard()
         )
         order = {x: i for i, x in enumerate(model.states)}
         entries = []
@@ -298,7 +297,7 @@ def cmd_enumerate(args):
                 lines.append(f"  J({pair_name}) = {value}")
         return model, results, {}, lines, EXIT_OK
     tree = _as_tree(model, args.horizon)
-    found = _equilibria(tree, preference, _size_guard())
+    found = _equilibria(tree, args.preference, _size_guard())
     entries = []
     root = tree.root.id
     for bits, num, den in found:

@@ -45,6 +45,7 @@ from .policy import (
     SizeGuardError,
     StoppingPolicy,
     _best_bit,
+    _preference,
     _sweep,
 )
 
@@ -210,6 +211,22 @@ def _dominant(model: MarkovModel, free: list) -> set:
         if mode.compare(model.payoff[x], bound) > 0:
             dominant.add(x)
     return dominant
+
+
+def _traps(model: MarkovModel) -> set:
+    """At discount 1, the free states from which no path reaches an exit or a
+    forced stop; none below 1.  A class representative stops at the
+    unreachable pairs of a trap and continues at other unreachable free
+    pairs: at discount 1, `evaluate` rejects a policy that stops nowhere a
+    trap's pair reaches."""
+    if not model.mode.eq(model.discount, 1):
+        return set()
+    ends = {y for y in model.domain if model._split[y][1] > 0 or y in model.forced_stop}
+    return {
+        x
+        for x in model.domain - model.forced_stop
+        if x not in ends and not any(y in ends for _, y in _reached(model, (0, x), 1))
+    }
 
 
 def _closure(members, seeds, steps: dict) -> set:
@@ -415,15 +432,6 @@ def phi_markov(model: MarkovModel, policy: PeriodicMarkovPolicy) -> PeriodicMark
     return PeriodicMarkovPolicy(policy.period, tuple(regions))
 
 
-def _markov_preference(preference: MarkovPreference) -> MarkovPreference:
-    """None, "early" or "late"; "all" means None."""
-    if preference == "all":
-        return None
-    if preference not in (None, "early", "late"):
-        raise PolicyError(f"unknown preference {preference!r}")
-    return preference
-
-
 def _equilibrium_deviations(
     model: MarkovModel,
     policy: PeriodicMarkovPolicy,
@@ -454,7 +462,7 @@ def is_periodic_equilibrium(
 ) -> EquilibriumResult:
     """Admissible and a fixed point of `phi_markov` on the reachable pairs,
     where a tie must take the preferred bit when a preference is set."""
-    preference = _markov_preference(preference)
+    preference = _preference(preference)
     try:
         numerators, reachable = _numerators(model, policy)
     except PolicyError as exc:
@@ -479,11 +487,7 @@ def enumerate_periodic_equilibria(
     Candidates range over the reachable free slots: pairs (phase, x) with x a
     free state (domain minus forced stops) that the chain can occupy at that
     phase.  Bits elsewhere never reach a reachable J value, so each candidate
-    stands for one almost-sure class.  Its representative has bit 0 at every
-    unreachable pair, except at discount 1, where unreachable traps (free
-    states that reach neither a stop nor an exit when every free state
-    continues) get bit 1: `evaluate` rejects any discount-1 policy that
-    continues at a trap, so bit 0 there would knock out whole classes.  Exit
+    stands for one almost-sure class, represented as `_traps` says.  Exit
     and forced states sit in every region.  A candidate survives when its
     evaluation succeeds and it is a fixed point of `phi_markov` on the
     reachable pairs, ties taking the preferred bit if one is set.
@@ -513,8 +517,8 @@ def enumerate_periodic_equilibria(
     each best response as a sign from them; only survivors are evaluated on
     every domain pair (again, unless every domain pair is reachable) and
     converted, so each carries the tables `evaluate` gives.  The size guard
-    counts the 2**slots candidates over the open slots, an upper bound on the
-    nodes the search evaluates.
+    counts candidates, here search nodes, made and queued, and raises once
+    they exceed it, before the node just taken queues its children.
     """
     _require_infinite(model)
     if period < 1:
@@ -529,24 +533,14 @@ def enumerate_periodic_equilibria(
         for x in free
         if (phase, x) in reachable and x not in dominant
     ]
-    total = 2 ** len(slots)
-    if total > guard:
-        raise SizeGuardError(total, guard)
-    preference = _markov_preference(preference)
+    preference = _preference(preference)
     pairs = _domain_pairs(model, period)
     reached = [pair for pair in pairs if pair in reachable]
     must_stop = _must_stop(model)
 
     steps = _steps(model, pairs, period)
     pinned = model.exit_states | model.forced_stop
-    traps: set = set()
-    if model.mode.eq(model.discount, 1):
-        # Through free states, x reaches an exit or a forced stop iff (0, x)
-        # reaches an exiting or forced pair through free pairs.
-        forced = {pair for pair in pairs if pair[1] in model.forced_stop}
-        ends = forced | {pair for pair in pairs if steps[pair][1] > 0}
-        escape = _closure(set(pairs) - forced, ends, steps)
-        traps = {x for x in free if (0, x) not in escape}
+    traps = _traps(model)
     base = [
         pinned
         | {x for x in traps if (phase, x) not in reachable}
@@ -563,8 +557,12 @@ def enumerate_periodic_equilibria(
     for phase, x in slots:
         stop_all[phase].add(x)
     stack = [(len(slots), PeriodicMarkovPolicy(period, tuple(stop_all)), None)]
+    made = 0
     while stack:
         k, policy, numerators = stack.pop()
+        made += 1
+        if made + len(stack) > guard:
+            raise SizeGuardError(made + len(stack), guard)
         if numerators is None:
             try:
                 numerators = _evaluate(model, steps, policy, reached, reachable)
@@ -631,7 +629,8 @@ class TruncationReport:
     horizons disagree there.  When every cell stabilizes, `regions_by_time`
     lists the stop region per time and `candidate` holds a periodic policy
     read off those rows (smallest period up to 8), ready to be verified as a
-    fixed point of the best response.
+    fixed point of the best response; at pairs no truncation decided, it
+    takes the census's representative bits (`_traps`).
     """
 
     max_horizon: int
@@ -696,20 +695,17 @@ def truncation_limit(
             for time in range(depth + 1)
         )
         pinned = model.exit_states | model.forced_stop
+        default = dict.fromkeys(_traps(model), 1)  # where no truncation decided
         for period in range(1, min(8, depth + 1) + 1):
             merged: list[dict[State, int]] = [dict() for _ in range(period)]
-            consistent = True
             for (time, x), bit in decisions.items():
-                phase = time % period
-                if merged[phase].get(x, bit) != bit:
-                    consistent = False
+                if merged[time % period].setdefault(x, bit) != bit:
                     break
-                merged[phase][x] = bit
-            if consistent:
+            else:
                 candidate = PeriodicMarkovPolicy(
                     period,
                     tuple(
-                        frozenset(pinned | {x for x, bit in row.items() if bit})
+                        frozenset(pinned | {x for x, bit in (default | row).items() if bit})
                         for row in merged
                     ),
                 )

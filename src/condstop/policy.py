@@ -44,16 +44,15 @@ class InadmissiblePolicyError(PolicyError):
 
 
 class SizeGuardError(RuntimeError):
-    """An enumeration would exceed the configured size guard.
+    """An equilibrium census has made and queued more candidates than its
+    size guard allows: sweeps in the tree census, search nodes in the
+    periodic one.  `required` is that count when the census stopped."""
 
-    `needs` words what `required` counts, with `{}` standing for the count.
-    """
-
-    def __init__(self, required: int, guard: int, needs: str = "needs {} candidates"):
+    def __init__(self, required: int, guard: int):
         self.required = required
         self.guard = guard
         super().__init__(
-            f"enumeration {needs.format(required)}, above the guard of {guard}; "
+            f"enumeration needs at least {required} candidates, above the guard of {guard}; "
             "raise the guard (CONDSTOP_SIZE_GUARD) to proceed"
         )
 
@@ -143,7 +142,7 @@ class StoppingPreference:
         return StoppingPreference({aid: 0 for aid in tree.atom_ids()})
 
 
-PreferenceLike = Union[StoppingPreference, Literal["early", "late", "all"]]
+PreferenceLike = Union[StoppingPreference, Literal["early", "late", "all"], None]
 
 
 @dataclass(frozen=True)
@@ -460,21 +459,28 @@ def precommitted(tree: AtomTree) -> PrecommitResult:
     return PrecommitResult(top / bottom, stop_atoms, sweeps)
 
 
+def _preference(preference) -> Optional[str]:
+    """The preference rule of both censuses: None or "all" keeps every tie,
+    "early" and "late" pin ties to stop and to continue."""
+    if preference is None or preference == "all":
+        return None
+    if preference in ("early", "late"):
+        return preference
+    raise PolicyError(f"unknown preference {preference!r}")
+
+
 def _resolve_preference(
     tree: AtomTree, preference: PreferenceLike
 ) -> Optional[StoppingPreference]:
-    if preference == "all":
-        return None
-    if preference == "early":
-        return StoppingPreference.early(tree)
-    if preference == "late":
-        return StoppingPreference.late(tree)
     if isinstance(preference, StoppingPreference):
         for aid, bit in preference.prefer_stop.items():
             if bit not in (0, 1):
                 raise PolicyError(f"preferred bit at {aid!r} must be 0 or 1, got {bit!r}")
         return preference
-    raise PolicyError(f"unknown preference {preference!r}")
+    name = _preference(preference)
+    if name is None:
+        return None
+    return StoppingPreference.early(tree) if name == "early" else StoppingPreference.late(tree)
 
 
 def _equilibria(
@@ -486,9 +492,6 @@ def _equilibria(
     flags = tree.effective_flags()
     free = [atom.id for atom in tree.atoms() if not flags[atom.id]]
     pref = _resolve_preference(tree, preference)
-    needs = "needs at least {} sweeps"
-    if guard < 1:
-        raise SizeGuardError(1, guard, needs)
     found: list[tuple] = []
     # a pending branch (ties, k) pins ties[:k] as its parent sweep met them, and ties[k] to stop
     branches: list[tuple[list, int]] = []
@@ -500,7 +503,7 @@ def _equilibria(
         ties = list(pins.items())
         needed = len(found) + len(branches) + len(ties) - decided
         if needed > guard:
-            raise SizeGuardError(needed, guard, needs)
+            raise SizeGuardError(needed, guard)
         branches.extend((ties, k) for k in range(decided, len(ties)))
         if not branches:
             break
@@ -523,7 +526,7 @@ def enumerate_equilibria(
     that pins T_1..T_(k-1) to continue and T_k to stop: one sweep per
     equilibrium, and one in all with "early" or "late".  Results are in mask
     order (bit i for the i-th free atom in `tree.atoms()` order).  The size
-    guard counts sweeps, made and pending, and raises once they exceed it,
-    before a sweep's branches are queued.
+    guard counts candidates, here sweeps, made and queued, and raises once
+    they exceed it, before a sweep's branches are queued.
     """
     return [StoppingPolicy(bits) for bits, _, _ in _equilibria(tree, preference, size_guard)]

@@ -419,6 +419,24 @@ class TestTruncate:
         assert code == 0
         assert "unstable" in out
 
+    def test_an_undecided_trap_stops_as_in_the_census(self, capsys, tmp_path):
+        # At discount 1, state 2 loops forever and the chain never reaches
+        # it: no truncation decides it, and continuing there never stops.
+        doc = {
+            "type": "markov", "states": [0, 1, 2], "initial": 1,
+            "transitions": {"0": {"0": "1"}, "1": {"1": "1/2", "0": "1/2"}, "2": {"2": "1"}},
+            "domain": [1, 2], "payoff": {"1": "1", "2": "-1"}, "discount": "1",
+        }
+        path = tmp_path / "trap.json"
+        path.write_text(json.dumps(doc))
+        argv = ["--model", str(path), "--json"]
+        code, out, _ = run(capsys, "truncate", *argv, "--max-horizon", "10", "--window", "3")
+        report = json.loads(out)
+        assert code == 0 and report["verification"] == {"candidate_fixed_point": True}
+        code, out, _ = run(capsys, "enumerate", *argv, "--period", "1")
+        (survivor,) = json.loads(out)["results"]["equilibria"]
+        assert code == 0 and report["results"]["candidate"] == survivor["policy"]
+
     @pytest.mark.parametrize(
         "argv", [("--max-horizon", "0"), ("--window", "5", "--max-horizon", "3")]
     )
@@ -798,22 +816,32 @@ def tie_tree_file(tmp_path):
 
 class TestSizeGuardMessages:
     @pytest.mark.parametrize(
-        "argv, guard, needs",
+        "argv, needed",
         [
-            (["enumerate", "--model", "minnie-donald", "--period", "6"], 63, "needs 64 candidates"),
-            (["enumerate", "--model", tie_tree_file], 1, "needs at least 2 sweeps"),
+            (["enumerate", "--model", "minnie-donald", "--period", "6"], 28),
+            (["enumerate", "--model", "two-state", "--period", "6"], 28),
+            (["enumerate", "--model", tie_tree_file], 2),
         ],
-        ids=["periodic-census", "tree-census"],
+        ids=["periodic-census", "two-state-census", "tree-census"],
     )
     def test_each_guard_words_what_it_counts(
-        self, capsys, monkeypatch, tmp_path, argv, guard, needs
+        self, capsys, monkeypatch, tmp_path, argv, needed
     ):
+        # Both censuses count candidates made and queued (search nodes,
+        # sweeps): `needed` is the smallest guard that answers.
         argv = [a(tmp_path) if callable(a) else a for a in argv]
-        monkeypatch.setenv("CONDSTOP_SIZE_GUARD", str(guard))
+        monkeypatch.setenv("CONDSTOP_SIZE_GUARD", str(needed))
+        assert run(capsys, *argv)[0] == 0
+        monkeypatch.setenv("CONDSTOP_SIZE_GUARD", str(needed - 1))
         assert run(capsys, *argv) == (4, "", (
-            f"error: enumeration {needs}, above the guard of {guard}; "
-            "raise the guard (CONDSTOP_SIZE_GUARD) to proceed\n"
+            f"error: enumeration needs at least {needed} candidates, above the guard of "
+            f"{needed - 1}; raise the guard (CONDSTOP_SIZE_GUARD) to proceed\n"
         ))
+
+    def test_minnie_donald_period_eleven_answers_at_the_default_guard(self, capsys):
+        # 2^22 candidates over its open slots, but the search makes 1,101.
+        code, out, _ = run(capsys, "enumerate", "--model", "minnie-donald", "--period", "11")
+        assert code == 0 and "equilibria found: 0\n" in out
 
 
 class TestParserReuse:

@@ -374,27 +374,35 @@ class TestEnumerate:
         # Every atom of a 3,000-level path pays 1, so the first sweep ties at
         # each of its 2,999 free atoms.  The guard counts those pending sweeps
         # before it keeps them, and refuses within 8 MB of traced memory; a
-        # pin dict per pending sweep used to take over 100 MB.
+        # pin dict per pending sweep used to take over 100 MB.  The tie tree
+        # makes two sweeps, so 2 is the smallest guard that answers.
         tree = AtomTree(
             Atom(f"a{t}", t, f"a{t - 1}" if t else None, F(1), True, F(1)) for t in range(3000)
         )
         tree.effective_flags(), tree.tie_scale()  # the tree's own caches, outside the trace
         tracemalloc.start()
         try:
-            with pytest.raises(SizeGuardError, match="needs at least 3000 sweeps") as err:
+            with pytest.raises(SizeGuardError, match="needs at least 3000 candidates") as err:
                 enumerate_equilibria(tree, size_guard=100)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert (err.value.required, err.value.guard) == (3000, 100)
         assert peak < 8 * 2**20
-        with pytest.raises(SizeGuardError) as err:
-            enumerate_equilibria(tie_tree(), size_guard=0)
-        assert (err.value.required, err.value.guard) == (1, 0)
+        assert len(enumerate_equilibria(tie_tree(), size_guard=2)) == 2
+        for guard in (1, 0):
+            with pytest.raises(SizeGuardError) as err:
+                enumerate_equilibria(tie_tree(), size_guard=guard)
+            assert (err.value.required, err.value.guard) == (2, guard)
 
     def test_unknown_preference(self):
         with pytest.raises(ValueError):
             enumerate_equilibria(binomial_tree(), "sideways")
+
+    def test_none_means_all(self):
+        tree = tie_tree()
+        assert enumerate_equilibria(tree, None) == enumerate_equilibria(tree, "all")
+        assert len(enumerate_equilibria(tree, None)) == 2
 
     def test_preferred_bits_must_be_bits(self):
         tree = tie_tree()

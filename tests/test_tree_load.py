@@ -111,7 +111,7 @@ def corrupt(draw, document):
     elif kind == "missing key":
         node.pop(draw(st.sampled_from(["id", "prob", "in_domain", "parent", "payoff"])), None)
     elif kind == "not an object":
-        nodes[i] = draw(st.sampled_from([[node["id"]], node["id"], 3, None]))
+        nodes[i] = draw(st.sampled_from([[node.get("id")], node.get("id"), 3, None]))
     elif kind == "mapping":
         nodes[i] = types.MappingProxyType(node)
     elif kind == "empty id":
@@ -127,7 +127,7 @@ def corrupt(draw, document):
     elif kind == "cycle":
         root["parent"] = nodes[objects[-1]].get("id")
     elif kind == "self parent":
-        node["parent"] = node["id"]
+        node["parent"] = node.get("id")
     elif kind == "unknown parent":
         node["parent"] = "ghost"
     elif kind == "second root":
@@ -137,7 +137,7 @@ def corrupt(draw, document):
     elif kind == "no payoff":
         node.pop("payoff", None)
     elif kind == "in_domain":
-        node["in_domain"] = draw(st.sampled_from([not node["in_domain"], "yes", 1, None]))
+        node["in_domain"] = draw(st.sampled_from([not node.get("in_domain"), "yes", 1, None]))
     elif kind == "re-enter":
         node.update(in_domain=True, payoff="0")
     elif kind == "root prob":
