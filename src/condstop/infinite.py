@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import truediv
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .model import AtomTree, MarkovModel, ModelError, State, _Cells
 from .numeric import NumericError, Scalar, solve_integer, solve_linear, sum_in_order
@@ -278,29 +278,39 @@ def _solve_on(mode, steps: dict, unknowns: list, column: int, constant) -> tuple
     return dict(zip(unknowns, numerators)), denominator
 
 
+class _Numerators(dict):
+    """`_evaluate`'s numerators by pair, with `pairs`, the pairs evaluated, in
+    order; `entry(pair)` forms a stopping pair's the first time it is read."""
+
+    def __missing__(self, pair: Pair) -> tuple:
+        self[pair] = value = self.entry(pair)
+        return value
+
+
 def _evaluate(
-    model: MarkovModel, steps: dict, policy: PeriodicMarkovPolicy, pairs: list, reachable: frozenset
-) -> dict:
+    model: MarkovModel, steps: dict, continuing: set, pairs: list, reachable: frozenset
+) -> _Numerators:
     """`evaluate` on `pairs`, domain pairs closed under in-domain transitions,
-    as numerators: per pair (h, p, hd, qd) with h/hd and p/qd the table
-    entries of `evaluate` and J = (h * qd) / (p * hd) where p > 0.
+    of the policy that continues at `continuing` (pairs of `pairs`) and
+    stops elsewhere, as numerators: per pair (h, p, hd, qd) with h/hd and
+    p/qd the entries of `evaluate` and J = (h * qd) / (p * hd) where p > 0.
 
     No continuation leaves a closed set, so the tables on `pairs` are those
     of `evaluate`.  `steps` is `_steps` on at least `pairs` for the policy's
-    period.  Admissibility is checked on the pairs in `reachable`.  Both
-    systems are solved for numerators over a common denominator, and each
-    pair's h and q numerators are accumulated from them in row order; hd and
-    qd are positive integers (1 in float mode).  `_tables` converts them and
-    `_response` compares against them.
+    period.  Both systems are solved for numerators over a common
+    denominator, and each pair's h and q numerators are accumulated from
+    them in row order; hd and qd are positive integers (1 in float mode).
+    Continuing pairs are filled at once, in `pairs` order, with admissibility
+    checked on those in `reachable`; stopping pairs when first read.
+    `_tables` converts the entries and `_response` compares against them.
     """
     mode, delta = model.mode, model.discount
-    continuing = [pair for pair in pairs if not policy.stops(*pair)]
-    cont = set(continuing)
-    exiting = {pair for pair in continuing if steps[pair][1] > 0}
+    cont = [pair for pair in pairs if pair in continuing]
+    exiting = {pair for pair in cont if steps[pair][1] > 0}
 
     if mode.eq(delta, 1):  # the continuing pairs that reach an exit or a stop
-        transient = _closure(cont, exiting | (set(pairs) - cont), steps)
-        stuck = [pair for pair in continuing if pair not in transient]
+        transient = _closure(continuing, exiting | (set(pairs) - continuing), steps)
+        stuck = [pair for pair in cont if pair not in transient]
         if stuck:
             raise PolicyError(
                 "discount 1 requires the continuation region to reach a stop or "
@@ -309,36 +319,39 @@ def _evaluate(
 
     # Conditional payoff numerator: one unknown per continuing pair.
     def stop_gain(pair: Pair) -> Scalar:
-        return sum_in_order((step[3] for step in steps[pair][0] if step[0] not in cont), 0)
+        return sum_in_order((step[3] for step in steps[pair][0] if step[0] not in continuing), 0)
 
-    h_cont, h_den = _solve_on(mode, steps, continuing, 2, stop_gain)
+    h_cont, h_den = _solve_on(mode, steps, cont, 2, stop_gain)
     # Exit-hitting probability: minimal nonnegative solution, i.e. zero on
     # pairs from which the exit is unreachable, then a nonsingular system on
     # the rest.
-    can_exit = _closure(cont, exiting, steps)
-    qpairs = [pair for pair in continuing if pair in can_exit]
+    can_exit = _closure(continuing, exiting, steps)
+    qpairs = [pair for pair in cont if pair in can_exit]
     q_solved, q_den = _solve_on(mode, steps, qpairs, 1, lambda pair: steps[pair][1])
-    q_cont = dict.fromkeys(continuing, 0) | q_solved
+    q_cont = dict.fromkeys(cont, 0) | q_solved
 
-    # p > floor is mode.gt(p / qd, 0): qd > 0, and qd = 1 in float mode.
-    floor = mode.tolerance()
-    numerators: dict[Pair, tuple] = {}
-    for pair in pairs:
-        if pair in cont:
+    def entry(pair: Pair) -> tuple:
+        if pair in continuing:
             h, q, scale = h_cont[pair], q_cont[pair], 1
         else:  # one step, then the continuation or a stop, in state order
             row, exit_mass, scale, _ = steps[pair]
             h, q = 0, exit_mass * q_den
             for succ, prob, discounted, gain in row:
-                if succ in cont:
+                if succ in continuing:
                     h += discounted * h_cont[succ]
                     q += prob * q_cont[succ]
                 else:
                     h += gain * h_den
         qd = scale * q_den
-        p = qd - q
-        numerators[pair] = h, p, scale * h_den, qd
-        if not p > floor and pair in cont and pair in reachable:
+        return h, qd - q, scale * h_den, qd
+
+    # p > floor is mode.gt(p / qd, 0): qd > 0, and qd = 1 in float mode.
+    floor = mode.tolerance()
+    numerators = _Numerators()
+    numerators.pairs, numerators.entry = pairs, entry
+    for pair in cont:
+        numerators[pair] = value = entry(pair)
+        if not value[1] > floor and pair in reachable:
             phase, x = pair
             if not mode.gt(model.domain_successor_mass(x), 0):
                 reason = "must stop when every transition leaves the domain"
@@ -351,12 +364,14 @@ def _evaluate(
 
 
 def _tables(
-    model: MarkovModel, period: int, numerators: dict, reachable: frozenset
+    model: MarkovModel, period: int, numerators: _Numerators, reachable: frozenset
 ) -> PolicyEvaluation:
     """The `PolicyEvaluation` of `_evaluate`'s numerators, one conversion per
-    entry: `Fraction(n, d)` in exact mode, `n / d` in float mode."""
+    entry, in the order of `numerators.pairs`: `Fraction(n, d)` in exact
+    mode, `n / d` in float mode."""
     ratio = Fraction if model.mode.exact else truediv
-    floor, entries = model.mode.tolerance(), numerators.items()
+    floor = model.mode.tolerance()
+    entries = [(pair, numerators[pair]) for pair in numerators.pairs]
     return PolicyEvaluation(
         period,
         {pair: ratio(h, hd) for pair, (h, _, hd, _) in entries},
@@ -366,14 +381,16 @@ def _tables(
     )
 
 
-def _numerators(model: MarkovModel, policy: PeriodicMarkovPolicy) -> tuple[dict, frozenset]:
-    """`_evaluate` on every domain pair, and the reachable pairs."""
+def _numerators(model: MarkovModel, policy: PeriodicMarkovPolicy) -> tuple:
+    """`_evaluate` on every domain pair, the reachable pairs, and the pairs
+    where `policy` continues."""
     _require_infinite(model)
     _validate_regions(model, policy)
     pairs = _domain_pairs(model, policy.period)
     steps = _steps(model, pairs, policy.period)
+    continuing = {pair for pair in pairs if not policy.stops(*pair)}
     reachable = reachable_pairs(model, policy.period)
-    return _evaluate(model, steps, policy, pairs, reachable), reachable
+    return _evaluate(model, steps, continuing, pairs, reachable), reachable, continuing
 
 
 def evaluate(model: MarkovModel, policy: PeriodicMarkovPolicy) -> PolicyEvaluation:
@@ -383,7 +400,7 @@ def evaluate(model: MarkovModel, policy: PeriodicMarkovPolicy) -> PolicyEvaluati
     continues but whose continuation leaves the domain almost surely has no
     conditional value (the observer would condition on a null event).
     """
-    numerators, reachable = _numerators(model, policy)
+    numerators, reachable, _ = _numerators(model, policy)
     return _tables(model, policy.period, numerators, reachable)
 
 
@@ -434,21 +451,22 @@ def phi_markov(model: MarkovModel, policy: PeriodicMarkovPolicy) -> PeriodicMark
 
 def _equilibrium_deviations(
     model: MarkovModel,
-    policy: PeriodicMarkovPolicy,
+    continuing: set,
     numerators: dict,
     preference: MarkovPreference,
-    reached: list[Pair],
+    reached: Iterable[Pair],
     must_stop: frozenset,
 ) -> tuple[str, ...]:
-    """Pairs of `reached` whose bit is not the best response of `_response`;
-    a tie must take the preferred bit when a preference is set."""
+    """Pairs of `reached` whose bit (0 on `continuing`) is not the best
+    response of `_response`; a tie must take the preferred bit when a
+    preference is set."""
     deviations = []
     for phase, x in reached:
         sign = _response(model, numerators, (phase, x), must_stop)
         if sign is None or (sign == 0 and preference is None):
             continue
         stop = sign > 0 if sign else preference == "early"
-        if stop != policy.stops(phase, x):
+        if stop == ((phase, x) in continuing):
             reason = ("continuation beats payoff", "tie broken against preference",
                       "payoff beats continuation")[sign + 1]
             deviations.append(f"(phase {phase}, state {x}): {reason}")
@@ -464,12 +482,12 @@ def is_periodic_equilibrium(
     where a tie must take the preferred bit when a preference is set."""
     preference = _preference(preference)
     try:
-        numerators, reachable = _numerators(model, policy)
+        numerators, reachable, continuing = _numerators(model, policy)
     except PolicyError as exc:
         return EquilibriumResult(False, reason=str(exc))
-    reached = [pair for pair in numerators if pair in reachable]
+    reached = [pair for pair in numerators.pairs if pair in reachable]
     deviations = _equilibrium_deviations(
-        model, policy, numerators, preference, reached, _must_stop(model)
+        model, continuing, numerators, preference, reached, _must_stop(model)
     )
     if deviations:
         return EquilibriumResult(False, deviations, "not a fixed point of the best response")
@@ -499,26 +517,36 @@ def enumerate_periodic_equilibria(
 
     The search is depth first over the open slots, slots[-1] first and
     slots[0] last, bit 0 before bit 1, so survivors come in the order of
-    their bits read as a binary number (bit i for slots[i]).  A node stops at the slots
-    it has not assigned and is evaluated on the reachable pairs, which are
-    closed under in-domain transitions; the step table and the reachable
-    pairs are built once.  Two rules prune every completion below
-    a node.  If its evaluation fails, so does each completion: continuing at
-    more slots only lowers p and, at discount 1, only grows the pairs that
-    reach no stop.  And a pair's J is final once no unassigned slot can be
-    reached from its successors through continuing pairs, so an assigned
-    pair whose final J disagrees with its bit is a deviation in every
-    completion.  A bit-1 child shares its parent's policy and evaluation,
-    and a slot whose J is already final takes the bits its best response
-    allows (both on a tie with no preference).  The pairs that reach an
-    unassigned slot come from one backward walk of the step table's
-    predecessor lists, and the final pairs are the reachable pairs outside
-    their predecessors.  A node keeps `_evaluate`'s numerators and reads
-    each best response as a sign from them; only survivors are evaluated on
-    every domain pair (again, unless every domain pair is reachable) and
-    converted, so each carries the tables `evaluate` gives.  The size guard
-    counts candidates, here search nodes, made and queued, and raises once
-    they exceed it, before the node just taken queues its children.
+    their bits read as a binary number (bit i for slots[i]).  A node stops
+    at the slots it has not assigned and is evaluated on the reachable
+    pairs, which are closed under in-domain transitions; the step table and
+    the reachable pairs are built once.  Two rules prune every completion
+    below a node.  If its evaluation fails, so does each completion:
+    continuing at more slots only lowers p and, at discount 1, only grows
+    the pairs that reach no stop.  And a pair's J is final once no
+    unassigned slot can be reached from its successors through continuing
+    pairs, so an assigned pair whose final J disagrees with its bit is a
+    deviation in every completion.  A slot whose J is already final takes
+    the bits its best response allows (both on a tie with no preference).
+    The pairs that reach an unassigned slot come from one backward walk of
+    the step table's predecessor lists; the final pairs are the reachable
+    pairs outside their predecessors.
+
+    A node carries its continuing pairs (a bit-0 child adds its slot, a
+    bit-1 child keeps them and shares its parent's evaluation) and the
+    assigned final pairs already checked, and checks only its newly final
+    ones.  The final pairs only grow down the tree: a child's unassigned
+    slots are its parent's less the slot it assigns, and at most that slot
+    joins its continuing pairs, so a pair that reaches a child's unassigned
+    slot reached a parent's.  A final pair's J and bit are the same in every
+    completion, and so is its verdict (in float mode, up to the rounding of
+    the solve).  A node reads each best response as a sign from `_evaluate`'s
+    numerators, which it forms at a stopping pair only when read.  Only
+    survivors are evaluated on every domain pair (unless every domain pair
+    is reachable) and converted, so each carries the tables `evaluate`
+    gives.  The size guard counts candidates, here search nodes, made and
+    queued, and raises once they exceed it, before the node just taken
+    queues its children.
     """
     _require_infinite(model)
     if period < 1:
@@ -539,44 +567,38 @@ def enumerate_periodic_equilibria(
     must_stop = _must_stop(model)
 
     steps = _steps(model, pairs, period)
-    pinned = model.exit_states | model.forced_stop
-    traps = _traps(model)
-    base = [
-        pinned
-        | {x for x in traps if (phase, x) not in reachable}
-        | {x for x in dominant if (phase, x) in reachable}
-        for phase in range(period)
-    ]
+    traps = _traps(model)  # a representative continues at other unreachable free pairs
+    idle = {(t, x) for t, x in pairs if (t, x) not in reachable and x in free and x not in traps}
 
-    # Depth first over the slots, slots[-1] first, bit 0 before bit 1, so
-    # leaves come in mask order (bit i for slots[i]).  A node with slots[:k]
-    # unassigned stops at them: its evaluation is None until popped, except
-    # that a bit-1 child shares its parent's policy and evaluation.
+    # A node: slots[:k] unassigned, its continuing and checked pairs, and its
+    # numerators, None until popped unless shared with a bit-1 parent.
     found: list[PeriodicEquilibrium] = []
-    stop_all = [set(region) for region in base]
-    for phase, x in slots:
-        stop_all[phase].add(x)
-    stack = [(len(slots), PeriodicMarkovPolicy(period, tuple(stop_all)), None)]
+    stack = [(len(slots), frozenset(), frozenset(), None)]
     made = 0
     while stack:
-        k, policy, numerators = stack.pop()
+        k, continuing, checked, numerators = stack.pop()
         made += 1
         if made + len(stack) > guard:
             raise SizeGuardError(made + len(stack), guard)
         if numerators is None:
             try:
-                numerators = _evaluate(model, steps, policy, reached, reachable)
+                numerators = _evaluate(model, steps, continuing, reached, reachable)
             except PolicyError:
                 continue  # continuing at more slots cannot repair it
         unassigned = set(slots[:k])
-        continuing = {pair for pair in reached if not policy.stops(*pair)}
         final = _settled(steps, reachable, continuing, unassigned)
-        assigned = [pair for pair in reached if pair in final and pair not in unassigned]
-        if _equilibrium_deviations(model, policy, numerators, preference, assigned, must_stop):
+        fresh = final - unassigned - checked
+        if fresh and _equilibrium_deviations(
+            model, continuing, numerators, preference, fresh, must_stop
+        ):
             continue
+        checked |= fresh
         if not k:
+            every = continuing | idle
+            regions = [{x for x in model.states if (t, x) not in every} for t in range(period)]
+            policy = PeriodicMarkovPolicy(period, tuple(regions))
             if len(reached) < len(pairs):
-                numerators = _evaluate(model, steps, policy, pairs, reachable)
+                numerators = _evaluate(model, steps, every, pairs, reachable)
             found.append(PeriodicEquilibrium(policy, _tables(model, period, numerators, reachable)))
             continue
         slot = slots[k - 1]
@@ -590,12 +612,9 @@ def enumerate_periodic_equilibria(
             elif preference is not None:
                 bits = (int(preference == "early"),)
         if 1 in bits:
-            stack.append((k - 1, policy, numerators))
+            stack.append((k - 1, continuing, checked, numerators))
         if 0 in bits:
-            phase, x = slot
-            regions = list(policy.regions)
-            regions[phase] = regions[phase] - {x}
-            stack.append((k - 1, PeriodicMarkovPolicy(period, tuple(regions)), None))
+            stack.append((k - 1, continuing | {slot}, checked, None))
     return found
 
 

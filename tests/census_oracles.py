@@ -12,14 +12,29 @@ for bit in float mode, and raise the same errors.
 `closure_by_fixpoint` is the fixed-point loop that `infinite._closure`'s
 backward walk replaced, and `response_by_tables` the best-response rule as
 it read J before `infinite._response` took signs from numerators.
+
+`census_by_full_checks` is the periodic census's node loop as it was before
+nodes carried their state: each node holds its policy, scans the reached
+pairs for its continuing set, forms the numerators of every reached pair
+and checks every assigned final pair, however many of its ancestors
+checked it already.
 """
 
 import math
 from fractions import Fraction
+from operator import truediv
 
-from condstop.infinite import PolicyEvaluation
+from condstop import infinite
+from condstop.infinite import PeriodicEquilibrium, PeriodicMarkovPolicy, PolicyEvaluation
 from condstop.numeric import SingularSystemError, solve_linear, sum_in_order
-from condstop.policy import AdmissibilityResult, InadmissiblePolicyError, PolicyError
+from condstop.policy import (
+    DEFAULT_POLICY_GUARD,
+    AdmissibilityResult,
+    InadmissiblePolicyError,
+    PolicyError,
+    SizeGuardError,
+    _preference,
+)
 
 
 def solve_exact(matrix, rhs):
@@ -166,3 +181,109 @@ def evaluate_by_fractions(model, policy, pairs, reachable):
                 AdmissibilityResult(False, f"(phase {phase}, state {x})", reason)
             )
     return PolicyEvaluation(policy.period, h_table, p_table, j_table, reachable)
+
+
+def _eager(model, steps, policy, pairs, reachable):
+    """`infinite._evaluate` for `policy` on `pairs`, as a plain dict with an
+    entry for every pair, in `pairs` order."""
+    continuing = {pair for pair in pairs if not policy.stops(*pair)}
+    numerators = infinite._evaluate(model, steps, continuing, pairs, reachable)
+    return {pair: numerators[pair] for pair in pairs}
+
+
+def _tables_by_items(model, period, numerators, reachable):
+    """The `PolicyEvaluation` of an eager numerator dict, in its key order."""
+    ratio = Fraction if model.mode.exact else truediv
+    floor, entries = model.mode.tolerance(), numerators.items()
+    return PolicyEvaluation(
+        period,
+        {pair: ratio(h, hd) for pair, (h, _, hd, _) in entries},
+        {pair: ratio(p, qd) for pair, (_, p, _, qd) in entries},
+        {pair: ratio(h * qd, p * hd) for pair, (h, p, hd, qd) in entries if p > floor},
+        reachable,
+    )
+
+
+def _deviates(model, policy, numerators, preference, assigned, must_stop):
+    """Some pair of `assigned` takes a bit its best response rules out."""
+    for pair in assigned:
+        sign = infinite._response(model, numerators, pair, must_stop)
+        if sign is None or (sign == 0 and preference is None):
+            continue
+        if (sign > 0 if sign else preference == "early") != policy.stops(*pair):
+            return True
+    return False
+
+
+def census_by_full_checks(model, period, preference=None, size_guard=None):
+    """`infinite.enumerate_periodic_equilibria`, node by node as described in
+    the module docstring: the same search order, pruning and size guard."""
+    infinite._require_infinite(model)
+    if period < 1:
+        raise PolicyError("period must be at least 1")
+    guard = DEFAULT_POLICY_GUARD if size_guard is None else size_guard
+    free = [x for x in model.states if x in model.domain and x not in model.forced_stop]
+    reachable = infinite.reachable_pairs(model, period)
+    dominant = infinite._dominant(model, free)
+    slots = [
+        (phase, x)
+        for phase in range(period)
+        for x in free
+        if (phase, x) in reachable and x not in dominant
+    ]
+    preference = _preference(preference)
+    pairs = infinite._domain_pairs(model, period)
+    reached = [pair for pair in pairs if pair in reachable]
+    must_stop = infinite._must_stop(model)
+    steps = infinite._steps(model, pairs, period)
+    traps = infinite._traps(model)
+    stop_all = [
+        model.exit_states
+        | model.forced_stop
+        | {x for x in traps if (phase, x) not in reachable}
+        | {x for x in free if (phase, x) in reachable}
+        for phase in range(period)
+    ]
+    found = []
+    stack = [(len(slots), PeriodicMarkovPolicy(period, tuple(stop_all)), None)]
+    made = 0
+    while stack:
+        k, policy, numerators = stack.pop()
+        made += 1
+        if made + len(stack) > guard:
+            raise SizeGuardError(made + len(stack), guard)
+        if numerators is None:
+            try:
+                numerators = _eager(model, steps, policy, reached, reachable)
+            except PolicyError:
+                continue
+        unassigned = set(slots[:k])
+        continuing = {pair for pair in reached if not policy.stops(*pair)}
+        final = infinite._settled(steps, reachable, continuing, unassigned)
+        assigned = [pair for pair in reached if pair in final and pair not in unassigned]
+        if _deviates(model, policy, numerators, preference, assigned, must_stop):
+            continue
+        if not k:
+            if len(reached) < len(pairs):
+                numerators = _eager(model, steps, policy, pairs, reachable)
+            evaluation = _tables_by_items(model, period, numerators, reachable)
+            found.append(PeriodicEquilibrium(policy, evaluation))
+            continue
+        slot = slots[k - 1]
+        bits = (0, 1)
+        if slot in final:
+            sign = infinite._response(model, numerators, slot, must_stop)
+            if sign is None or sign > 0:
+                bits = (1,)
+            elif sign < 0:
+                bits = (0,)
+            elif preference is not None:
+                bits = (int(preference == "early"),)
+        if 1 in bits:
+            stack.append((k - 1, policy, numerators))
+        if 0 in bits:
+            phase, x = slot
+            regions = list(policy.regions)
+            regions[phase] = regions[phase] - {x}
+            stack.append((k - 1, PeriodicMarkovPolicy(period, tuple(regions)), None))
+    return found

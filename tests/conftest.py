@@ -8,8 +8,12 @@ exhaustive-enumeration guards.
 import random
 
 import pytest
+from hypothesis import settings
 
 from condstop.random_models import random_markov_model, random_tree
+
+# `--hypothesis-profile=ci` prints a failing example's reproduction blob.
+settings.register_profile("ci", print_blob=True)
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from census_oracles import closure_by_fixpoint, evaluate_by_fractions, response_by_tables
+from census_oracles import (
+    census_by_full_checks,
+    closure_by_fixpoint,
+    evaluate_by_fractions,
+    response_by_tables,
+)
 from condstop import infinite
 from condstop.catalog import (
     check_minnie_donald_conditions,
@@ -842,9 +847,10 @@ class TestCensusCore:
         reachable = reachable_pairs(model, period)
         pairs = [pair for pair in infinite._domain_pairs(model, period) if pair in reachable]
         steps = infinite._steps(model, pairs, period)
+        continuing = {pair for pair in pairs if not policy.stops(*pair)}
 
         def reachable_core():
-            numerators = infinite._evaluate(model, steps, policy, pairs, reachable)
+            numerators = infinite._evaluate(model, steps, continuing, pairs, reachable)
             return infinite._tables(model, period, numerators, reachable)
 
         part, part_error = _outcome(reachable_core)
@@ -873,6 +879,45 @@ class TestCensusCore:
         assert len(enumerate_periodic_equilibria(minnie_donald_model(), period)) == survivors
         assert len(conversions) == survivors
 
+    @pytest.mark.parametrize(
+        "model, period, reads",
+        [(minnie_donald_model, 4, 34), (minnie_donald_model, 5, 295), (two_state_model, 6, 99)],
+    )
+    def test_response_reads_per_census(self, monkeypatch, model, period, reads):
+        # A node reads the best response at its newly final pairs and its
+        # next slot only; checking every final pair at every node read
+        # 150, 1,845 and 154.
+        calls = _recorded(monkeypatch, "_response")
+        enumerate_periodic_equilibria(model(), period)
+        assert len(calls) == reads
+
+    def test_no_numerators_at_forced_stops_of_non_survivors(self, monkeypatch):
+        # `_response` answers a forced stop without reading its numerators,
+        # so only a survivor's conversion to tables forms them.
+        evaluated, original = [], infinite._evaluate
+
+        def recorded(*args):
+            evaluated.append((args[0], original(*args)))
+            return evaluated[-1][1]
+
+        monkeypatch.setattr(infinite, "_evaluate", recorded)
+        conversions = _recorded(monkeypatch, "_tables")
+        rng = random.Random(5)
+        for _ in range(8):
+            model = with_random_forced_stops(rng, random_markov_model(rng, n_states=4))
+            for period in (1, 2):
+                enumerate_periodic_equilibria(model, period)
+        converted = {id(args[2]) for args in conversions}
+        formed = unformed = 0
+        for model, numerators in evaluated:
+            forced = [pair for pair in numerators.pairs if pair[1] in model.forced_stop]
+            if id(numerators) in converted:
+                formed += all(pair in numerators for pair in forced)
+            else:
+                assert not any(pair in numerators for pair in forced)
+                unformed += len(forced)
+        assert formed == len(converted) > 0 and unformed > 0
+
 
 def _same_scalar(a, b):
     """Equal Fractions, or floats with the same bits (so 0.0 is not -0.0)."""
@@ -890,6 +935,62 @@ def census_traps(model):
         x for x in free if split[x][1] > 0 or any(y in model.forced_stop for y, _ in split[x][0])
     }
     return set(free) - closure_by_fixpoint(free, ends, lambda x: (y for y, _ in split[x][0]))
+
+
+class TestCensusAgainstFullChecks:
+    """The census, whose nodes carry their continuing and checked pairs and
+    form stopping pairs' numerators when read, against the node loop that
+    rescanned every reached pair at every node (`census_oracles`)."""
+
+    @settings(max_examples=120, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        n_states=st.integers(2, 5),
+        period=st.integers(1, 3),
+        preference=st.sampled_from([None, "all", "early", "late"]),
+        floats=st.booleans(),
+        discount_one=st.booleans(),
+        forced=st.booleans(),
+        rich=st.booleans(),
+        guard=st.one_of(st.none(), st.integers(1, 40)),
+    )
+    def test_same_survivors_tables_and_guard(
+        self, seed, n_states, period, preference, floats, discount_one, forced, rich, guard
+    ):
+        assume(n_states < 5 or period < 3)
+        rng = random.Random(seed)
+        model = random_markov_model(rng, n_states=n_states)
+        if forced:
+            model = with_random_forced_stops(rng, model)
+        free = [x for x in model.states if x in model.domain and x not in model.forced_stop]
+        if rich and free:  # a dominant state: its payoff beats every J it can face
+            top = max(abs(value) for value in model.payoff.values())
+            model = dataclasses.replace(model, payoff={**model.payoff, rng.choice(free): 2 * top + 1})
+        if discount_one:
+            model = dataclasses.replace(model, discount=F(1))
+        if floats:
+            model = _float_chain(model)
+
+        def outcome(census):
+            try:
+                return census(model, period, preference, guard), None
+            except SizeGuardError as exc:
+                return None, (exc.required, exc.guard)
+            except SingularSystemError as exc:
+                return None, str(exc)
+
+        mine, mine_error = outcome(enumerate_periodic_equilibria)
+        theirs, theirs_error = outcome(census_by_full_checks)
+        assert mine_error == theirs_error
+        if theirs is None:
+            return
+        assert [eq.policy for eq in mine] == [eq.policy for eq in theirs]
+        for got, expected in zip(mine, theirs):
+            assert got.evaluation.reachable == expected.evaluation.reachable
+            for table in ("h", "p", "J"):
+                ours, oracle = getattr(got.evaluation, table), getattr(expected.evaluation, table)
+                assert list(ours) == list(oracle)
+                assert all(_same_scalar(ours[pair], oracle[pair]) for pair in ours)
 
 
 class TestNodeEvaluationAgainstFractionOracle:
@@ -921,21 +1022,25 @@ class TestNodeEvaluationAgainstFractionOracle:
         def successors(steps):
             return lambda pair: (step[0] for step in steps[pair][0])
 
-        def checked(model, steps, policy, pairs, reachable):
+        def checked(model, steps, continuing, pairs, reachable):
             nodes.append(pairs)
             for phase, x in pairs:
                 if x in free and (phase, x) not in reachable:
-                    assert policy.stops(phase, x) == (x in traps)
+                    assert ((phase, x) not in continuing) == (x in traps)
+            policy = PeriodicMarkovPolicy(period, tuple(
+                frozenset(x for x in model.states if (phase, x) not in continuing)
+                for phase in range(period)
+            ))
             expected, expected_error = _outcome(
                 evaluate_by_fractions, model, policy, pairs, reachable
             )
             try:
-                got = evaluate_node(model, steps, policy, pairs, reachable)
+                got = evaluate_node(model, steps, continuing, pairs, reachable)
             except (PolicyError, SingularSystemError) as exc:
                 assert (type(exc), str(exc)) == expected_error
                 raise
             assert expected_error is None
-            tables = infinite._tables(model, policy.period, got, reachable)
+            tables = infinite._tables(model, period, got, reachable)
             for table in ("h", "p", "J"):
                 mine, theirs = getattr(tables, table), getattr(expected, table)
                 assert list(mine) == list(theirs)
@@ -1038,10 +1143,10 @@ class TestPrunedCensus:
         outcomes = []
         original = infinite._evaluate
 
-        def recorded(model, rows, policy, pairs, reachable):
-            stops = frozenset(pair for pair in reachable if policy.stops(*pair))
+        def recorded(model, rows, continuing, pairs, reachable):
+            stops = reachable - continuing
             try:
-                result = original(model, rows, policy, pairs, reachable)
+                result = original(model, rows, continuing, pairs, reachable)
             except PolicyError:
                 outcomes.append((stops, False))
                 raise
