@@ -37,12 +37,10 @@ from .policy import (
     PrecommitResult,
     SizeGuardError,
     StoppingPolicy,
-    StoppingPreference,
     admissible,
     continuation_value,
     count_stopping_times,
     enumerate_equilibria,
-    induced_stop,
     is_equilibrium,
     phi,
     precommitted,

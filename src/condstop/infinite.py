@@ -74,9 +74,6 @@ class PeriodicMarkovPolicy:
                 f"expected {self.period} regions, got {len(self.regions)}"
             )
 
-    def region(self, time: int) -> frozenset:
-        return self.regions[time % self.period]
-
     def stops(self, time: int, state: State) -> bool:
         return state in self.regions[time % self.period]
 

@@ -181,25 +181,20 @@ class AtomTree:
 def effective_horizon(tree: AtomTree) -> dict[str, bool]:
     """Per-atom flags marking atoms at or past the effective horizon.
 
-    An atom at level t is flagged when continuing past it is impossible or
-    pointless: t is the final level, the atom has no in-domain children (the
+    An atom is flagged when continuing past it is impossible or pointless: it
+    is at the final level, or none of its children is in the domain (the
     conditional probability of remaining in the domain one more step is zero,
-    which covers out-of-domain atoms), or an ancestor was already flagged.
-    Flags are monotone along every path.
+    which covers out-of-domain atoms).  The rule is local, so trees and
+    `_Cells` run it alike.  Flags are monotone along every path: no atom
+    re-enters the domain, so every atom below a flagged one is out of the
+    domain and flagged itself.
     """
     horizon = tree.horizon
-    flags: dict[str, bool] = {}
-    for level in tree.levels:
-        for atom in level:
-            if atom.parent is not None and flags[atom.parent]:
-                flags[atom.id] = True
-            elif atom.level == horizon:
-                flags[atom.id] = True
-            else:
-                flags[atom.id] = not any(
-                    child.in_domain for child in tree.children(atom.id)
-                )
-    return flags
+    children = tree.children
+    return {
+        atom.id: atom.level == horizon or not any(child.in_domain for child in children(atom.id))
+        for atom in tree.atoms()
+    }
 
 
 @dataclass(frozen=True)

@@ -189,9 +189,6 @@ class NumericMode:
     def eq(self, a: Scalar, b: Scalar, scale: Scalar = 1) -> bool:
         return self.compare(a, b, scale) == 0
 
-    def lt(self, a: Scalar, b: Scalar, scale: Scalar = 1) -> bool:
-        return self.compare(a, b, scale) < 0
-
     def le(self, a: Scalar, b: Scalar, scale: Scalar = 1) -> bool:
         return self.compare(a, b, scale) <= 0
 

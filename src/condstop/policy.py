@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Literal, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional
 
 from .model import Atom, AtomTree, State
 from .numeric import Scalar
@@ -128,24 +128,6 @@ class StoppingPolicy:
 
 
 @dataclass(frozen=True)
-class StoppingPreference:
-    """The bit an indifferent observer keeps, one choice per atom."""
-
-    prefer_stop: Mapping[str, int]
-
-    @staticmethod
-    def early(tree: AtomTree) -> "StoppingPreference":
-        return StoppingPreference({aid: 1 for aid in tree.atom_ids()})
-
-    @staticmethod
-    def late(tree: AtomTree) -> "StoppingPreference":
-        return StoppingPreference({aid: 0 for aid in tree.atom_ids()})
-
-
-PreferenceLike = Union[StoppingPreference, Literal["early", "late", "all"], None]
-
-
-@dataclass(frozen=True)
 class AdmissibilityResult:
     admissible: bool
     atom: Optional[str] = None
@@ -163,26 +145,6 @@ class EquilibriumResult:
 
     def __bool__(self) -> bool:
         return self.equilibrium
-
-
-@dataclass(frozen=True)
-class InducedStop:
-    """Where the policy first stops strictly below a source atom.
-
-    `stop_probs` gives, conditional on the source, the probability of the
-    first stop landing on each stop atom.  `survive_prob` collects the mass
-    stopping at in-domain atoms, `dead_prob` the mass that leaves the domain
-    before any stop (including stops on out-of-domain atoms), and
-    `never_prob` the mass that reaches the final level still continuing.
-    Nonzero `never_prob` can only occur when the tree is a truncation of a
-    longer model and the policy was not forced to stop at the horizon.
-    """
-
-    source: str
-    stop_probs: Mapping[str, Scalar]
-    survive_prob: Scalar
-    dead_prob: Scalar
-    never_prob: Scalar
 
 
 def _check_coverage(tree: AtomTree, policy: StoppingPolicy) -> None:
@@ -281,36 +243,6 @@ def admissible(tree: AtomTree, policy: StoppingPolicy) -> AdmissibilityResult:
     the effective horizon the policy must stop.
     """
     return _checked_tables(tree, policy)[0]
-
-
-def induced_stop(tree: AtomTree, policy: StoppingPolicy, atom_id: str) -> InducedStop:
-    """Describe the first stop strictly below `atom_id` under the policy."""
-    _check_coverage(tree, policy)
-    mode = tree.mode
-    horizon = tree.horizon
-    stop_probs: dict[str, Scalar] = {}
-    survive = mode.zero
-    dead = mode.zero
-    never = mode.zero
-
-    stack = [(child, child.branch_prob) for child in tree.children(atom_id)]
-    while stack:
-        atom, mass = stack.pop()
-        if policy.stops(atom.id):
-            stop_probs[atom.id] = stop_probs.get(atom.id, mode.zero) + mass
-            if atom.in_domain:
-                survive += mass
-            else:
-                dead += mass
-        elif atom.level == horizon:
-            if atom.in_domain:
-                never += mass
-            else:
-                dead += mass
-        else:
-            for child in tree.children(atom.id):
-                stack.append((child, mass * child.branch_prob))
-    return InducedStop(atom_id, stop_probs, survive, dead, never)
 
 
 def continuation_value(tree: AtomTree, policy: StoppingPolicy, atom_id: str) -> Scalar:
@@ -469,33 +401,19 @@ def _preference(preference) -> Optional[str]:
     raise PolicyError(f"unknown preference {preference!r}")
 
 
-def _resolve_preference(
-    tree: AtomTree, preference: PreferenceLike
-) -> Optional[StoppingPreference]:
-    if isinstance(preference, StoppingPreference):
-        for aid, bit in preference.prefer_stop.items():
-            if bit not in (0, 1):
-                raise PolicyError(f"preferred bit at {aid!r} must be 0 or 1, got {bit!r}")
-        return preference
-    name = _preference(preference)
-    if name is None:
-        return None
-    return StoppingPreference.early(tree) if name == "early" else StoppingPreference.late(tree)
-
-
 def _equilibria(
-    tree: AtomTree, preference: PreferenceLike, size_guard: Optional[int]
+    tree: AtomTree, preference: Optional[str], size_guard: Optional[int]
 ) -> list[tuple[dict[str, int], dict[str, Scalar], dict[str, Scalar]]]:
     """The census sweep `(bits, num, den)` of every equilibrium; see
     `enumerate_equilibria`."""
     guard = DEFAULT_POLICY_GUARD if size_guard is None else size_guard
     flags = tree.effective_flags()
     free = [atom.id for atom in tree.atoms() if not flags[atom.id]]
-    pref = _resolve_preference(tree, preference)
+    name = _preference(preference)
     found: list[tuple] = []
     # a pending branch (ties, k) pins ties[:k] as its parent sweep met them, and ties[k] to stop
     branches: list[tuple[list, int]] = []
-    pins = {aid: int(bit) for aid, bit in (pref.prefer_stop if pref else {}).items()}
+    pins = {} if name is None else dict.fromkeys(tree.atom_ids(), int(name == "early"))
     while True:
         decided = len(pins)
         # a pinned tie takes its bit; an undecided one continues and joins the pins
@@ -514,14 +432,15 @@ def _equilibria(
 
 def enumerate_equilibria(
     tree: AtomTree,
-    preference: PreferenceLike = "all",
+    preference: Optional[str] = None,
     size_guard: Optional[int] = None,
 ) -> list[StoppingPolicy]:
     """All equilibrium policies, optionally filtered by an indifference rule.
 
     Each observer's bit is forced by the bits below them except on an exact
-    tie, so every equilibrium is one `_sweep` with `_best_bit`.  A preference
-    pins the ties at the atoms it names to the preferred bit.  A sweep
+    tie, so every equilibrium is one `_sweep` with `_best_bit`.  The preference
+    is read by `_preference`, as in the periodic census: "early" and "late" pin
+    every tie to stop and to continue, None or "all" keeps both bits.  A sweep
     continues at the ties T_1..T_m it meets unpinned, and T_k spawns the sweep
     that pins T_1..T_(k-1) to continue and T_k to stop: one sweep per
     equilibrium, and one in all with "early" or "late".  Results are in mask

@@ -162,7 +162,8 @@ def one_way_out_model():
 class TestPeriodicMarkovPolicy:
     def test_region_cycles_through_phases(self):
         policy = PeriodicMarkovPolicy(2, (frozenset({0, 1}), frozenset({0})))
-        assert policy.region(0) == {0, 1} and policy.region(5) == {0}
+        assert policy.regions == ({0, 1}, {0})
+        assert policy.stops(5, 0) and not policy.stops(5, 1)
         assert policy.stops(4, 1) and not policy.stops(3, 1)
 
     def test_period_must_match_regions(self):

@@ -17,12 +17,16 @@ from condstop.model import (
     MarkovModel,
     ModelError,
     effective_horizon,
+    _Cells,
     _state_segment,
     unroll,
 )
 from condstop.modelio import dump_model, load_model
 from condstop.numeric import float_mode
-from condstop.random_models import random_markov_model
+from condstop.random_models import random_markov_model, random_tree
+
+from cell_oracles import atom_to_cell
+from tree_oracles import effective_horizon_by_ancestors
 
 F = Fraction
 
@@ -106,6 +110,28 @@ class TestAtomTree:
     def test_empty(self):
         with pytest.raises(ModelError):
             AtomTree([])
+
+
+class TestEffectiveHorizonAgainstAncestorRule:
+    """The local flag rule against the rule that also flags every atom below
+    a flagged one: equal, since no atom re-enters the domain."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32))
+    def test_random_trees(self, seed):
+        tree = random_tree(random.Random(seed), max_depth=5, all_in_domain=False)
+        assert effective_horizon(tree) == effective_horizon_by_ancestors(tree)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32), n_states=st.integers(2, 5), horizon=st.integers(1, 4))
+    def test_unrolled_chains_and_their_cells(self, seed, n_states, horizon):
+        model = random_markov_model(random.Random(seed), n_states=n_states)
+        tree, cells = unroll(model, horizon), _Cells(model, horizon)
+        flags = effective_horizon_by_ancestors(tree)
+        assert effective_horizon(tree) == flags
+        cell_flags, cell_of = cells.effective_flags(), atom_to_cell(cells)
+        assert cell_of.keys() == flags.keys()
+        assert all(cell_flags[cell_of[aid].id] == flag for aid, flag in flags.items())
 
 
 class TestMarkovModel:

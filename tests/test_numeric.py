@@ -130,7 +130,7 @@ class TestParseRationalAgainstFraction:
 class TestNumericMode:
     def test_exact_compare(self):
         assert EXACT.compare(Fraction(1, 3), Fraction(1, 3)) == 0
-        assert EXACT.lt(Fraction(1, 3), Fraction(2, 3))
+        assert EXACT.compare(Fraction(1, 3), Fraction(2, 3)) == -1
         assert EXACT.ge(Fraction(2, 3), Fraction(1, 3))
         # Exact mode distinguishes arbitrarily close rationals.
         assert not EXACT.eq(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**30))

@@ -18,18 +18,18 @@ from condstop.policy import (
     PolicyError,
     SizeGuardError,
     StoppingPolicy,
-    StoppingPreference,
     admissible,
     continuation_value,
     count_stopping_times,
     enumerate_equilibria,
-    induced_stop,
     is_equilibrium,
     phi,
     precommitted,
 )
 from condstop.random_models import random_tree
 from condstop.recursion import backward_solve
+
+from tree_oracles import induced_stop
 
 F = Fraction
 
@@ -357,7 +357,7 @@ class TestEnumerate:
 
     def test_explicit_preference_object(self):
         tree = tie_tree()
-        (early,) = enumerate_equilibria(tree, StoppingPreference.early(tree))
+        (early,) = enumerate_equilibria(tree, preference="early")
         assert early.bit("r") == 1
 
     def test_size_guard(self):
@@ -404,13 +404,6 @@ class TestEnumerate:
         assert enumerate_equilibria(tree, None) == enumerate_equilibria(tree, "all")
         assert len(enumerate_equilibria(tree, None)) == 2
 
-    def test_preferred_bits_must_be_bits(self):
-        tree = tie_tree()
-        with pytest.raises(PolicyError, match="preferred bit at 'r' must be 0 or 1, got 2"):
-            enumerate_equilibria(tree, StoppingPreference({"r": 2, "c": 1}))
-        (early,) = enumerate_equilibria(tree, StoppingPreference({"r": True, "c": True}))
-        assert type(early.bit("r")) is int
-
     def test_early_equilibria_are_phi_fixed_points(self, tree_corpus):
         for tree in tree_corpus[:30]:
             for policy in enumerate_equilibria(tree, "early"):
@@ -427,7 +420,7 @@ def exhaustive_equilibria(tree, preference="all"):
     """
     flags = tree.effective_flags()
     free = [atom for atom in tree.atoms() if not flags[atom.id]]
-    preference = policy_module._resolve_preference(tree, preference)
+    preference = policy_module._preference(preference)
     base = {aid: 1 for aid, flag in flags.items() if flag}
     found = []
     for mask in range(2 ** len(free)):
@@ -443,7 +436,7 @@ def exhaustive_equilibria(tree, preference="all"):
             if sign != 0:
                 ok = bit == int(sign > 0)
             elif preference is not None:
-                ok = bit == preference.prefer_stop[atom.id]
+                ok = bit == int(preference == "early")
             if not ok:
                 break
         if ok:
@@ -469,15 +462,13 @@ class TestCensusOracle:
     @given(
         seed=st.integers(0, 2**32),
         ties=st.booleans(),
-        preference=st.sampled_from(["all", "early", "late", "per-atom"]),
+        preference=st.sampled_from(["all", "early", "late"]),
     )
     def test_random_trees_match_exhaustive(self, seed, ties, preference):
         rng = random.Random(seed)
         tree = random_tree(rng)
         if ties:
             tree = tie_heavy(tree, rng)
-        if preference == "per-atom":
-            preference = StoppingPreference({aid: rng.randint(0, 1) for aid in tree.atom_ids()})
         assert enumerate_equilibria(tree, preference) == exhaustive_equilibria(tree, preference)
 
     def test_one_sweep_per_equilibrium(self, tree_corpus, monkeypatch):

@@ -19,7 +19,6 @@ from condstop.policy import (
     _continuation_tables,
     admissible,
     continuation_value,
-    induced_stop,
     is_equilibrium,
     phi,
 )
@@ -36,6 +35,8 @@ from condstop.recursion import (
     verify_pair_and_policy,
     verify_snell_pair,
 )
+
+from tree_oracles import induced_stop
 
 F = Fraction
 

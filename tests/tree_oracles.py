@@ -1,4 +1,5 @@
-"""Oracles for the tree model's load path and probability checks.
+"""Oracles for the tree model: its load path, probability checks,
+effective-horizon flags and policy tables.
 
 `load_tree_by_walk` is `modelio._load_tree` as it was before each node was
 checked once: every node's level comes from a walk up its parent chain,
@@ -8,14 +9,25 @@ checks it made before they moved to integers: positivity by `p > 0`, and
 each child list added by `sum_in_order` and compared by `mode.eq`.
 `modelio.load_model` must give the same tree (levels, children order and
 digest) or raise the same error with the same message.
+
+`effective_horizon_by_ancestors` is `model.effective_horizon` with the
+clause it dropped: an atom is also flagged when its parent is.
+`model.effective_horizon` must give the same flags on every tree.
+
+`induced_stop` is the path enumeration of a policy's first stop below an
+atom.  Summed over its paths, it is the oracle for `policy._sweep`'s
+continuation tables (`tests/test_recursion.py`) and for the stop mass of
+`policy.precommitted`'s maximizer (`tests/test_policy.py`).
 """
 
 from collections.abc import Mapping
+from dataclasses import dataclass
 from typing import Optional
 
 from condstop.model import Atom, AtomTree, ModelError
 from condstop.modelio import ParseError
-from condstop.numeric import EXACT, NumericError, parse_rational, sum_in_order
+from condstop.numeric import EXACT, NumericError, Scalar, parse_rational, sum_in_order
+from condstop.policy import StoppingPolicy, _check_coverage
 
 
 class TreeBySums(AtomTree):
@@ -165,3 +177,72 @@ def load_tree_by_walk(document, mode=EXACT):
             f"tree model: declared horizon {horizon!r} but nodes reach level {tree.horizon}"
         )
     return tree
+
+
+def effective_horizon_by_ancestors(tree) -> dict[str, bool]:
+    """`model.effective_horizon` as it was with its ancestor clause: an atom
+    is flagged when its parent is flagged, at the final level, or when it has
+    no in-domain children."""
+    horizon = tree.horizon
+    flags: dict[str, bool] = {}
+    for level in tree.levels:
+        for atom in level:
+            if atom.parent is not None and flags[atom.parent]:
+                flags[atom.id] = True
+            elif atom.level == horizon:
+                flags[atom.id] = True
+            else:
+                flags[atom.id] = not any(
+                    child.in_domain for child in tree.children(atom.id)
+                )
+    return flags
+
+
+@dataclass(frozen=True)
+class InducedStop:
+    """Where the policy first stops strictly below a source atom.
+
+    `stop_probs` gives, conditional on the source, the probability of the
+    first stop landing on each stop atom.  `survive_prob` collects the mass
+    stopping at in-domain atoms, `dead_prob` the mass that leaves the domain
+    before any stop (including stops on out-of-domain atoms), and
+    `never_prob` the mass that reaches the final level still continuing.
+    Nonzero `never_prob` can only occur when the tree is a truncation of a
+    longer model and the policy was not forced to stop at the horizon.
+    """
+
+    source: str
+    stop_probs: Mapping[str, Scalar]
+    survive_prob: Scalar
+    dead_prob: Scalar
+    never_prob: Scalar
+
+
+def induced_stop(tree: AtomTree, policy: StoppingPolicy, atom_id: str) -> InducedStop:
+    """Describe the first stop strictly below `atom_id` under the policy."""
+    _check_coverage(tree, policy)
+    mode = tree.mode
+    horizon = tree.horizon
+    stop_probs: dict[str, Scalar] = {}
+    survive = mode.zero
+    dead = mode.zero
+    never = mode.zero
+
+    stack = [(child, child.branch_prob) for child in tree.children(atom_id)]
+    while stack:
+        atom, mass = stack.pop()
+        if policy.stops(atom.id):
+            stop_probs[atom.id] = stop_probs.get(atom.id, mode.zero) + mass
+            if atom.in_domain:
+                survive += mass
+            else:
+                dead += mass
+        elif atom.level == horizon:
+            if atom.in_domain:
+                never += mass
+            else:
+                dead += mass
+        else:
+            for child in tree.children(atom.id):
+                stack.append((child, mass * child.branch_prob))
+    return InducedStop(atom_id, stop_probs, survive, dead, never)
