@@ -300,8 +300,8 @@ def cmd_enumerate(args):
     found = _equilibria(tree, args.preference, _size_guard())
     entries = []
     root = tree.root.id
-    for bits, num, den in found:
-        value = tree.root.payoff if bits[root] else num[root] / den[root]
+    for bits, tables in found:
+        value = tree.root.payoff if bits[root] else tree.mode.ratio(*tables[root][:2])
         entries.append(
             {
                 "policy": _policy_document(tree, StoppingPolicy(bits)),

@@ -30,8 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from operator import truediv
 from typing import Iterable, Mapping, Optional
 
 from .model import AtomTree, MarkovModel, ModelError, State, _Cells
@@ -364,9 +362,8 @@ def _tables(
     model: MarkovModel, period: int, numerators: _Numerators, reachable: frozenset
 ) -> PolicyEvaluation:
     """The `PolicyEvaluation` of `_evaluate`'s numerators, one conversion per
-    entry, in the order of `numerators.pairs`: `Fraction(n, d)` in exact
-    mode, `n / d` in float mode."""
-    ratio = Fraction if model.mode.exact else truediv
+    entry by `NumericMode.ratio`, in the order of `numerators.pairs`."""
+    ratio = model.mode.ratio
     floor = model.mode.tolerance()
     entries = [(pair, numerators[pair]) for pair in numerators.pairs]
     return PolicyEvaluation(

@@ -121,6 +121,7 @@ class AtomTree:
         self._children = {aid: tuple(kids) for aid, kids in children.items()}
         self._effective_flags: Optional[dict[str, bool]] = None
         self._tie_scale: Optional[Scalar] = None
+        self._rational: Optional[bool] = None
 
     @property
     def horizon(self) -> int:
@@ -176,6 +177,14 @@ class AtomTree:
                 [1.0] + [abs(float(a.payoff)) for a in self.atoms() if a.in_domain]
             )
         return self._tie_scale
+
+    def rational(self) -> bool:
+        """Whether the tree is in exact mode with every probability and payoff
+        an int or a Fraction, so that its policy tables can be integers."""
+        if self._rational is None:
+            values = (v for a in self.atoms() for v in (a.branch_prob, a.payoff) if v is not None)
+            self._rational = self.mode.exact and {*map(type, values)} <= _RATIONAL
+        return self._rational
 
 
 def effective_horizon(tree: AtomTree) -> dict[str, bool]:
@@ -313,6 +322,7 @@ class _Cells:
     atom_ids = AtomTree.atom_ids
     effective_flags = AtomTree.effective_flags
     tie_scale = AtomTree.tie_scale
+    rational = AtomTree.rational
 
     def __init__(self, model: MarkovModel, horizon: Optional[int] = None):
         if horizon is None:
@@ -345,7 +355,7 @@ class _Cells:
             levels.append(made)
         self._children.update((cell.id, ()) for cell in levels[-1].values())
         self._levels = tuple(tuple(level.values()) for level in levels)
-        self._effective_flags = self._tie_scale = None
+        self._effective_flags = self._tie_scale = self._rational = None
         self._segment = {None: EXIT_SEGMENT, **{x: _state_segment(x) for x in model.states}}
 
     def children(self, cell_id: tuple[int, Optional[State]]) -> tuple[Atom, ...]:

@@ -163,6 +163,12 @@ class NumericMode:
     def one(self) -> Scalar:
         return _ONE if self.exact else 1.0
 
+    def ratio(self, num: Scalar, den: Scalar) -> Scalar:
+        """num / den, a Fraction in exact mode when both are ints or Fractions."""
+        if self.exact and type(num) in _RATIONAL and type(den) in _RATIONAL:
+            return Fraction(num, den)
+        return num / den
+
     def tolerance(self, scale: Scalar = 1) -> float:
         if self.exact:
             return 0.0

@@ -29,6 +29,7 @@ from .model import Atom, AtomTree, State
 from .numeric import Scalar
 
 DEFAULT_POLICY_GUARD = 2**20
+_EMPTY = (0, 0, 1)  # the (n, e, k) tables of an atom below which nothing stops
 
 
 class PolicyError(ValueError):
@@ -162,75 +163,89 @@ def _check_coverage(tree: AtomTree, policy: StoppingPolicy) -> None:
 
 
 def _sweep(
-    tree: AtomTree, choose: Callable[[Atom, Scalar, Scalar], int]
-) -> tuple[dict[str, int], dict[str, Scalar], dict[str, Scalar]]:
+    tree: AtomTree, choose: Callable[[Atom, Scalar, Scalar, Scalar], int]
+) -> tuple[dict[str, int], dict[str, tuple[Scalar, Scalar, Scalar]]]:
     """The bottom-up pass behind every policy table and the backward recursion.
 
     Level by level from the bottom, each non-terminal atom A first gets
       den[A] = P(first stop after A lands in-domain | A)
       num[A] = E[payoff at that stop * 1{in-domain} | A]
-    from its children, and then its own bit `choose(A, num[A], den[A])`.
+    from its children as `tables[A] = (n, e, k)`, num[A] = n/k and
+    den[A] = e/k with k > 0, and then its own bit `choose(A, n, e, k)`.
     A child that stops contributes its payoff when in-domain and nothing
     otherwise; a continuing child contributes its own tables; a continuing
     child at the final level contributes nothing (mass that never stops).
-    Final-level atoms are chosen with zero tables, which are not stored.
+    Final-level atoms are chosen with the zero tables `_EMPTY`, not stored.
+    When `tree.rational()` the triples are ints in lowest terms: each child's
+    share is reduced, added over the lcm of the denominators, and the sum
+    reduced by its gcd with their gcd d, its only possible common factor
+    (Henrici's rule for `Fraction` addition).  Otherwise k = 1.
 
     Choosing the bits of a fixed policy gives that policy's tables; choosing
     "stop iff payoff >= num/den" is the backward recursion.
     """
-    zero = tree.mode.zero
+    integer = tree.rational()
+    zero = 0 if integer else tree.mode.zero
     horizon = tree.horizon
     children = tree.children
     bits: dict[str, int] = {}
-    num: dict[str, Scalar] = {}
-    den: dict[str, Scalar] = {}
+    tables: dict[str, tuple] = {}
     for atom in tree.levels[-1]:
-        bits[atom.id] = choose(atom, zero, zero)
+        bits[atom.id] = choose(atom, *_EMPTY)
     for level in reversed(tree.levels[:-1]):
         for atom in level:
-            total_num = zero
-            total_den = zero
+            n, e, k = zero, zero, 1
             for child in children(atom.id):
-                if bits[child.id]:
-                    if child.in_domain:
-                        total_num += child.branch_prob * child.payoff
-                        total_den += child.branch_prob
-                elif child.level < horizon:
-                    total_num += child.branch_prob * num[child.id]
-                    total_den += child.branch_prob * den[child.id]
-            num[atom.id] = total_num
-            den[atom.id] = total_den
-            bits[atom.id] = choose(atom, total_num, total_den)
-    return bits, num, den
+                if bits[child.id] and child.in_domain:
+                    g = child.payoff  # the tables (g, 1) of a stop
+                    x, y, z = (g.numerator, g.denominator, g.denominator) if integer else (g, 1, 1)
+                elif bits[child.id] or child.level == horizon:
+                    continue
+                else:
+                    x, y, z = tables[child.id]
+                p = child.branch_prob
+                if integer:  # p·(x, y, z) in lowest terms, added over the lcm
+                    pn, pd = p.numerator, p.denominator
+                    c, f = math.gcd(pn, z), math.gcd(pd, x, y)
+                    x, y, z = pn // c * (x // f), pn // c * (y // f), pd // f * (z // c)
+                    d = math.gcd(k, z)
+                    s, t = z // d, k // d
+                    n, e = n * s + x * t, e * s + y * t
+                    h = math.gcd(d, e, n)  # the sum's only common factors divide d
+                    n, e, k = n // h, e // h, k * s // h
+                else:
+                    n += p * x
+                    e += p * y
+            tables[atom.id] = (n, e, k)
+            bits[atom.id] = choose(atom, n, e, k)
+    return bits, tables
 
 
-def _continuation_tables(
-    tree: AtomTree, policy: StoppingPolicy
-) -> tuple[dict[str, Scalar], dict[str, Scalar]]:
-    """The policy's (num, den) tables on every non-terminal atom; see `_sweep`."""
+def _continuation_tables(tree: AtomTree, policy: StoppingPolicy) -> dict[str, tuple]:
+    """The policy's (n, e, k) tables on every non-terminal atom; see `_sweep`."""
     decisions = policy.decisions
-    return _sweep(tree, lambda atom, num, den: decisions[atom.id])[1:]
+    return _sweep(tree, lambda atom, n, e, k: decisions[atom.id])[1]
 
 
 def _checked_tables(
     tree: AtomTree, policy: StoppingPolicy
-) -> tuple[AdmissibilityResult, dict[str, Scalar], dict[str, Scalar]]:
+) -> tuple[AdmissibilityResult, dict[str, tuple]]:
     """Admissibility of the policy together with its continuation tables.
 
     Raises PolicyError when the policy does not cover the tree exactly.
     """
     _check_coverage(tree, policy)
     flags = tree.effective_flags()
-    num, den = _continuation_tables(tree, policy)
+    tables = _continuation_tables(tree, policy)
     for atom in tree.atoms():  # level by level from the root
-        if not flags[atom.id] and not den[atom.id] > 0:
+        if not flags[atom.id] and not tables[atom.id][1] > 0:
             why = "continuation never stops in-domain"
         elif flags[atom.id] and not policy.stops(atom.id):
             why = "must stop at or past the effective horizon"
         else:
             continue
-        return AdmissibilityResult(False, atom.id, why), num, den
-    return AdmissibilityResult(True), num, den
+        return AdmissibilityResult(False, atom.id, why), tables
+    return AdmissibilityResult(True), tables
 
 
 def admissible(tree: AtomTree, policy: StoppingPolicy) -> AdmissibilityResult:
@@ -247,44 +262,44 @@ def admissible(tree: AtomTree, policy: StoppingPolicy) -> AdmissibilityResult:
 
 def continuation_value(tree: AtomTree, policy: StoppingPolicy, atom_id: str) -> Scalar:
     """The observer's conditional value of running the policy after this atom."""
-    result, num, den = _checked_tables(tree, policy)
+    result, tables = _checked_tables(tree, policy)
     if not result:
         raise InadmissiblePolicyError(result)
     if tree.effective_flags()[atom_id]:
         raise PolicyError(
             f"atom {atom_id!r} is at or past the effective horizon; no continuation exists"
         )
-    return num[atom_id] / den[atom_id]
+    return tree.mode.ratio(*tables[atom_id][:2])
 
 
 def _best_bit(
     tree: AtomTree, tie: Callable[[str], int]
-) -> Callable[[Atom, Scalar, Scalar], int]:
+) -> Callable[[Atom, Scalar, Scalar, Scalar], int]:
     """The tree layer's best-response rule as a `_sweep` chooser: 1 at or past
-    the effective horizon, else 1 when the payoff strictly beats num/den, 0 when
-    it strictly loses, and `tie(atom_id)` on a tie at the tree's tie scale."""
+    the effective horizon, else 1 when the payoff a/b strictly beats num/den,
+    0 when it strictly loses, and `tie(atom_id)` on a tie at the tree's tie
+    scale; on integer tables, by the sign of a·e - b·n."""
     flags = tree.effective_flags()
+    integer = tree.rational()
     compare = tree.mode.compare
     scale = tree.tie_scale()
 
-    def choose(atom: Atom, num: Scalar, den: Scalar) -> int:
+    def choose(atom: Atom, n: Scalar, e: Scalar, k: Scalar) -> int:
         if flags[atom.id]:
             return 1
-        sign = compare(atom.payoff, num / den, scale)
+        g = atom.payoff
+        sign = g.numerator * e - g.denominator * n if integer else compare(g, n / e, scale)
         return tie(atom.id) if sign == 0 else int(sign > 0)
 
     return choose
 
 
 def _best_response(
-    tree: AtomTree, policy: StoppingPolicy, num: Mapping[str, Scalar], den: Mapping[str, Scalar]
+    tree: AtomTree, policy: StoppingPolicy, tables: Mapping[str, tuple]
 ) -> StoppingPolicy:
     """`phi` of an admissible policy, given its continuation tables."""
-    zero = tree.mode.zero
     choose = _best_bit(tree, policy.bit)
-    return StoppingPolicy(
-        {a.id: choose(a, num.get(a.id, zero), den.get(a.id, zero)) for a in tree.atoms()}
-    )
+    return StoppingPolicy({a.id: choose(a, *tables.get(a.id, _EMPTY)) for a in tree.atoms()})
 
 
 def phi(tree: AtomTree, policy: StoppingPolicy) -> StoppingPolicy:
@@ -294,10 +309,10 @@ def phi(tree: AtomTree, policy: StoppingPolicy) -> StoppingPolicy:
     payoff strictly beats the continuation value, 0 when it strictly loses,
     and the old bit on a tie.  At or past the effective horizon the bit is 1.
     """
-    result, num, den = _checked_tables(tree, policy)
+    result, tables = _checked_tables(tree, policy)
     if not result:
         raise InadmissiblePolicyError(result)
-    return _best_response(tree, policy, num, den)
+    return _best_response(tree, policy, tables)
 
 
 def _equilibrium_tables(
@@ -311,11 +326,11 @@ def _equilibrium_tables(
         tables = _checked_tables(tree, policy)
     except PolicyError as exc:
         return EquilibriumResult(False, reason=str(exc)), None
-    result, num, den = tables
+    result, by_atom = tables
     if not result:
         reason = f"inadmissible: {result.reason} at {result.atom!r}"
         return EquilibriumResult(False, reason=reason), tables
-    updated = _best_response(tree, policy, num, den)
+    updated = _best_response(tree, policy, by_atom)
     deviations = tuple(aid for aid in tree.atom_ids() if updated.bit(aid) != policy.bit(aid))
     if deviations:
         reason = "not a fixed point of the best response"
@@ -345,50 +360,62 @@ def count_stopping_times(tree: AtomTree) -> int:
     return counts[tree.root.id]
 
 
+def _gain_bit(tree: AtomTree, lam: Scalar) -> Callable[[Atom, Scalar, Scalar, Scalar], int]:
+    """The `_sweep` chooser of one Dinkelbach step: 1 at the final level, else
+    1 when the gain (payoff - λ in-domain, 0 outside) is at least num - λ·den;
+    on integer tables, with λ = l/m and payoff a/b, iff (a·m - l·b)·k >=
+    b·(n·m - l·e) in the domain and iff 0 >= n·m - l·e outside it."""
+    mode, scale, horizon = tree.mode, tree.tie_scale(), tree.horizon
+    integer = tree.rational()
+    l, m = (lam.numerator, lam.denominator) if integer else (lam, 1)
+
+    def choose(atom: Atom, n: Scalar, e: Scalar, k: Scalar) -> int:
+        if atom.level == horizon:
+            return 1
+        if not integer:
+            gain = atom.payoff - lam if atom.in_domain else mode.zero
+            return int(mode.ge(gain, n - lam * e, scale))
+        cont = n * m - l * e
+        if not atom.in_domain:
+            return int(cont <= 0)
+        a, b = atom.payoff.numerator, atom.payoff.denominator
+        return int((a * m - l * b) * k >= b * cont)
+
+    return choose
+
+
 def precommitted(tree: AtomTree) -> PrecommitResult:
     """Best single stopping time chosen up front, by Dinkelbach iteration.
 
     Maximizes E[payoff * 1{stop in-domain}] / P(stop in-domain) over all
     stopping times with positive conditioning probability.  For a fixed λ,
     max E[(payoff - λ) * 1{stop in-domain}] is a classical stopping problem,
-    one `_sweep`: stop at the final level, and elsewhere when the gain
-    (payoff - λ in-domain, 0 outside) is at least the continuation
-    num - λ·den.  From λ = the root payoff, each sweep's N and D at the root
-    set λ = N/D until N - λ·D is no longer positive; λ is then the optimum
-    (W. Dinkelbach, Management Science 13(7), 1967).  λ rises strictly, so
-    the loop ends.  Ties go to stopping, so the last sweep stops at or before
-    every maximizer: ties break toward earliest stopping (lexicographically
-    smallest sorted stop-atom keys, level first), and D > 0, as for a
-    maximizer.  `stop_atoms` are its first stops in `tree.atoms()` order, and
-    `candidates` counts the sweeps.
+    one `_sweep` with `_gain_bit`.  From λ = the root payoff, each sweep's N
+    and D at the root set λ = N/D until N - λ·D is no longer positive (or the
+    root stops); λ is then the optimum (W. Dinkelbach, Management Science
+    13(7), 1967).  λ rises strictly, so the loop ends.  Ties go to stopping,
+    so the last sweep stops at or before every maximizer: ties break toward
+    earliest stopping (lexicographically smallest sorted stop-atom keys, level
+    first), and D > 0, as for a maximizer.  `stop_atoms` are its first stops
+    in `tree.atoms()` order, and `candidates` counts the sweeps.
     """
     mode = tree.mode
-    zero = mode.zero
-    scale = tree.tie_scale()
-    horizon = tree.horizon
     root = tree.root
     lam = root.payoff
     sweeps = 0
     while True:
-
-        def choose(atom: Atom, num: Scalar, den: Scalar) -> int:
-            if atom.level == horizon:
-                return 1
-            gain = atom.payoff - lam if atom.in_domain else zero
-            return int(mode.ge(gain, num - lam * den, scale))
-
-        bits, num, den = _sweep(tree, choose)
+        bits, tables = _sweep(tree, _gain_bit(tree, lam))
         sweeps += 1
-        top, bottom = (root.payoff, mode.one) if bits[root.id] else (num[root.id], den[root.id])
-        if not mode.gt(top - lam * bottom, zero, scale):
+        n, e, _ = tables[root.id]
+        if bits[root.id] or not mode.gt(n - lam * e, mode.zero, tree.tie_scale()):
             break
-        lam = top / bottom
-    stop_atoms = tuple(
-        atom.id
-        for atom in tree.atoms()
-        if bits[atom.id] and not any(bits[up.id] for up in tree.ancestors(atom.id))
-    )
-    return PrecommitResult(top / bottom, stop_atoms, sweeps)
+        lam = mode.ratio(n, e)
+    # an atom is a first stop iff it stops and nothing above it has stopped
+    stopped = {None: False}
+    for atom in tree.atoms():
+        stopped[atom.id] = stopped[atom.parent] or bits[atom.id]
+    stop_atoms = tuple(a.id for a in tree.atoms() if bits[a.id] and not stopped[a.parent])
+    return PrecommitResult(root.payoff if bits[root.id] else mode.ratio(n, e), stop_atoms, sweeps)
 
 
 def _preference(preference) -> Optional[str]:
@@ -403,8 +430,8 @@ def _preference(preference) -> Optional[str]:
 
 def _equilibria(
     tree: AtomTree, preference: Optional[str], size_guard: Optional[int]
-) -> list[tuple[dict[str, int], dict[str, Scalar], dict[str, Scalar]]]:
-    """The census sweep `(bits, num, den)` of every equilibrium; see
+) -> list[tuple[dict[str, int], dict[str, tuple]]]:
+    """The census sweep `(bits, tables)` of every equilibrium; see
     `enumerate_equilibria`."""
     guard = DEFAULT_POLICY_GUARD if size_guard is None else size_guard
     flags = tree.effective_flags()
@@ -414,10 +441,11 @@ def _equilibria(
     # a pending branch (ties, k) pins ties[:k] as its parent sweep met them, and ties[k] to stop
     branches: list[tuple[list, int]] = []
     pins = {} if name is None else dict.fromkeys(tree.atom_ids(), int(name == "early"))
+    # a pinned tie takes its bit; an undecided one continues and joins the pins
+    choose = _best_bit(tree, lambda atom_id: pins.setdefault(atom_id, 0))
     while True:
         decided = len(pins)
-        # a pinned tie takes its bit; an undecided one continues and joins the pins
-        found.append(_sweep(tree, _best_bit(tree, lambda atom_id: pins.setdefault(atom_id, 0))))
+        found.append(_sweep(tree, choose))
         ties = list(pins.items())
         needed = len(found) + len(branches) + len(ties) - decided
         if needed > guard:
@@ -448,4 +476,4 @@ def enumerate_equilibria(
     guard counts candidates, here sweeps, made and queued, and raises once
     they exceed it, before a sweep's branches are queued.
     """
-    return [StoppingPolicy(bits) for bits, _, _ in _equilibria(tree, preference, size_guard)]
+    return [StoppingPolicy(bits) for bits, _ in _equilibria(tree, preference, size_guard)]

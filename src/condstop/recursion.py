@@ -89,16 +89,15 @@ def _twisted(
 
 def backward_solve(tree: AtomTree) -> tuple[SnellPair, StoppingPolicy]:
     """Solve the tree by backward recursion; also return the induced policy."""
-    bits, num, den = _sweep(tree, _best_bit(tree, lambda atom_id: 1))
+    bits, tables = _sweep(tree, _best_bit(tree, lambda atom_id: 1))
     policy = StoppingPolicy(bits)
-    return _pair(tree, policy, num, den), policy
+    return _pair(tree, policy, tables), policy
 
 
-def _pair(
-    tree: AtomTree, policy: StoppingPolicy, num: Mapping[str, Scalar], den: Mapping[str, Scalar]
-) -> SnellPair:
-    """(V, S) of an admissible policy from its tables: S = 0 outside the domain,
-    (payoff, 1) where it stops, (num / den, den) where it continues."""
+def _pair(tree: AtomTree, policy: StoppingPolicy, tables: Mapping[str, tuple]) -> SnellPair:
+    """(V, S) of an admissible policy from its (n, e, k) tables: S = 0 outside
+    the domain, (payoff, 1) where it stops, (n / e, e / k) where it continues."""
+    ratio = tree.mode.ratio
     zero, one = tree.mode.zero, tree.mode.one
     values: dict[str, Scalar] = {}
     survival: dict[str, Scalar] = {}
@@ -109,8 +108,9 @@ def _pair(
             values[atom.id] = atom.payoff
             survival[atom.id] = one
         else:
-            values[atom.id] = num[atom.id] / den[atom.id]
-            survival[atom.id] = den[atom.id]
+            n, e, k = tables[atom.id]
+            values[atom.id] = ratio(n, e)
+            survival[atom.id] = ratio(e, k)
     return SnellPair(values, survival)
 
 
@@ -138,15 +138,15 @@ def pair_from_policy(tree: AtomTree, policy: StoppingPolicy) -> SnellPair:
     check, tables = _equilibrium_tables(tree, policy)
     if not check:
         raise PairError(f"policy is not an equilibrium: {check.reason}")
-    _, num, den = tables
-    mode, scale = tree.mode, tree.tie_scale()
+    _, by_atom = tables
+    tied = _best_bit(tree, lambda atom_id: -1)  # the best-response rule, -1 on a tie
     for atom in tree.atoms():  # continuing atoms of an equilibrium are unflagged
-        if not policy.stops(atom.id) and mode.eq(atom.payoff, num[atom.id] / den[atom.id], scale):
+        if not policy.stops(atom.id) and tied(atom, *by_atom[atom.id]) < 0:
             raise PairError(
                 f"indifferent observer at {atom.id!r} continues; "
                 "expected the early-stopping equilibrium"
             )
-    return _pair(tree, policy, num, den)
+    return _pair(tree, policy, by_atom)
 
 
 def policy_from_pair(tree: AtomTree, pair: SnellPair) -> StoppingPolicy:
@@ -348,7 +348,7 @@ def _identities(
     mode = tree.mode
     flags = tree.effective_flags()
     scale = tree.tie_scale()
-    adm, num, den = tables
+    adm, by_atom = tables
     admissibility = ConditionReport(
         "admissibility", bool(adm), () if adm else ((adm.atom, adm.reason),)
     )
@@ -368,15 +368,14 @@ def _identities(
             continue
         exp_s, exp_sv = _twisted(tree, atom.id, pair.survival, pair.values)
         recursion_value = exp_sv / exp_s
-        path_value = num[atom.id] / den[atom.id]
+        n, e, k = by_atom[atom.id]
+        path_value, survive = mode.ratio(n, e), mode.ratio(e, k)
         if not mode.eq(recursion_value, path_value, scale):
             consistency.append(
                 (atom.id, f"recursion ratio {recursion_value} != path value {path_value}")
             )
-        if not mode.eq(exp_s, den[atom.id]):
-            expectation.append(
-                (atom.id, f"E[S'] = {exp_s} != continuation survival {den[atom.id]}")
-            )
+        if not mode.eq(exp_s, survive):
+            expectation.append((atom.id, f"E[S'] = {exp_s} != continuation survival {survive}"))
 
     three_case = []
     for atom in tree.atoms():
@@ -387,7 +386,7 @@ def _identities(
         elif policy.stops(atom.id):
             if not mode.eq(s, 1):
                 three_case.append((atom.id, "survival must be 1 on stopping in-domain atoms"))
-        elif not mode.eq(s, den[atom.id]):
+        elif not mode.eq(s, mode.ratio(*by_atom[atom.id][1:])):
             three_case.append(
                 (atom.id, "survival must equal the continuation stop-in-domain probability")
             )

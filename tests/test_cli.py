@@ -1015,6 +1015,29 @@ class TestPinnedReports:
             digest.update(text.encode("utf-8"))
         assert digest.hexdigest() == self.CENSUS_SHA256[mode, preference]
 
+    # sha256 of the `solve`, `enumerate` and `precommit --json` reports,
+    # timing lines removed, of each tree of the `tree_corpus` fixture.
+    TREE_SHA256 = {
+        "exact": "2a398f6aedb2d72655dd274f4018115a878b7daf809876a6aaed54ae6b8fc602",
+        "float": "d2acf2774295ee2fcb7cd61eabd651b2edd41f036ef3c07b0b547d3c42f0bf04",
+    }
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_tree_report_bytes(self, capsys, monkeypatch, tmp_path, tree_corpus, mode):
+        monkeypatch.chdir(tmp_path)
+        flags = ["--float"] if mode == "float" else []
+        digest = hashlib.sha256()
+        for i, tree in enumerate(tree_corpus):
+            name = f"tree{i:03d}.json"
+            Path(name).write_text(json.dumps(dump_model(tree)))
+            for command in ("solve", "enumerate", "precommit"):
+                code, out, err = run(capsys, command, "--model", name, *flags, "--json")
+                assert (code, err) == (0, "")
+                text, timings = re.subn(r'^  "timing_seconds": [^\n]*\n', "", out, flags=re.MULTILINE)
+                assert timings == 1
+                digest.update(text.encode("utf-8"))
+        assert digest.hexdigest() == self.TREE_SHA256[mode]
+
 
 class TestJsonReportsRoundTrip:
     """Every subcommand's `--json` report is exactly the text that

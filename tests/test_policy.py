@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 
 from condstop import policy as policy_module
 from condstop.catalog import binomial_tree, minnie_donald_model, two_state_model
-from condstop.model import Atom, AtomTree, unroll
+from condstop.model import Atom, AtomTree, _Cells, unroll
 from condstop.modelio import dump_model, load_model
-from condstop.numeric import float_mode
+from condstop.numeric import EXACT, float_mode
 from condstop.policy import (
     InadmissiblePolicyError,
     PolicyError,
@@ -26,10 +27,11 @@ from condstop.policy import (
     phi,
     precommitted,
 )
-from condstop.random_models import random_tree
+from condstop.random_models import random_markov_model, random_tree
 from condstop.recursion import backward_solve
 
-from tree_oracles import induced_stop
+from tree_oracles import best_bit_by_fractions, gain_bit_by_fractions, induced_stop
+from tree_oracles import sweep_by_fractions
 
 F = Fraction
 
@@ -428,10 +430,10 @@ def exhaustive_equilibria(tree, preference="all"):
         for i, atom in enumerate(free):
             bits[atom.id] = (mask >> i) & 1
         policy = StoppingPolicy(bits)
-        num, den = policy_module._continuation_tables(tree, policy)
+        tables = policy_module._continuation_tables(tree, policy)
         ok = True
         for atom in free:
-            sign = tree.mode.compare(atom.payoff, num[atom.id] / den[atom.id])
+            sign = tree.mode.compare(atom.payoff, tree.mode.ratio(*tables[atom.id][:2]))
             bit = bits[atom.id]
             if sign != 0:
                 ok = bit == int(sign > 0)
@@ -450,6 +452,64 @@ def tie_heavy(tree, rng):
         dataclasses.replace(atom, payoff=F(rng.randint(0, 2))) if atom.in_domain else atom
         for atom in tree.atoms()
     )
+
+
+def _sweep_instance(kind, floats, rng):
+    """A tree, an unrolled 2-5-state chain, its cells, or Minnie-Donald's
+    cells up to horizon 60, exact or in float mode."""
+    mode = float_mode() if floats else EXACT
+    if kind == "minnie-donald":
+        return _Cells(minnie_donald_model(mode=mode), rng.randint(1, 60))
+    if kind in ("tree", "all-in-domain", "ties"):
+        tree = random_tree(rng, all_in_domain=kind == "all-in-domain")
+        tree = tie_heavy(tree, rng) if kind == "ties" else tree
+        return load_model(dump_model(tree), mode=mode) if floats else tree
+    model = random_markov_model(rng, n_states=rng.randint(2, 5))
+    model = load_model(dump_model(model), mode=mode) if floats else model
+    horizon = rng.randint(1, 4)
+    return unroll(model, horizon) if kind == "chain" else _Cells(model, horizon)
+
+
+class TestSweepAgainstFractionOracle:
+    """`_sweep` against `sweep_by_fractions`, the `Fraction` kernel it
+    replaced: equal bits, and tables (n, e, k) with n/k = num and e/k = den,
+    in lowest terms with k > 0 in exact mode and bit for bit with k = 1 in
+    float mode."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        kind=st.sampled_from(["tree", "all-in-domain", "ties", "chain", "cells", "minnie-donald"]),
+        floats=st.booleans(),
+        rule=st.sampled_from(["policy", "stop", "continue", "pins", "payoff-gain", "gain"]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_bits_and_tables_match(self, kind, floats, rule, seed):
+        rng = random.Random(seed)
+        tree = _sweep_instance(kind, floats, rng)
+        if rule == "policy":
+            bits = {aid: rng.randint(0, 1) for aid in tree.atom_ids()}
+            chooser = oracle = lambda atom, *tables: bits[atom.id]
+        elif rule in ("stop", "continue", "pins"):
+            pinned = [aid for aid in tree.atom_ids() if rule == "pins" and rng.random() < 0.5]
+            pins = {aid: rng.randint(0, 1) for aid in pinned}
+            default = int(rule == "stop") if rule != "pins" else rng.randint(0, 1)
+            tie = lambda atom_id: pins.get(atom_id, default)
+            chooser, oracle = policy_module._best_bit(tree, tie), best_bit_by_fractions(tree, tie)
+        else:
+            payoffs = [atom.payoff for atom in tree.atoms() if atom.in_domain]
+            lam = F(rng.randint(-20, 40), rng.randint(1, 8))
+            lam = rng.choice(payoffs) if rule == "payoff-gain" else float(lam) if floats else lam
+            chooser, oracle = policy_module._gain_bit(tree, lam), gain_bit_by_fractions(tree, lam)
+        bits, tables = policy_module._sweep(tree, chooser)
+        oracle_bits, num, den = sweep_by_fractions(tree, oracle)
+        assert bits == oracle_bits
+        assert tables.keys() == num.keys()
+        for aid, (n, e, k) in tables.items():
+            if floats:
+                assert (n.hex(), e.hex(), k) == (num[aid].hex(), den[aid].hex(), 1)
+            else:
+                assert {type(n), type(e), type(k)} == {int} and k > 0 and math.gcd(n, e, k) == 1
+                assert (F(n, k), F(e, k)) == (num[aid], den[aid])
 
 
 class TestCensusOracle:

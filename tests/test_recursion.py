@@ -508,6 +508,18 @@ def _oracle_tables(tree, policy):
     return num, den
 
 
+def _ratios(tree, tables):
+    """The (num, den) dicts of `_sweep`'s (n, e, k) tables, read through `ratio`."""
+    ratio = tree.mode.ratio
+    num = {aid: ratio(n, k) for aid, (n, _, k) in tables.items()}
+    return num, {aid: ratio(e, k) for aid, (_, e, k) in tables.items()}
+
+
+def _triples(num, den):
+    """(num, den) dicts as `_sweep` tables with k = 1."""
+    return {aid: (num[aid], den[aid], 1) for aid in num}
+
+
 class TestSweepAgainstPathOracle:
     @settings(max_examples=60, deadline=None, database=None)
     @given(
@@ -519,7 +531,7 @@ class TestSweepAgainstPathOracle:
         tree = _random_instance(kind, seed)
         policy = _admissible_policy(tree, policy_seed)
         assert admissible(tree, policy)
-        assert _continuation_tables(tree, policy) == _oracle_tables(tree, policy)
+        assert _ratios(tree, _continuation_tables(tree, policy)) == _oracle_tables(tree, policy)
 
         pair, solved = backward_solve(tree)
-        assert pair == _pair(tree, solved, *_oracle_tables(tree, solved))
+        assert pair == _pair(tree, solved, _triples(*_oracle_tables(tree, solved)))

@@ -18,9 +18,17 @@ clause it dropped: an atom is also flagged when its parent is.
 atom.  Summed over its paths, it is the oracle for `policy._sweep`'s
 continuation tables (`tests/test_recursion.py`) and for the stop mass of
 `policy.precommitted`'s maximizer (`tests/test_policy.py`).
+
+`sweep_by_fractions` is `policy._sweep` as it was before its tables became
+integer triples: it adds `Fraction` (or float) products and hands each
+chooser `(atom, num, den)`.  `best_bit_by_fractions` and
+`gain_bit_by_fractions` are its choosers for the best response and for one
+Dinkelbach step.  `_sweep` with `_best_bit` or `_gain_bit` must give the same
+bits, and tables (n, e, k) with n/k and e/k equal to num and den (bit for bit
+in float mode).
 """
 
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from typing import Optional
 
@@ -91,6 +99,7 @@ class TreeBySums(AtomTree):
         self._children = {aid: tuple(kids) for aid, kids in children.items()}
         self._effective_flags: Optional[dict[str, bool]] = None
         self._tie_scale = None
+        self._rational = None
 
 
 def _require(mapping, key, context):
@@ -246,3 +255,77 @@ def induced_stop(tree: AtomTree, policy: StoppingPolicy, atom_id: str) -> Induce
             for child in tree.children(atom.id):
                 stack.append((child, mass * child.branch_prob))
     return InducedStop(atom_id, stop_probs, survive, dead, never)
+
+
+def sweep_by_fractions(
+    tree: AtomTree, choose: Callable[[Atom, Scalar, Scalar], int]
+) -> tuple[dict[str, int], dict[str, Scalar], dict[str, Scalar]]:
+    """The bottom-up pass behind every policy table and the backward recursion.
+
+    Level by level from the bottom, each non-terminal atom A first gets
+      den[A] = P(first stop after A lands in-domain | A)
+      num[A] = E[payoff at that stop * 1{in-domain} | A]
+    from its children, and then its own bit `choose(A, num[A], den[A])`.
+    A child that stops contributes its payoff when in-domain and nothing
+    otherwise; a continuing child contributes its own tables; a continuing
+    child at the final level contributes nothing (mass that never stops).
+    Final-level atoms are chosen with zero tables, which are not stored.
+
+    Choosing the bits of a fixed policy gives that policy's tables; choosing
+    "stop iff payoff >= num/den" is the backward recursion.
+    """
+    zero = tree.mode.zero
+    horizon = tree.horizon
+    children = tree.children
+    bits: dict[str, int] = {}
+    num: dict[str, Scalar] = {}
+    den: dict[str, Scalar] = {}
+    for atom in tree.levels[-1]:
+        bits[atom.id] = choose(atom, zero, zero)
+    for level in reversed(tree.levels[:-1]):
+        for atom in level:
+            total_num = zero
+            total_den = zero
+            for child in children(atom.id):
+                if bits[child.id]:
+                    if child.in_domain:
+                        total_num += child.branch_prob * child.payoff
+                        total_den += child.branch_prob
+                elif child.level < horizon:
+                    total_num += child.branch_prob * num[child.id]
+                    total_den += child.branch_prob * den[child.id]
+            num[atom.id] = total_num
+            den[atom.id] = total_den
+            bits[atom.id] = choose(atom, total_num, total_den)
+    return bits, num, den
+
+
+def best_bit_by_fractions(tree: AtomTree, tie: Callable[[str], int]):
+    """`policy._best_bit` as a `sweep_by_fractions` chooser: the payoff
+    compared with num / den by `mode.compare` at the tree's tie scale."""
+    flags = tree.effective_flags()
+    compare = tree.mode.compare
+    scale = tree.tie_scale()
+
+    def choose(atom: Atom, num: Scalar, den: Scalar) -> int:
+        if flags[atom.id]:
+            return 1
+        sign = compare(atom.payoff, num / den, scale)
+        return tie(atom.id) if sign == 0 else int(sign > 0)
+
+    return choose
+
+
+def gain_bit_by_fractions(tree: AtomTree, lam: Scalar):
+    """`policy._gain_bit` as a `sweep_by_fractions` chooser: the gain
+    (payoff - λ in-domain, 0 outside) against num - λ·den by `mode.ge`."""
+    mode = tree.mode
+    scale = tree.tie_scale()
+
+    def choose(atom: Atom, num: Scalar, den: Scalar) -> int:
+        if atom.level == tree.horizon:
+            return 1
+        gain = atom.payoff - lam if atom.in_domain else mode.zero
+        return int(mode.ge(gain, num - lam * den, scale))
+
+    return choose
