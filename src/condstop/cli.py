@@ -596,6 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Equilibrium and precommitted solvers for conditional optimal stopping.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = sub.choices  # name -> its parser, read by `_parse`
 
     def common(p, model_required=True):
         if model_required:
@@ -643,8 +644,27 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """`_parser().parse_args(argv)`, reading argv once.  When argv starts
+    with a subcommand, the top-level parser would only scan the arguments
+    and hand the rest to that subcommand's parser; here its parser reads
+    them directly, and the top-level parser reports any left over, as it
+    does.  Any other argv goes through the top-level parser."""
+    parser = _parser()
+    subparser = parser.subcommands.get(argv[0]) if argv else None
+    if subparser is None:
+        return parser.parse_args(argv)
+    args, extras = subparser.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse(argv)
     start = time.perf_counter()
     try:
         model, results, verification, lines, code = COMMANDS[args.command](args)
@@ -669,7 +689,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         if args.json:
             report = {
-                "command": list(sys.argv[1:] if argv is None else argv),
+                "command": list(argv),
                 "model_digest": digest,
                 "results": results,
                 "verification": verification,

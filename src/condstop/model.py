@@ -58,7 +58,10 @@ class Atom:
 
 
 class AtomTree:
-    """A finite filtration tree with per-atom domain flags and payoffs."""
+    """A finite filtration tree with per-atom domain flags and payoffs.
+
+    In exact mode every probability and payoff must be an int or a Fraction.
+    """
 
     def __init__(self, atoms: Iterable[Atom], mode: NumericMode = EXACT):
         self.mode = mode
@@ -94,12 +97,17 @@ class AtomTree:
                 raise ModelError(f"atom {atom.id!r} re-enters the domain below {parent.id!r}")
             children[parent.id].append(atom)
 
+        exact = mode.exact
         for atom in by_id.values():
-            if (atom.payoff is not None) != atom.in_domain:
+            payoff = atom.payoff
+            if (payoff is not None) != atom.in_domain:
                 raise ModelError(
                     f"atom {atom.id!r}: payoff must be present exactly on in-domain atoms"
                 )
             prob = atom.branch_prob
+            if exact and (type(prob) not in _RATIONAL
+                          or payoff is not None and type(payoff) not in _RATIONAL):
+                _refuse_inexact(f"atom {atom.id!r}", (prob, payoff))
             if not (prob.numerator > 0 if type(prob) in _RATIONAL else prob > 0):
                 raise ModelError(f"atom {atom.id!r}: branch probability must be positive")
             kids = children[atom.id]
@@ -121,7 +129,6 @@ class AtomTree:
         self._children = {aid: tuple(kids) for aid, kids in children.items()}
         self._effective_flags: Optional[dict[str, bool]] = None
         self._tie_scale: Optional[Scalar] = None
-        self._rational: Optional[bool] = None
 
     @property
     def horizon(self) -> int:
@@ -178,13 +185,14 @@ class AtomTree:
             )
         return self._tie_scale
 
-    def rational(self) -> bool:
-        """Whether the tree is in exact mode with every probability and payoff
-        an int or a Fraction, so that its policy tables can be integers."""
-        if self._rational is None:
-            values = (v for a in self.atoms() for v in (a.branch_prob, a.payoff) if v is not None)
-            self._rational = self.mode.exact and {*map(type, values)} <= _RATIONAL
-        return self._rational
+
+def _refuse_inexact(where: str, values: Iterable[Optional[Scalar]]) -> None:
+    """Raise ModelError at the first value that is neither an int, a
+    Fraction nor None: exact mode computes with ints and Fractions only, as
+    `parse_rational` refuses floats, so no inexact value reaches its kernels."""
+    for value in values:
+        if value is not None and type(value) not in _RATIONAL:
+            raise ModelError(f"{where}: exact mode takes ints and Fractions, got {value!r}")
 
 
 def effective_horizon(tree: AtomTree) -> dict[str, bool]:
@@ -215,6 +223,8 @@ class MarkovModel:
     domain states at which every stopping policy under study is pinned to stop.
     `horizon` is a positive integer or None for an infinite-horizon model.
     Ids and documents name states by `str()`, so no two may print alike.
+    In exact mode every probability, payoff and the discount must be an int
+    or a Fraction.
     """
 
     states: tuple[State, ...]
@@ -249,6 +259,9 @@ class MarkovModel:
             raise ModelError("payoff must be defined exactly on the domain states")
         if not self.forced_stop <= self.domain:
             raise ModelError("forced-stop states must lie in the domain")
+        if self.mode.exact:
+            _refuse_inexact("discount", (self.discount,))
+            _refuse_inexact("payoff", self.payoff.values())
         if not (0 < self.discount <= 1):
             raise ModelError("discount must lie in (0, 1]")
         if self.horizon is not None and (not isinstance(self.horizon, int) or self.horizon <= 0):
@@ -260,6 +273,8 @@ class MarkovModel:
                 raise ModelError(f"state {state!r} has no transition row")
             if not set(row) <= state_set:
                 raise ModelError(f"row of {state!r} references unknown states")
+            if mode.exact:
+                _refuse_inexact(f"row of {state!r}", row.values())
             if any(p < 0 for p in row.values()):
                 raise ModelError(f"row of {state!r} has a negative probability")
             # Per state: its in-domain successors with positive probability,
@@ -322,7 +337,6 @@ class _Cells:
     atom_ids = AtomTree.atom_ids
     effective_flags = AtomTree.effective_flags
     tie_scale = AtomTree.tie_scale
-    rational = AtomTree.rational
 
     def __init__(self, model: MarkovModel, horizon: Optional[int] = None):
         if horizon is None:
@@ -355,7 +369,7 @@ class _Cells:
             levels.append(made)
         self._children.update((cell.id, ()) for cell in levels[-1].values())
         self._levels = tuple(tuple(level.values()) for level in levels)
-        self._effective_flags = self._tie_scale = self._rational = None
+        self._effective_flags = self._tie_scale = None
         self._segment = {None: EXIT_SEGMENT, **{x: _state_segment(x) for x in model.states}}
 
     def children(self, cell_id: tuple[int, Optional[State]]) -> tuple[Atom, ...]:

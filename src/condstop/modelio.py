@@ -17,6 +17,7 @@ import json
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import compress, repeat
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Optional, Union
 
 from .infinite import PeriodicMarkovPolicy
@@ -297,12 +298,26 @@ def dump_model(model: Model) -> dict:
     return document
 
 
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+def _encoder(key_separator: str, item_separator: str):
+    """The C encoder that `json.JSONEncoder(sort_keys=True, separators=...)`
+    builds on every `encode` call, built once: `encoder(obj, 0)` returns the
+    chunks of that call's text, and `json`'s own `default` raises its
+    TypeError for any other object.  It keeps no markers, so it does not look
+    for cycles: an error leaves a marker behind, which would make a later
+    object at the same address look circular.  Its callers hand it scalars,
+    containers of scalars and fresh model documents, none of them circular."""
+    return c_make_encoder(
+        None, json.JSONEncoder().default, encode_basestring_ascii, None,
+        key_separator, item_separator, True, False, True,
+    )
+
+
+_CANONICAL = _encoder(":", ",")
 
 
 def model_digest(model: Model) -> str:
     """Stable content hash of a model's canonical wire form."""
-    canonical = _CANONICAL.encode(dump_model(model))
+    canonical = "".join(_CANONICAL(dump_model(model), 0))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -310,8 +325,8 @@ _SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
 @functools.cache  # one encoder per nesting depth
-def _flat(depth: int) -> json.JSONEncoder:
-    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * (depth + 1), ": "))
+def _flat(depth: int):
+    return _encoder(": ", ",\n" + "  " * (depth + 1))
 
 
 def _indented(obj: Any, depth: int = 0, out: Optional[list] = None) -> list:
@@ -321,12 +336,15 @@ def _indented(obj: Any, depth: int = 0, out: Optional[list] = None) -> list:
     item separator carries the newline and indent."""
     out = [] if out is None else out
     is_dict = isinstance(obj, dict)
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+        return out
     if not (is_dict or isinstance(obj, (list, tuple))) or not obj:
-        out.append(_CANONICAL.encode(obj))  # a scalar, {} or []
+        out += _CANONICAL(obj, 0)  # a number, true, false, null, {} or []
         return out
     inner = "\n" + "  " * (depth + 1)
     if set(map(type, obj.values() if is_dict else obj)) <= _SCALARS:
-        text = _flat(depth).encode(obj)
+        text = "".join(_flat(depth)(obj, 0))
         out += (text[0], inner, text[1:-1], inner[:-2], text[-1])
         return out
     out.append("{" if is_dict else "[")
@@ -338,8 +356,8 @@ def _indented(obj: Any, depth: int = 0, out: Optional[list] = None) -> list:
                 if not (key is None or isinstance(key, (int, float))):
                     raise TypeError("keys must be str, int, float, bool or None, "
                                     f"not {key.__class__.__name__}")
-                key = _CANONICAL.encode(key)  # the key's JSON text: 1, 2.5, true, null, NaN
-            out += (_CANONICAL.encode(key), ": ")
+                key = "".join(_CANONICAL(key, 0))  # the key's JSON text: 1, 2.5, true, null, NaN
+            out += (encode_basestring_ascii(key), ": ")
         _indented(item, depth + 1, out)
     out += (inner[:-2], "}" if is_dict else "]")
     return out

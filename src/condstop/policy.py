@@ -176,15 +176,15 @@ def _sweep(
     otherwise; a continuing child contributes its own tables; a continuing
     child at the final level contributes nothing (mass that never stops).
     Final-level atoms are chosen with the zero tables `_EMPTY`, not stored.
-    When `tree.rational()` the triples are ints in lowest terms: each child's
+    In exact mode the triples are ints in lowest terms: each child's
     share is reduced, added over the lcm of the denominators, and the sum
     reduced by its gcd with their gcd d, its only possible common factor
-    (Henrici's rule for `Fraction` addition).  Otherwise k = 1.
+    (Henrici's rule for `Fraction` addition).  In float mode k = 1.
 
     Choosing the bits of a fixed policy gives that policy's tables; choosing
     "stop iff payoff >= num/den" is the backward recursion.
     """
-    integer = tree.rational()
+    integer = tree.mode.exact
     zero = 0 if integer else tree.mode.zero
     horizon = tree.horizon
     children = tree.children
@@ -278,9 +278,9 @@ def _best_bit(
     """The tree layer's best-response rule as a `_sweep` chooser: 1 at or past
     the effective horizon, else 1 when the payoff a/b strictly beats num/den,
     0 when it strictly loses, and `tie(atom_id)` on a tie at the tree's tie
-    scale; on integer tables, by the sign of a·e - b·n."""
+    scale; in exact mode, by the sign of a·e - b·n."""
     flags = tree.effective_flags()
-    integer = tree.rational()
+    integer = tree.mode.exact
     compare = tree.mode.compare
     scale = tree.tie_scale()
 
@@ -363,10 +363,10 @@ def count_stopping_times(tree: AtomTree) -> int:
 def _gain_bit(tree: AtomTree, lam: Scalar) -> Callable[[Atom, Scalar, Scalar, Scalar], int]:
     """The `_sweep` chooser of one Dinkelbach step: 1 at the final level, else
     1 when the gain (payoff - λ in-domain, 0 outside) is at least num - λ·den;
-    on integer tables, with λ = l/m and payoff a/b, iff (a·m - l·b)·k >=
+    in exact mode, with λ = l/m and payoff a/b, iff (a·m - l·b)·k >=
     b·(n·m - l·e) in the domain and iff 0 >= n·m - l·e outside it."""
     mode, scale, horizon = tree.mode, tree.tie_scale(), tree.horizon
-    integer = tree.rational()
+    integer = tree.mode.exact
     l, m = (lam.numerator, lam.denominator) if integer else (lam, 1)
 
     def choose(atom: Atom, n: Scalar, e: Scalar, k: Scalar) -> int:

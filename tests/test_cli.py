@@ -862,6 +862,64 @@ class TestParserReuse:
         assert json.loads(exact)["results"]["V0"] == "13/2"
 
 
+ARGV_BATTERY = [
+    # every subcommand with valid options, spaced and as --opt=value
+    ["solve", "--model", "binomial"],
+    ["solve", "--model=binomial", "--json", "--float", "--eps=1e-6", "--horizon=2"],
+    ["precommit", "--model", "two-state", "--horizon", "3", "--json"],
+    ["precommit", "--model=two-state", "--horizon=3"],
+    ["phi", "--model", "two-state", "--policy", "p.json", "--period", "2"],
+    ["phi", "--model=two-state", "--policy=p.json", "--period=2", "--json"],
+    ["enumerate", "--model", "minnie-donald", "--period", "4", "--preference", "early"],
+    ["enumerate", "--model=x.json", "--preference=all", "--float"],
+    ["verify", "--model", "binomial", "--pair", "pair.json", "--policy", "policy.json"],
+    ["verify", "--model=binomial", "--pair=pair.json"],
+    ["truncate", "--model", "minnie-donald", "--max-horizon", "12", "--window", "2"],
+    ["truncate", "--model=minnie-donald", "--max-horizon=12"],
+    ["example", "two-state", "--json"],
+    ["example", "--json", "binomial"],
+    ["solve", "--mod", "binomial"],  # an abbreviated option
+    ["solve", "--model", "binomial", "--model", "two-state", "--json", "--json"],
+    # help at both levels, and no argv at all
+    ["-h"], ["--help"], ["solve", "-h"], ["example", "--help"], ["solve", "--model", "x", "-h"],
+    [],
+    # errors
+    ["bogus"], ["--json"], ["-x", "solve"], ["solve"], ["truncate", "--model", "m"],
+    ["solve", "--model"], ["solve", "--model", "binomial", "extra", "--bogus"],
+    ["solve", "--horizon", "x", "--model", "binomial"],
+    ["enumerate", "--model", "binomial", "--preference", "middle"],
+    ["verify", "--model", "binomial", "--p", "x"],  # ambiguous: --pair or --policy
+    ["example", "nowhere"], ["example"],
+    ["solve", "--model", "binomial", "--", "x"], ["solve", "--", "--model", "binomial"],
+]
+
+
+def parsed(capsys, parse, argv):
+    """`vars` of the namespace `parse(argv)` gives, or its exit code and output."""
+    try:
+        result = ("args", vars(parse(argv)))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+class TestParseAgainstTopLevelParser:
+    """`cli._parse`, which reads a subcommand's arguments with its own parser,
+    against its oracle `build_parser().parse_args`: the same namespace, or the
+    same exit code and the same output."""
+
+    @pytest.mark.parametrize("argv", ARGV_BATTERY, ids=lambda argv: " ".join(argv) or "no-argv")
+    def test_same_namespace_or_same_exit(self, capsys, argv):
+        oracle = parsed(capsys, lambda a: cli.build_parser().parse_args(a), list(argv))
+        assert parsed(capsys, cli._parse, list(argv)) == oracle
+
+    def test_main_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["condstop", "solve", "--model", "binomial", "--json"])
+        assert main() == 0
+        assert json.loads(capsys.readouterr().out)["command"] == sys.argv[1:]
+
+
 class TestJsonDeterminism:
     @pytest.mark.parametrize(
         "argv",

@@ -1,6 +1,8 @@
 """Wire-format round trips and malformed-input rejection."""
 
+import hashlib
 import json
+import random
 import re
 from fractions import Fraction
 from fractions import Fraction as F
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from condstop import modelio, numeric
+from condstop import cli, modelio, numeric
 from condstop import (
     EXACT,
     AtomTree,
@@ -35,6 +37,7 @@ from condstop import (
     two_state_model,
     unroll,
 )
+from condstop.random_models import random_markov_model, random_tree
 
 
 def reload(document):
@@ -734,3 +737,44 @@ class TestIndentedWriterAgainstJsonDumps:
     )
     def test_examples(self, document):
         self.check(document)
+
+
+class TestPrebuiltEncoders:
+    """The writer and the digest reuse C encoders built once per process.
+    They keep no cycle markers, so no marker that an error leaves behind can
+    make the same object, written again, look circular."""
+
+    def test_the_same_objects_again_after_errors(self):
+        unserializable, too_long, shared = object(), [10**4300], [1, "x"]
+        for _ in range(2):  # each refused the second time as the first
+            for document in (
+                {"a": unserializable}, [{"b": [unserializable]}],
+                {"a": too_long}, {"b": {"c": too_long}},
+                {"a": shared, "b": [shared, {"c": shared}], "d": {"e": shared}},
+            ):
+                TestIndentedWriterAgainstJsonDumps.check(document)
+
+    def test_nan_and_non_str_keys_at_depth(self):
+        TestIndentedWriterAgainstJsonDumps.check(
+            {"x": [{1: float("nan"), 2.5: [float("-inf")], None: {True: -0.0, False: [None]}}],
+             "y": {"z": {float("nan"): "é", -3: float("inf")}}}
+        )
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_digest_hashes_the_canonical_json(self, seed):
+        rng = random.Random(seed)
+        for model in (random_tree(rng), random_markov_model(rng), minnie_donald_model()):
+            text = json.dumps(dump_model(model), sort_keys=True, separators=(",", ":"))
+            assert model_digest(model) == hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    def test_no_encode_call_per_report(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("JSONEncoder.encode called")
+
+        monkeypatch.setattr(json.JSONEncoder, "encode", refuse)
+        monkeypatch.setattr(json.JSONEncoder, "iterencode", refuse)
+        for argv in (["solve", "--model", "binomial", "--json"],
+                     ["precommit", "--model", "binomial", "--json"],
+                     ["enumerate", "--model", "two-state", "--period", "2", "--json"]):
+            assert cli.main(argv) == 0
+            assert json.loads(capsys.readouterr().out)["command"] == argv

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -132,6 +133,50 @@ class TestEffectiveHorizonAgainstAncestorRule:
         cell_flags, cell_of = cells.effective_flags(), atom_to_cell(cells)
         assert cell_of.keys() == flags.keys()
         assert all(cell_flags[cell_of[aid].id] == flag for aid, flag in flags.items())
+
+
+class TestExactModeTakesOnlyRationals:
+    """In exact mode a tree or chain refuses, at construction, any
+    probability, payoff or discount that is not an int or a Fraction."""
+
+    @staticmethod
+    def floated(tree, field):
+        """The tree's atoms with `field` a float below the root."""
+        return [
+            replace(a, **{field: float(getattr(a, field))})
+            if a.level and getattr(a, field) is not None else a
+            for a in tree.atoms()
+        ]
+
+    def test_float_payoffs(self):
+        # Exact Dinkelbach sweeps on these float payoffs never ended.
+        atoms = self.floated(random_tree(random.Random(4)), "payoff")
+        with pytest.raises(ModelError, match="exact mode takes ints and Fractions, got "):
+            AtomTree(atoms)
+        assert AtomTree(atoms, float_mode()).horizon >= 1
+
+    def test_float_probabilities(self):
+        atoms = self.floated(binomial_tree(), "branch_prob")
+        with pytest.raises(ModelError, match=r"atom 'u': exact mode .* got 0\.5"):
+            AtomTree(atoms)
+
+    @pytest.mark.parametrize(
+        "field, convert",
+        [
+            ("transitions", lambda rows: {x: {y: float(p) for y, p in row.items()}
+                                          for x, row in rows.items()}),
+            ("payoff", lambda payoff: {x: float(g) for x, g in payoff.items()}),
+            ("discount", float),
+            ("transitions", lambda rows: {x: {y: bool(p) if p == 1 else p for y, p in row.items()}
+                                          for x, row in rows.items()}),
+        ],
+        ids=["float-probabilities", "float-payoffs", "float-discount", "bool-probability"],
+    )
+    def test_chains(self, field, convert):
+        # With float probabilities the exact census ended in an AttributeError.
+        model = minnie_donald_model()
+        with pytest.raises(ModelError, match="exact mode takes ints and Fractions, got "):
+            replace(model, **{field: convert(getattr(model, field))})
 
 
 class TestMarkovModel:

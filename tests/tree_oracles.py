@@ -30,6 +30,7 @@ in float mode).
 
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from condstop.model import Atom, AtomTree, ModelError
@@ -39,7 +40,8 @@ from condstop.policy import StoppingPolicy, _check_coverage
 
 
 class TreeBySums(AtomTree):
-    """`AtomTree` whose probability checks add `Fraction`s (or floats)."""
+    """`AtomTree` whose probability checks add `Fraction`s (or floats); in
+    exact mode it refuses, atom by atom, any value but an int or a Fraction."""
 
     def __init__(self, atoms, mode=EXACT):
         self.mode = mode
@@ -80,6 +82,12 @@ class TreeBySums(AtomTree):
                 raise ModelError(
                     f"atom {atom.id!r}: payoff must be present exactly on in-domain atoms"
                 )
+            if mode.exact:
+                for value in (atom.branch_prob, atom.payoff):
+                    if value is not None and type(value) not in (int, Fraction):
+                        raise ModelError(
+                            f"atom {atom.id!r}: exact mode takes ints and Fractions, got {value!r}"
+                        )
             if not (atom.branch_prob > 0):
                 raise ModelError(f"atom {atom.id!r}: branch probability must be positive")
             kids = children[atom.id]
@@ -99,7 +107,6 @@ class TreeBySums(AtomTree):
         self._children = {aid: tuple(kids) for aid, kids in children.items()}
         self._effective_flags: Optional[dict[str, bool]] = None
         self._tie_scale = None
-        self._rational = None
 
 
 def _require(mapping, key, context):
