@@ -41,11 +41,11 @@ from .infinite import (
 )
 from .model import AtomTree, MarkovModel, ModelError, _Cells, unroll
 from .modelio import (
+    CellPairText,
     ParseError,
     PolicyDocument,
     _indented,
     cell_pair,
-    dump_cell_pair,
     dump_pair,
     dump_policy,
     load_model,
@@ -181,7 +181,8 @@ def _policy_document(tree: AtomTree, policy: StoppingPolicy) -> dict:
 def cmd_solve(args):
     """Backward recursion and its equilibrium check.  A chain is solved on its
     cells, since its stop rule, V and S depend only on (time, state); only the
-    pair document lists the atoms of the unrolled tree."""
+    pair document lists the atoms of the unrolled tree, and its text is made
+    only when a `--json` report is written (`CellPairText`)."""
     model = _load_any_model(args)
     tree = _as_cells(model, args.horizon)
     pair, policy = backward_solve(tree)
@@ -192,7 +193,7 @@ def cmd_solve(args):
         "S0": format_scalar(pair.survival[root]),
         "theta0": policy.bit(root),
         "policy": _policy_document(tree, policy),
-        "pair": dump_pair(pair) if isinstance(tree, AtomTree) else dump_cell_pair(tree, pair),
+        "pair": dump_pair(pair) if isinstance(tree, AtomTree) else CellPairText(tree, pair),
     }
     verification = {"is_equilibrium": bool(check)}
     lines = [

@@ -60,16 +60,22 @@ class Atom:
 class AtomTree:
     """A finite filtration tree with per-atom domain flags and payoffs.
 
-    In exact mode every probability and payoff must be an int or a Fraction.
+    In exact mode every probability and payoff must be an int or a Fraction,
+    checked as each atom is read, so no sum meets another type.
     """
 
     def __init__(self, atoms: Iterable[Atom], mode: NumericMode = EXACT):
         self.mode = mode
+        exact = mode.exact
         by_level: dict[int, list[Atom]] = {}
         by_id: dict[str, Atom] = {}
         for atom in atoms:
             if atom.id in by_id:
                 raise ModelError(f"duplicate atom id {atom.id!r}")
+            prob, payoff = atom.branch_prob, atom.payoff
+            if exact and (type(prob) not in _RATIONAL
+                          or payoff is not None and type(payoff) not in _RATIONAL):
+                _refuse_inexact(f"atom {atom.id!r}", (prob, payoff))
             by_id[atom.id] = atom
             by_level.setdefault(atom.level, []).append(atom)
         if not by_id:
@@ -97,17 +103,12 @@ class AtomTree:
                 raise ModelError(f"atom {atom.id!r} re-enters the domain below {parent.id!r}")
             children[parent.id].append(atom)
 
-        exact = mode.exact
         for atom in by_id.values():
-            payoff = atom.payoff
-            if (payoff is not None) != atom.in_domain:
+            if (atom.payoff is not None) != atom.in_domain:
                 raise ModelError(
                     f"atom {atom.id!r}: payoff must be present exactly on in-domain atoms"
                 )
             prob = atom.branch_prob
-            if exact and (type(prob) not in _RATIONAL
-                          or payoff is not None and type(payoff) not in _RATIONAL):
-                _refuse_inexact(f"atom {atom.id!r}", (prob, payoff))
             if not (prob.numerator > 0 if type(prob) in _RATIONAL else prob > 0):
                 raise ModelError(f"atom {atom.id!r}: branch probability must be positive")
             kids = children[atom.id]

@@ -18,6 +18,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import compress, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
+from operator import add
 from typing import Any, Optional, Union
 
 from .infinite import PeriodicMarkovPolicy
@@ -333,14 +334,18 @@ def _indented(obj: Any, depth: int = 0, out: Optional[list] = None) -> list:
     """The chunks of `json.dumps(obj, sort_keys=True, indent=2)` at nesting
     `depth`, appended to `out`.  That call runs `json`'s pure-Python encoder;
     here each non-empty container of exact scalars is one C-encoder call, whose
-    item separator carries the newline and indent."""
+    item separator carries the newline and indent.  A `CellPairText` leaf
+    appends its own chunks."""
     out = [] if out is None else out
     is_dict = isinstance(obj, dict)
     if isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
         return out
     if not (is_dict or isinstance(obj, (list, tuple))) or not obj:
-        out += _CANONICAL(obj, 0)  # a number, true, false, null, {} or []
+        if type(obj) is CellPairText:
+            obj.chunks(depth, out)
+        else:
+            out += _CANONICAL(obj, 0)  # a number, true, false, null, {} or []
         return out
     inner = "\n" + "  " * (depth + 1)
     if set(map(type, obj.values() if is_dict else obj)) <= _SCALARS:
@@ -458,29 +463,61 @@ def dump_pair(pair: SnellPair) -> dict:
     }
 
 
-def dump_cell_pair(cells: _Cells, pair: SnellPair) -> dict:
-    """`dump_pair` of the pair on the unrolled tree, from a pair on the cells,
-    level by level along `cells.columns()`: each cell's entries are formatted
-    once, and each atom gets its cell's text by C-level `zip` and `map`; `V`
-    skips the atoms of cells without a value.  The tables are in tree order;
-    the JSON writer sorts the keys."""
-    values, survival = pair.values, pair.survival
-    values_doc, survival_doc = {}, {}
-    for level, (ids, cidx, _) in zip(cells.levels, cells.columns()):
-        valued = [cell.id in values for cell in level]
-        text = [format_scalar(values[c.id]) if v else None for c, v in zip(level, valued)]
-        values_doc.update(compress(zip(ids, map(text.__getitem__, cidx)),
-                                   map(valued.__getitem__, cidx)))
-        text = [format_scalar(survival[cell.id]) for cell in level]
-        survival_doc.update(zip(ids, map(text.__getitem__, cidx)))
-    return {"V": values_doc, "S": survival_doc}
+class CellPairText:
+    """The `dump_pair` document of the pair on the unrolled tree, from a pair
+    on the cells, as an `_indented` leaf that writes its own text.
+
+    Each cell's `V` and `S` are formatted here, once, so a number `format_scalar`
+    cannot write raises NumericError before any report is begun.  The atoms are
+    met only in `chunks`, when a report is written: one walk of
+    `cells.columns()` hands each atom its cell's text, one sort of the raw atom
+    ids orders both tables as `sort_keys` does, and only then is each id
+    escaped, since escaping does not keep the order of non-ASCII names or of
+    names holding `"` or `\\`.  `V` skips the atoms of cells without a value.
+    """
+
+    def __init__(self, cells: _Cells, pair: SnellPair):
+        values, survival = pair.values, pair.survival
+        self.cells = cells
+        # Per level, each cell's entry as the text after its key: ': "2/5"'.
+        self.survival = [[": " + encode_basestring_ascii(format_scalar(survival[cell.id]))
+                          for cell in level] for level in cells.levels]
+        self.values = [[": " + encode_basestring_ascii(format_scalar(values[cell.id]))
+                        if cell.id in values else None for cell in level]
+                       for level in cells.levels]
+
+    def chunks(self, depth: int, out: list) -> None:
+        """Append the chunks of `json.dumps(document, sort_keys=True,
+        indent=2)` at nesting `depth` to `out`, one joined text per table."""
+        ids: list[str] = []
+        survival: list[str] = []
+        values: list[Optional[str]] = []
+        for (level_ids, cidx, _), s_text, v_text in zip(
+            self.cells.columns(), self.survival, self.values
+        ):
+            ids += level_ids
+            survival += map(s_text.__getitem__, cidx)
+            values += map(v_text.__getitem__, cidx)
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        keys = list(map(encode_basestring_ascii, map(ids.__getitem__, order)))
+        del ids
+        outer = "\n" + "  " * (depth + 1)
+        inner = outer + "  "
+        out += ("{", outer, '"S": {', inner)
+        out.append(("," + inner).join(map(add, keys, map(survival.__getitem__, order))))
+        del survival
+        out += (outer, "},", outer, '"V": {', inner)  # the root is valued: V is not empty
+        values = list(map(values.__getitem__, order))
+        del order
+        out.append(("," + inner).join(map(add, compress(keys, values), filter(None, values))))
+        out += (outer, "}", outer[:-2], "}")
 
 
 def cell_pair(cells: _Cells, pair: SnellPair) -> Optional[SnellPair]:
     """The pair on the unrolled tree keyed by cell id instead, or None when
     it is not constant on each cell.
 
-    The walk is `cells.columns()`, the one `dump_cell_pair` makes.  Level by
+    The walk is `cells.columns()`, the one `CellPairText` makes.  Level by
     level, each table's column of per-atom entries must equal the column of
     the entries at each cell's first atom; list equality tries identity
     before `==`, and `load_pair` shares one object per literal.  An entry

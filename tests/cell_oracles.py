@@ -3,8 +3,9 @@
 `expand` walks a chain's (time, state) cells top-down into the atoms of the
 unrolled tree, one (atom id, parent id, cell) triple per atom;
 `cell_pair_by_atoms` and `dump_cell_pair_by_atoms` read and write a pair
-document along that walk.  They are the per-atom paths that
-`_Cells.columns`, `modelio.cell_pair` and `modelio.dump_cell_pair` replace.
+document along that walk, the writer as a dict for `json.dumps`.  They are
+the per-atom paths that `_Cells.columns`, `modelio.cell_pair` and
+`modelio.CellPairText`, which writes the pair's JSON text itself, replace.
 """
 
 from condstop.numeric import format_scalar

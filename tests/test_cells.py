@@ -17,7 +17,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cell_oracles import atom_to_cell, cell_pair_by_atoms, dump_cell_pair_by_atoms, expand
@@ -25,7 +25,7 @@ from condstop import cli, model as model_module, policy as policy_module, recurs
 from condstop.catalog import builtin_model
 from condstop.model import MarkovModel, _Cells, unroll
 from condstop.modelio import (
-    _indented, cell_pair, dump_cell_pair, dump_model, dump_pair, load_model, load_pair,
+    CellPairText, _indented, cell_pair, dump_model, dump_pair, load_model, load_pair,
 )
 from condstop.numeric import EXACT, float_mode, format_scalar
 from condstop.policy import StoppingPolicy, admissible, is_equilibrium
@@ -74,6 +74,25 @@ def assert_solves_like_the_oracle(tmp_path, model, horizons, floats):
     for horizon in horizons:
         reported = solve_report(path, horizon, floats)
         assert reported == solve_by_unroll(oracle_model, horizon)
+
+
+def test_text_mode_solve_writes_no_per_atom_text(monkeypatch, capsys):
+    """Without --json, chain `solve` never walks the atoms: `_Cells.columns`,
+    the walk that lists them, is not called, and the report is the tree's."""
+    walks = []
+    columns = _Cells.columns
+    monkeypatch.setattr(_Cells, "columns", lambda cells: walks.append(cells) or columns(cells))
+    argv = ["solve", "--model", "two-state", "--horizon", "8"]
+    assert cli.main(argv) == 0
+    text = capsys.readouterr().out
+    assert walks == []
+    assert cli.main(argv + ["--json"]) == 0
+    assert len(walks) == 1
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "_as_cells", cli._as_tree)
+    assert cli.main(argv) == 0
+    tree_text = capsys.readouterr().out
+    assert text[: text.rindex("(")] == tree_text[: tree_text.rindex("(")]
 
 
 @pytest.mark.parametrize("floats", [False, True], ids=["exact", "float"])
@@ -206,11 +225,16 @@ def bump(entry):
     return str(Fraction(entry) + 1)
 
 
+def written_pair(cells, pair):
+    """The pair document that `solve` writes for a pair on the cells, read back."""
+    return json.loads("".join(_indented(CellPairText(cells, pair))))
+
+
 def solved_documents(model, horizon):
     """The pair and policy documents of `solve`, and each atom's cell."""
     cells = _Cells(model, horizon)
     pair, policy = backward_solve(cells)
-    return dump_cell_pair(cells, pair), cli._policy_document(cells, policy), atom_to_cell(cells)
+    return written_pair(cells, pair), cli._policy_document(cells, policy), atom_to_cell(cells)
 
 
 def _deepest_in_domain(pair, cell_of_atom):
@@ -442,12 +466,12 @@ def test_chain_verify_unrolls_only_to_report_a_failure(tmp_path, monkeypatch):
 
 
 class TestCellPair:
-    """`cell_pair` against the pair document `dump_cell_pair` writes."""
+    """`cell_pair` against the pair document `CellPairText` writes."""
 
     def setup_method(self):
         self.cells = _Cells(builtin_model("two-state"), 4)
         self.pair, _ = backward_solve(self.cells)
-        self.document = dump_cell_pair(self.cells, self.pair)
+        self.document = written_pair(self.cells, self.pair)
         self.cell_of_atom = atom_to_cell(self.cells)
 
     def project(self, document):
@@ -500,9 +524,12 @@ class TestCellPair:
 
 # The columnar walk and the pair readers and writers on it, against the
 # atom-by-atom oracles in `cell_oracles`, on random chains whose state names
-# need escaping (`%`, `/`, `!`) or are prefixes of one another.
+# need escaping in atom ids (`%`, `/`, `!`) or in JSON (`é`, `"`, `\`, a tab),
+# or are prefixes of one another.  JSON escaping changes the order of `é`
+# against `a`, of `"` and a tab against `1`, and of `\` against a tab, so the
+# writer must sort the raw ids; the examples put each such pair first.
 
-NAMES = ("1", "10", "1.5", "!", "%", "%2F", "a/b", "a", "x!")
+NAMES = ("1", "10", "1.5", "!", "%", "%2F", "a/b", "a", "x!", "é", '"', "\\", "\t")
 
 
 def renamed(model, names):
@@ -549,6 +576,10 @@ def entries(pair):
     return None if pair is None else (list(pair.values.items()), list(pair.survival.items()))
 
 
+def names_first(*first):
+    return [*first, *(name for name in NAMES if name not in first)]
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -557,6 +588,10 @@ def entries(pair):
     floats=st.booleans(),
     names=st.permutations(NAMES),
 )
+@example(seed=0, n_states=2, horizon=3, floats=False, names=names_first("é", "a"))
+@example(seed=0, n_states=2, horizon=3, floats=False, names=names_first('"', "1"))
+@example(seed=0, n_states=2, horizon=3, floats=True, names=names_first("\\", "\t"))
+@example(seed=0, n_states=2, horizon=3, floats=False, names=names_first("\t", "1"))
 def test_columns_and_pair_documents_against_the_atom_oracles(
     seed, n_states, horizon, floats, names
 ):
@@ -571,10 +606,10 @@ def test_columns_and_pair_documents_against_the_atom_oracles(
         assert [(a.id, a.parent) for a in tree.levels[t]] == [(a, p) for a, p, _ in triples]
 
     pair, _ = backward_solve(cells)
-    document = dump_cell_pair(cells, pair)
-    assert "".join(_indented(document)) == "".join(
-        _indented(dump_cell_pair_by_atoms(cells, pair))
-    )
+    written = "".join(_indented({"results": {"pair": CellPairText(cells, pair)}}))
+    oracle = {"results": {"pair": dump_cell_pair_by_atoms(cells, pair)}}
+    assert written == json.dumps(oracle, sort_keys=True, indent=2)
+    document = json.loads(written)["results"]["pair"]
     for name, changed in perturbed_documents(document, cells, rng):
         loaded = load_pair(changed, mode=model.mode)
         assert entries(cell_pair(cells, loaded)) == entries(cell_pair_by_atoms(cells, loaded)), name

@@ -14,9 +14,9 @@ from pathlib import Path
 import pytest
 
 from condstop import backward_solve, binomial_tree, cli, dump_model, dump_pair, two_state_model
-from condstop import policy as policy_module
+from condstop import modelio, policy as policy_module
 from condstop.cli import main
-from condstop.model import Atom, AtomTree, MarkovModel
+from condstop.model import Atom, AtomTree, MarkovModel, _Cells
 from condstop.modelio import load_model, model_digest
 from condstop.numeric import EXACT, float_mode
 
@@ -784,6 +784,30 @@ class TestRefusals:
         path = tmp_path / "model.json"
         path.write_text(json.dumps(chain_with(payoff={"1": "1", "2": payoff})))
         argv = ["solve", "--model", str(path), "--horizon", "2", *report]
+        assert run(capsys, *argv) == (
+            3, "", "error: cannot write a number of more than 4300 digits\n"
+        )
+
+    @pytest.mark.parametrize("report", [(), ("--json",)], ids=["human", "json"])
+    def test_one_deep_cell_past_the_digit_limit_exits_three(self, capsys, monkeypatch, report):
+        # A chain's pair text is joined only when a report is written, but every
+        # cell is formatted in `solve`: one deep value no report can write still
+        # exits 3 before any output, in both modes.
+        model = two_state_model()
+        cells = _Cells(model, 4)
+        pair, _ = backward_solve(cells)
+        deep = pair.values[next(c.id for c in cells.levels[-1] if c.id in pair.values)]
+        root = cells.root.id
+        numbers = {model.discount, *model.payoff.values(),
+                   *(p for row in model.transitions.values() for p in row.values())}
+        assert deep not in {pair.values[root], pair.survival[root], *numbers}
+        format_scalar = modelio.format_scalar
+
+        def format_all_but_deep(value):
+            return format_scalar(F(10**4300) if value == deep else value)
+
+        monkeypatch.setattr(modelio, "format_scalar", format_all_but_deep)
+        argv = ["solve", "--model", "two-state", "--horizon", "4", *report]
         assert run(capsys, *argv) == (
             3, "", "error: cannot write a number of more than 4300 digits\n"
         )

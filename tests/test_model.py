@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from condstop.model import (
     unroll,
 )
 from condstop.modelio import dump_model, load_model
-from condstop.numeric import float_mode
+from condstop.numeric import EXACT, float_mode
 from condstop.random_models import random_markov_model, random_tree
 
 from cell_oracles import atom_to_cell
@@ -177,6 +178,82 @@ class TestExactModeTakesOnlyRationals:
         model = minnie_donald_model()
         with pytest.raises(ModelError, match="exact mode takes ints and Fractions, got "):
             replace(model, **{field: convert(getattr(model, field))})
+
+
+def as_kind(value, kind):
+    """A rational `value` written as the given type."""
+    value = Fraction(value)
+    if kind == "int or Fraction":
+        return value.numerator if value.denominator == 1 else value
+    if kind == "Fraction":
+        return value
+    if kind == "float":
+        return float(value)
+    if kind == "bool":  # drawn only for 0 and 1
+        return bool(value)
+    if kind == "Decimal":
+        return Decimal(value.numerator) / Decimal(value.denominator)
+    return str(value)
+
+
+RATIONAL_KINDS = ("int or Fraction", "Fraction")
+
+
+class TestMixedValueTypes:
+    """Exact mode refuses, with a ModelError, exactly the trees and chains
+    that hold some probability, payoff or discount of a type other than int
+    and Fraction; float mode builds from any mix of ints, Fractions and
+    floats."""
+
+    @staticmethod
+    def writer(data, exact, kinds):
+        """Each number as a drawn type, recording the types drawn in `kinds`."""
+        allowed = (*RATIONAL_KINDS, "float", *(("Decimal", "str") if exact else ()))
+
+        def write(value):
+            if value is None:
+                return None
+            choices = allowed + ("bool",) if exact and value in (0, 1) else allowed
+            kind = data.draw(st.sampled_from(choices) if data.draw(st.booleans())
+                             else st.sampled_from(RATIONAL_KINDS))
+            kinds.append(kind)
+            return as_kind(value, kind)
+
+        return write
+
+    @staticmethod
+    def build(exact, kinds, make):
+        if exact and not set(kinds) <= set(RATIONAL_KINDS):
+            with pytest.raises(ModelError, match="exact mode takes ints and Fractions, got "):
+                make(EXACT)
+        else:
+            make(EXACT if exact else float_mode())
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1), exact=st.booleans())
+    def test_trees(self, data, seed, exact):
+        kinds = []
+        write = self.writer(data, exact, kinds)
+        # The root's probability stays 1: a root written "1" is refused first
+        # as a root whose probability is not 1.
+        atoms = [replace(a, branch_prob=write(a.branch_prob) if a.level else a.branch_prob,
+                         payoff=write(a.payoff))
+                 for a in random_tree(random.Random(seed)).atoms()]
+        self.build(exact, kinds, lambda mode: AtomTree(atoms, mode))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1), exact=st.booleans())
+    def test_chains(self, data, seed, exact):
+        kinds = []
+        write = self.writer(data, exact, kinds)
+        model = random_markov_model(random.Random(seed))
+        changes = {
+            "transitions": {x: {y: write(p) for y, p in row.items()}
+                            for x, row in model.transitions.items()},
+            "payoff": {x: write(g) for x, g in model.payoff.items()},
+            "discount": write(model.discount),
+        }
+        self.build(exact, kinds, lambda mode: replace(model, **changes, mode=mode))
 
 
 class TestMarkovModel:

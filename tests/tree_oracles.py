@@ -41,7 +41,8 @@ from condstop.policy import StoppingPolicy, _check_coverage
 
 class TreeBySums(AtomTree):
     """`AtomTree` whose probability checks add `Fraction`s (or floats); in
-    exact mode it refuses, atom by atom, any value but an int or a Fraction."""
+    exact mode it refuses, atom by atom as it reads them, any value but an
+    int or a Fraction."""
 
     def __init__(self, atoms, mode=EXACT):
         self.mode = mode
@@ -50,6 +51,12 @@ class TreeBySums(AtomTree):
         for atom in atoms:
             if atom.id in by_id:
                 raise ModelError(f"duplicate atom id {atom.id!r}")
+            if mode.exact:
+                for value in (atom.branch_prob, atom.payoff):
+                    if value is not None and type(value) not in (int, Fraction):
+                        raise ModelError(
+                            f"atom {atom.id!r}: exact mode takes ints and Fractions, got {value!r}"
+                        )
             by_id[atom.id] = atom
             by_level.setdefault(atom.level, []).append(atom)
         if not by_id:
@@ -82,12 +89,6 @@ class TreeBySums(AtomTree):
                 raise ModelError(
                     f"atom {atom.id!r}: payoff must be present exactly on in-domain atoms"
                 )
-            if mode.exact:
-                for value in (atom.branch_prob, atom.payoff):
-                    if value is not None and type(value) not in (int, Fraction):
-                        raise ModelError(
-                            f"atom {atom.id!r}: exact mode takes ints and Fractions, got {value!r}"
-                        )
             if not (atom.branch_prob > 0):
                 raise ModelError(f"atom {atom.id!r}: branch probability must be positive")
             kids = children[atom.id]
